@@ -118,9 +118,10 @@ commands:
       --unit-time-limit <dur>        per-unit solver budget; exact solves
                                      that expire fall back to the next
                                      cheapest engine's incumbent
-      --seed <n>                     reseed the ColorGNN restart RNG
-                                     (echoed in the run summary); same
-                                     seed => same results
+      --seed <n>                     seed the ColorGNN restart RNG
+                                     (default 0xBEEF, as for serve and
+                                     submit; echoed in the run summary);
+                                     same seed => same results
       --precision f32|f16|int8       routing-inference precision (default:
                                      MPLD_PRECISION env or f32). f16/int8
                                      run the quantized weight planes;
@@ -156,8 +157,7 @@ commands:
                                      (O(tile) geometry working set) with
                                      halo-exact boundary conflicts; costs
                                      and colorings are bit-identical to
-                                     the non-tiled run (runs through the
-                                     service engine, seed default 0xBEEF)
+                                     the non-tiled run
       --tile-span <nm>               tile side length (default 48*d)
       --halo <nm>                    halo width (default d; clamped to
                                      at least d, the soundness minimum)
@@ -527,34 +527,39 @@ fn cache_cap_from(parsed: &Parsed) -> Result<Option<usize>, CliError> {
         .transpose()?)
 }
 
-/// Builds a store-backed engine from a model file: the graph library and
-/// previous audit-clean tail solves are loaded from the
-/// model-fingerprint-keyed store file, and fresh solves append back.
-fn load_store_engine(
-    model: &str,
-    params: &DecomposeParams,
-    precision: Precision,
-    use_colorgnn: Option<bool>,
-    store_dir: &str,
-    parsed: &Parsed,
-) -> Result<(Engine, mpld_store::LoadReport), CliError> {
-    let bytes = std::fs::read(model).map_err(|e| format!("cannot open {model}: {e}"))?;
-    let caps = store_caps_from(parsed)?;
+/// The engine `adaptive` and `serve` run: store-backed with
+/// `--store-dir` (the graph library and previous audit-clean tail solves
+/// load from the model-fingerprint-keyed store file, and fresh solves
+/// append back), else in memory.
+fn load_engine(parsed: &Parsed, model: &str, params: &DecomposeParams) -> Result<Engine, CliError> {
+    let precision = precision_from(parsed)?;
+    let colorgnn: Option<bool> = parsed
+        .option("colorgnn")
+        .map(|v| {
+            v.parse::<bool>()
+                .map_err(|_| format!("cannot parse --colorgnn {v}"))
+        })
+        .transpose()?;
     let cache_cap = cache_cap_from(parsed)?;
+    let Some(store_dir) = parsed.option("store-dir") else {
+        let mut fw = load_model(model, params, precision)?;
+        fw.use_colorgnn = colorgnn.unwrap_or(fw.use_colorgnn);
+        return Ok(Engine::with_cache_cap(fw, cache_cap));
+    };
+    let bytes = std::fs::read(model).map_err(|e| format!("cannot open {model}: {e}"))?;
     mpld::engine_with_store_configured(
         &bytes,
         params,
         &OfflineConfig::default(),
         std::path::Path::new(store_dir),
-        caps,
+        store_caps_from(parsed)?,
         cache_cap,
         |fw| {
             fw.precision = precision;
-            if let Some(flag) = use_colorgnn {
-                fw.use_colorgnn = flag;
-            }
+            fw.use_colorgnn = colorgnn.unwrap_or(fw.use_colorgnn);
         },
     )
+    .map(|(engine, _)| engine)
     .map_err(|e| format!("cannot open store {store_dir}: {e}").into())
 }
 
@@ -731,6 +736,11 @@ fn library_stats_json(f: &mpld_store::FileStats) -> String {
     )
 }
 
+/// `mpld adaptive`: one [`Engine`] + [`Session`] run, whatever the
+/// options. `--store-dir` backs the engine with the persistent store,
+/// `--tiled` swaps in memory-bounded tiled preprocessing (the prepared
+/// layout is bit-identical to the monolithic one, and boundary units are
+/// re-audited afterwards), and `--checkpoint` journals the tail.
 fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
     let arg = parsed.positional(1).ok_or("adaptive: missing layout")?;
     let model = parsed
@@ -746,29 +756,22 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
         per_unit: option_duration(parsed, "unit-time-limit")?,
         ..BudgetPolicy::unlimited()
     };
-    let seed: Option<u64> = parsed
-        .option("seed")
-        .map(|v| v.parse().map_err(|_| format!("cannot parse --seed {v}")))
-        .transpose()?;
+    let seed: u64 = parsed.option_or("seed", mpld::DEFAULT_SEED)?;
     let json: bool = parsed.option_or("json", false)?;
-    let precision = precision_from(parsed)?;
-    if parsed.option_or("tiled", false)? {
-        return cmd_adaptive_tiled(
-            parsed, arg, model, &params, threads, policy, seed, json, precision,
-        );
-    }
-    if let Some(store_dir) = parsed.option("store-dir") {
-        return cmd_adaptive_store(
-            parsed, arg, model, &params, policy, seed, json, precision, store_dir,
-        );
-    }
-    let mut fw = load_model(model, &params, precision)?;
-    fw.use_colorgnn = parsed.option_or("colorgnn", fw.use_colorgnn)?;
-    if let Some(s) = seed {
-        fw.colorgnn.reseed(s);
-    }
-    let layout = load_layout(arg)?;
-    let prep = prepare(&layout, &params);
+    let engine = load_engine(parsed, model, &params)?;
+    let tiled = if parsed.option_or("tiled", false)? {
+        Some(prepare_tiled_from(parsed, arg, &params, threads, json)?)
+    } else {
+        None
+    };
+    let monolithic;
+    let prep = match &tiled {
+        Some(tp) => &tp.prep,
+        None => {
+            monolithic = prepare(&load_layout(arg)?, &params);
+            &monolithic
+        }
+    };
 
     // Crash-safe checkpointing: resume from (and keep appending to) an
     // on-disk journal of the ILP/EC-tail solves.
@@ -777,7 +780,7 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
     if let Some(path) = parsed.option("checkpoint") {
         let p = std::path::Path::new(path);
         if let Some(cp) = Checkpoint::load(p)? {
-            if !cp.matches(&layout.name, params.k, params.alpha, prep.units.len()) {
+            if !cp.matches(&prep.name, params.k, params.alpha, prep.units.len()) {
                 return Err(format!(
                     "--checkpoint {path}: journal belongs to a different run \
                      (layout {:?}, k {}, {} units)",
@@ -790,17 +793,13 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
             resume = Some(cp);
         }
         let header = CheckpointHeader {
-            layout: layout.name.clone(),
+            layout: prep.name.clone(),
             k: params.k,
             alpha: params.alpha,
             units: prep.units.len(),
         };
         journal = Some(JournalWriter::append(p, &header)?);
     }
-    let recovery = Recovery {
-        resume: resume.as_ref(),
-        journal: journal.as_ref(),
-    };
     // Deterministic fault injection for chaos testing: only compiled in
     // with `--features failpoints`, only active when MPLD_FAILPOINTS is
     // set (e.g. MPLD_FAILPOINTS="seed=7,rate=0.02"), and armed only for
@@ -814,231 +813,136 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
         // units are listed in the run summary anyway).
         std::panic::set_hook(Box::new(|info| eprintln!("chaos: {info}")));
     }
-    let r = fw.decompose_prepared_parallel_recoverable(&prep, threads, &policy, recovery)?;
-    if json {
-        // One machine-readable line — the same RunSummary object the
-        // server's final "done" event carries, for digest comparisons.
-        println!(
-            "{}",
-            RunSummary::from_result(&layout.name, &r, params.alpha, threads, seed).to_json()
-        );
-        for (unit, e) in &r.quarantines {
-            eprintln!("  unit {unit}: {e}");
-        }
-        if let Some(path) = parsed.option("o") {
-            write_masks(path, &r.pipeline.decomposition.feature_colors)?;
-        }
-        return Ok(());
-    }
-    println!(
-        "adaptive on {}: {} (objective {:.1}) in {:?} ({threads} threads{})",
-        layout.name,
-        r.pipeline.cost,
-        r.pipeline.cost.value(params.alpha),
-        r.pipeline.decompose_time,
-        match seed {
-            Some(s) => format!(", seed {s}"),
-            None => String::new(),
-        }
-    );
-    println!(
-        "usage: matching {}  ColorGNN {}  EC {}  ILP {}  (fallbacks {}, memo hits {})",
-        r.usage.matching,
-        r.usage.colorgnn,
-        r.usage.ec,
-        r.usage.ilp,
-        r.usage.colorgnn_fallbacks,
-        r.memo_hits
-    );
-    if precision != Precision::F32 {
-        let inf = &r.inference;
-        println!(
-            "precision: {} (kernel {}; {} quantized, {} pinned f32, {} f32 fallbacks, {} batches)",
-            inf.precision,
-            inf.kernel_quant,
-            inf.quantized_units,
-            inf.pinned_f32,
-            inf.f32_fallbacks,
-            inf.batches_planned
-        );
-    }
-    if !policy.is_unlimited() {
-        println!(
-            "budget: {} certified  {} heuristic  {} budget-exhausted  {} fallbacks",
-            r.budget.certified,
-            r.budget.heuristic,
-            r.budget.budget_exhausted,
-            r.budget.budget_fallbacks
-        );
-    }
-    if r.resumed_units > 0 {
-        println!(
-            "checkpoint: resumed {} of {} units from the journal",
-            r.resumed_units,
-            prep.units.len()
-        );
-    }
-    if r.budget.quarantined > 0 || r.budget.audit_rejections > 0 {
-        println!(
-            "faults: {} quarantined  {} audit rejections",
-            r.budget.quarantined, r.budget.audit_rejections
-        );
-        for (unit, e) in &r.quarantines {
-            eprintln!("  unit {unit}: {e}");
-        }
-    }
-    if let Some(path) = parsed.option("o") {
-        write_masks(path, &r.pipeline.decomposition.feature_colors)?;
-        println!("wrote mask assignment to {path}");
-    }
-    Ok(())
-}
 
-/// `adaptive --store-dir <dir>`: store-backed decomposition through the
-/// serving engine. The graph library and previous audit-clean tail
-/// solves load from the persistent store (keyed by the model's weights
-/// digest and the layout params), and certified fresh solves append
-/// back, so a second run of the same workload re-solves almost nothing.
-#[allow(clippy::too_many_arguments)] // plain plumbing from cmd_adaptive's parsed options
-fn cmd_adaptive_store(
-    parsed: &Parsed,
-    arg: &str,
-    model: &str,
-    params: &DecomposeParams,
-    policy: BudgetPolicy,
-    seed: Option<u64>,
-    json: bool,
-    precision: Precision,
-    store_dir: &str,
-) -> Result<(), CliError> {
-    let colorgnn: Option<bool> = parsed
-        .option("colorgnn")
-        .map(|v| {
-            v.parse::<bool>()
-                .map_err(|_| format!("cannot parse --colorgnn {v}"))
-        })
-        .transpose()?;
-    let (engine, _report) =
-        load_store_engine(model, params, precision, colorgnn, store_dir, parsed)?;
-    let layout = load_layout(arg)?;
-    let prep = prepare(&layout, params);
-
-    // Same crash-safe checkpoint protocol as the in-memory path.
-    let mut resume = None;
-    let mut journal = None;
-    if let Some(path) = parsed.option("checkpoint") {
-        let p = std::path::Path::new(path);
-        if let Some(cp) = Checkpoint::load(p)? {
-            if !cp.matches(&layout.name, params.k, params.alpha, prep.units.len()) {
-                return Err(format!(
-                    "--checkpoint {path}: journal belongs to a different run \
-                     (layout {:?}, k {}, {} units)",
-                    cp.header().layout,
-                    cp.header().k,
-                    cp.header().units
-                )
-                .into());
-            }
-            resume = Some(cp);
-        }
-        let header = CheckpointHeader {
-            layout: layout.name.clone(),
-            k: params.k,
-            alpha: params.alpha,
-            units: prep.units.len(),
-        };
-        journal = Some(JournalWriter::append(p, &header)?);
-    }
-
-    let mut session = Session::with_policy(seed.unwrap_or(mpld_server::DEFAULT_SEED), policy);
+    let mut session = Session::with_policy(seed, policy.clone());
+    session.threads = threads;
     session.recovery = Recovery {
         resume: resume.as_ref(),
         journal: journal.as_ref(),
     };
-    let r = engine.decompose(&prep, &mut session)?;
+    let r = engine.decompose(prep, &mut session)?;
+    let boundary = tiled
+        .as_ref()
+        .map(|tp| audit_boundary_units(prep, &r, &tp.boundary_units, params.k));
+    if let Some((audited, false)) = boundary {
+        eprintln!(
+            "tiled: WARNING boundary cost audit disagreed on at least one of {audited} units"
+        );
+    }
+
     if json {
+        // One machine-readable line — the same RunSummary object the
+        // server's final "done" event carries, for digest comparisons.
+        let mut summary =
+            RunSummary::from_result(&prep.name, &r, params.alpha, threads, Some(seed));
+        summary.tiled = tiled.as_ref().map(|tp| TiledRunSummary {
+            tiles: tp.stats.tiles_x * tp.stats.tiles_y,
+            boundary_resolves: tp.stats.boundary_resolves,
+        });
+        println!("{}", summary.to_json());
+    } else {
         println!(
-            "{}",
-            RunSummary::from_result(&layout.name, &r, params.alpha, 1, seed).to_json()
+            "adaptive on {}: {} (objective {:.1}) in {:?} ({threads} threads, seed {seed})",
+            prep.name,
+            r.pipeline.cost,
+            r.pipeline.cost.value(params.alpha),
+            r.pipeline.decompose_time,
         );
-        for (unit, e) in &r.quarantines {
-            eprintln!("  unit {unit}: {e}");
+        if let (Some(tp), Some((audited, clean))) = (&tiled, boundary) {
+            let stats = &tp.stats;
+            println!(
+                "tiling: {}x{} tiles (span {} nm, halo {} nm), {} of {} features replicated",
+                stats.tiles_x,
+                stats.tiles_y,
+                stats.tile_span,
+                stats.halo,
+                stats.replicated_features,
+                stats.features
+            );
+            println!(
+                "boundary: {} of {} conflict edges cross tiles; {} boundary re-solves, \
+                 cost audit {} on {} units",
+                stats.boundary_edges,
+                stats.edges,
+                stats.boundary_resolves,
+                if clean { "clean" } else { "FAILED" },
+                audited
+            );
         }
-        if let Some(path) = parsed.option("o") {
-            write_masks(path, &r.pipeline.decomposition.feature_colors)?;
+        println!(
+            "usage: matching {}  ColorGNN {}  EC {}  ILP {}  (fallbacks {}, memo hits {})",
+            r.usage.matching,
+            r.usage.colorgnn,
+            r.usage.ec,
+            r.usage.ilp,
+            r.usage.colorgnn_fallbacks,
+            r.memo_hits
+        );
+        let inf = &r.inference;
+        if inf.precision != Precision::F32 {
+            println!(
+                "precision: {} (kernel {}; {} quantized, {} pinned f32, {} f32 fallbacks, {} batches)",
+                inf.precision,
+                inf.kernel_quant,
+                inf.quantized_units,
+                inf.pinned_f32,
+                inf.f32_fallbacks,
+                inf.batches_planned
+            );
         }
-        return Ok(());
+        if !policy.is_unlimited() {
+            println!(
+                "budget: {} certified  {} heuristic  {} budget-exhausted  {} fallbacks",
+                r.budget.certified,
+                r.budget.heuristic,
+                r.budget.budget_exhausted,
+                r.budget.budget_fallbacks
+            );
+        }
+        print_store_line(&engine);
+        if r.resumed_units > 0 {
+            println!(
+                "checkpoint: resumed {} of {} units from the journal",
+                r.resumed_units,
+                prep.units.len()
+            );
+        }
+        if r.budget.quarantined > 0 || r.budget.audit_rejections > 0 {
+            println!(
+                "faults: {} quarantined  {} audit rejections",
+                r.budget.quarantined, r.budget.audit_rejections
+            );
+        }
     }
-    println!(
-        "adaptive (store) on {}: {} (objective {:.1}) in {:?} (seed {})",
-        layout.name,
-        r.pipeline.cost,
-        r.pipeline.cost.value(params.alpha),
-        r.pipeline.decompose_time,
-        session.seed()
-    );
-    println!(
-        "usage: matching {}  ColorGNN {}  EC {}  ILP {}  (fallbacks {}, memo hits {})",
-        r.usage.matching,
-        r.usage.colorgnn,
-        r.usage.ec,
-        r.usage.ilp,
-        r.usage.colorgnn_fallbacks,
-        r.memo_hits
-    );
-    print_store_line(&engine);
-    if r.resumed_units > 0 {
-        println!(
-            "checkpoint: resumed {} of {} units from the journal",
-            r.resumed_units,
-            prep.units.len()
-        );
-    }
-    if r.budget.quarantined > 0 || r.budget.audit_rejections > 0 {
-        println!(
-            "faults: {} quarantined  {} audit rejections",
-            r.budget.quarantined, r.budget.audit_rejections
-        );
-        for (unit, e) in &r.quarantines {
-            eprintln!("  unit {unit}: {e}");
-        }
+    for (unit, e) in &r.quarantines {
+        eprintln!("  unit {unit}: {e}");
     }
     if let Some(path) = parsed.option("o") {
         write_masks(path, &r.pipeline.decomposition.feature_colors)?;
-        println!("wrote mask assignment to {path}");
+        if !json {
+            println!("wrote mask assignment to {path}");
+        }
     }
     Ok(())
 }
 
-/// `adaptive --tiled true`: memory-bounded tiled preprocessing followed
-/// by the standard service-engine solve. Layout files are streamed from
+/// `adaptive --tiled true` preprocessing: layout files are streamed from
 /// disk (geometry spilled to an unlinked temp file, O(tile) working
-/// set); benchmark circuits are tiled in memory. The reconstructed
-/// prepared layout is bit-identical to the monolithic one, so costs and
-/// colorings match the non-tiled run exactly; boundary units are
-/// re-audited against the independent Eq. 1 cost check afterwards.
-#[allow(clippy::too_many_arguments)] // plain plumbing from cmd_adaptive's parsed options
-fn cmd_adaptive_tiled(
+/// set); benchmark circuits are tiled in memory. In human mode the
+/// tiling milestones are narrated on stderr (per-tile events are
+/// skipped — there can be thousands).
+fn prepare_tiled_from(
     parsed: &Parsed,
     arg: &str,
-    model: &str,
     params: &DecomposeParams,
     threads: usize,
-    policy: BudgetPolicy,
-    seed: Option<u64>,
     json: bool,
-    precision: Precision,
-) -> Result<(), CliError> {
+) -> Result<TiledPrepared, CliError> {
     let config = TilingConfig {
         tile_span: parsed.option_or("tile-span", 0)?,
         halo: parsed.option_or("halo", 0)?,
         threads,
     };
-    let mut fw = load_model(model, params, precision)?;
-    fw.use_colorgnn = parsed.option_or("colorgnn", fw.use_colorgnn)?;
-
-    // Quiet in JSON mode; in human mode narrate the tiling milestones on
-    // stderr (per-tile events are skipped — there can be thousands).
     let progress = move |p: TiledProgress| {
         if json {
             return;
@@ -1067,139 +971,16 @@ fn cmd_adaptive_tiled(
             }
         }
     };
-    let tp: TiledPrepared = if let Some(c) = circuit_by_name(arg) {
-        prepare_tiled(&c.generate(), params, &config, &progress)
-    } else {
-        prepare_tiled_file(
+    Ok(match circuit_by_name(arg) {
+        Some(c) => prepare_tiled(&c.generate(), params, &config, &progress),
+        None => prepare_tiled_file(
             std::path::Path::new(arg),
             &ReadLimits::unlimited(),
             params,
             &config,
             &progress,
-        )?
-    };
-    let prep = &tp.prep;
-    let stats = tp.stats;
-
-    // Same crash-safe checkpoint protocol as the non-tiled path — the
-    // prepared layout is identical, so journals are interchangeable.
-    let mut resume = None;
-    let mut journal = None;
-    if let Some(path) = parsed.option("checkpoint") {
-        let p = std::path::Path::new(path);
-        if let Some(cp) = Checkpoint::load(p)? {
-            if !cp.matches(&prep.name, params.k, params.alpha, prep.units.len()) {
-                return Err(format!(
-                    "--checkpoint {path}: journal belongs to a different run \
-                     (layout {:?}, k {}, {} units)",
-                    cp.header().layout,
-                    cp.header().k,
-                    cp.header().units
-                )
-                .into());
-            }
-            resume = Some(cp);
-        }
-        let header = CheckpointHeader {
-            layout: prep.name.clone(),
-            k: params.k,
-            alpha: params.alpha,
-            units: prep.units.len(),
-        };
-        journal = Some(JournalWriter::append(p, &header)?);
-    }
-
-    #[cfg(feature = "failpoints")]
-    if let Some((fp_seed, rate)) = mpld_graph::failpoints::configure_from_env() {
-        eprintln!("failpoints: enabled (seed={fp_seed}, rate={rate})");
-        std::panic::set_hook(Box::new(|info| eprintln!("chaos: {info}")));
-    }
-
-    let engine = Engine::new(fw);
-    let mut session = Session::with_policy(seed.unwrap_or(mpld_server::DEFAULT_SEED), policy);
-    session.recovery = Recovery {
-        resume: resume.as_ref(),
-        journal: journal.as_ref(),
-    };
-    let r = engine.decompose(prep, &mut session)?;
-    let (audited, audit_clean) = audit_boundary_units(prep, &r, &tp.boundary_units, params.k);
-    if !audit_clean {
-        eprintln!(
-            "tiled: WARNING boundary cost audit disagreed on at least one of {audited} units"
-        );
-    }
-
-    if json {
-        let mut summary = RunSummary::from_result(&prep.name, &r, params.alpha, threads, seed);
-        summary.tiled = Some(TiledRunSummary {
-            tiles: stats.tiles_x * stats.tiles_y,
-            boundary_resolves: stats.boundary_resolves,
-        });
-        println!("{}", summary.to_json());
-        for (unit, e) in &r.quarantines {
-            eprintln!("  unit {unit}: {e}");
-        }
-        if let Some(path) = parsed.option("o") {
-            write_masks(path, &r.pipeline.decomposition.feature_colors)?;
-        }
-        return Ok(());
-    }
-    println!(
-        "adaptive (tiled) on {}: {} (objective {:.1}) in {:?} ({threads} threads, seed {})",
-        prep.name,
-        r.pipeline.cost,
-        r.pipeline.cost.value(params.alpha),
-        r.pipeline.decompose_time,
-        session.seed()
-    );
-    println!(
-        "tiling: {}x{} tiles (span {} nm, halo {} nm), {} of {} features replicated",
-        stats.tiles_x,
-        stats.tiles_y,
-        stats.tile_span,
-        stats.halo,
-        stats.replicated_features,
-        stats.features
-    );
-    println!(
-        "boundary: {} of {} conflict edges cross tiles; {} boundary re-solves, \
-         cost audit {} on {} units",
-        stats.boundary_edges,
-        stats.edges,
-        stats.boundary_resolves,
-        if audit_clean { "clean" } else { "FAILED" },
-        audited
-    );
-    println!(
-        "usage: matching {}  ColorGNN {}  EC {}  ILP {}  (fallbacks {}, memo hits {})",
-        r.usage.matching,
-        r.usage.colorgnn,
-        r.usage.ec,
-        r.usage.ilp,
-        r.usage.colorgnn_fallbacks,
-        r.memo_hits
-    );
-    if r.resumed_units > 0 {
-        println!(
-            "checkpoint: resumed {} of {} units from the journal",
-            r.resumed_units,
-            prep.units.len()
-        );
-    }
-    if r.budget.quarantined > 0 || r.budget.audit_rejections > 0 {
-        println!(
-            "faults: {} quarantined  {} audit rejections",
-            r.budget.quarantined, r.budget.audit_rejections
-        );
-        for (unit, e) in &r.quarantines {
-            eprintln!("  unit {unit}: {e}");
-        }
-    }
-    if let Some(path) = parsed.option("o") {
-        write_masks(path, &r.pipeline.decomposition.feature_colors)?;
-        println!("wrote mask assignment to {path}");
-    }
-    Ok(())
+        )?,
+    })
 }
 
 /// Long-lived decomposition service: loads the model and compiles the
@@ -1243,40 +1024,21 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), CliError> {
     if cfg.workers == 0 {
         return Err("--workers must be positive".into());
     }
-    let precision = precision_from(parsed)?;
-    let colorgnn: Option<bool> = parsed
-        .option("colorgnn")
-        .map(|v| {
-            v.parse::<bool>()
-                .map_err(|_| format!("cannot parse --colorgnn {v}"))
-        })
-        .transpose()?;
     // With --store-dir the engine is store-backed: the graph library and
     // previous audit-clean tail solves load from disk in milliseconds,
     // and certified fresh solves append back (write-behind) so a warm
     // restart serves the same workload with near-zero tail solves.
-    let engine = if let Some(store_dir) = parsed.option("store-dir") {
-        let (engine, report) =
-            load_store_engine(model, &params, precision, colorgnn, store_dir, parsed)?;
+    let engine = load_engine(parsed, model, &params)?;
+    if let Some(s) = engine.stats().store {
         eprintln!(
             "store: {} solves preloaded, library {} ({} ms{})",
-            report.solves,
-            if report.lib_complete {
-                "loaded"
-            } else {
-                "rebuilt"
-            },
-            report.load_ms,
-            if report.rekeyed { ", re-keyed" } else { "" },
+            s.loaded_solves,
+            if s.lib_loaded { "loaded" } else { "rebuilt" },
+            s.load_ms,
+            if s.rekeyed { ", re-keyed" } else { "" },
         );
-        std::sync::Arc::new(engine)
-    } else {
-        let mut fw = load_model(model, &params, precision)?;
-        if let Some(flag) = colorgnn {
-            fw.use_colorgnn = flag;
-        }
-        std::sync::Arc::new(Engine::with_cache_cap(fw, cache_cap_from(parsed)?))
-    };
+    }
+    let engine = std::sync::Arc::new(engine);
     let listener =
         std::net::TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;

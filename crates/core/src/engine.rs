@@ -1,55 +1,80 @@
-//! Decomposition-as-a-service: the immutable, shareable [`Engine`] and
-//! the per-request [`Session`].
+//! The one decomposition path: the immutable, shareable [`Engine`], the
+//! per-request [`Session`], and the executor that every entry point —
+//! the engine, the [`AdaptiveFramework`] wrappers, and through them the
+//! CLI, the server, the bench bins and tiled mode — runs.
 //!
-//! The legacy entry points on [`AdaptiveFramework`] thread `&self`
-//! through a run but hide two pieces of per-call mutability: they
-//! re-freeze the RGCN heads on every call and drive the ColorGNN restart
-//! sampler through the model's mutexed RNG. [`Engine`] lifts both out:
-//! it compiles the frozen heads **once** at construction (the weight
-//! fold is deterministic, so freeze-once output equals freeze-per-call
-//! bit for bit) and moves the RNG into the caller's [`Session`], leaving
-//! the engine itself `Send + Sync` — one warm instance serves any number
-//! of concurrent requests behind an `Arc`.
+//! [`Engine`] compiles the frozen inference heads **once** at
+//! construction (the weight fold is deterministic, so freeze-once output
+//! equals freeze-per-call bit for bit) and keeps the ColorGNN restart
+//! sampler's RNG in the caller's [`Session`], leaving the engine itself
+//! `Send + Sync` — one warm instance serves any number of concurrent
+//! requests behind an `Arc`. The framework wrappers freeze the heads per
+//! call and lend the model's own ColorGNN stream instead.
 //!
-//! Cross-request state lives in two sharded, equality-verified maps
-//! ([`ShardedGraphMap`]):
+//! # The tail executor
 //!
-//! - the **routing memo** caches per-representative selector/redundancy
-//!   probabilities and embeddings. Bit-safe to share because per-graph
-//!   frozen outputs are independent of batch composition
-//!   (property-tested in `mpld-gnn`), so a cached entry is bitwise what
-//!   a fresh forward pass would produce;
-//! - the **solution caches** (one per `ec_first` routing flag, which
-//!   decides which engines may answer) cache ILP/EC-tail colorings.
-//!   Only deterministic solves are published: budget-cut, quarantined,
-//!   audit-rejected, or degraded results never enter the cache, so a
-//!   hit replays exactly what re-solving would compute.
+//! After the batched routing prefix (matching, redundancy prediction,
+//! ColorGNN — [`AdaptiveFramework::route`]), each unit left to the
+//! ILP/EC tail takes the first answer from a fixed chain of sources:
 //!
-//! ColorGNN results are **never** cached across requests — the restart
-//! sampler consumes the session's RNG stream, so its output is a
-//! function of that stream, not of the graph alone.
+//! 1. an audited record of a checkpoint journal ([`Recovery::resume`]);
+//! 2. unless it is the representative (first member in unit order) of
+//!    its request-local isomorphism group, the representative's result
+//!    transferred through the shared canonical labeling and re-verified
+//!    against the member's own cost — falling back to a direct answer
+//!    (steps 3–4) when the check fails or the representative degraded;
+//! 3. for a representative, the engine's identity-keyed solution cache
+//!    (one per tail routing flag, which decides which engines may
+//!    answer), preloaded from the persistent store when one is attached;
+//! 4. a guarded solve ([`AdaptiveFramework::solve_tail_guarded`]),
+//!    scheduled largest-unit-first on [`Session::threads`] workers.
 //!
-//! Parity contract: a fresh `Engine` serving one request produces
-//! colorings, costs, engines, and usage identical to
-//! `colorgnn.reseed(seed)` followed by
-//! [`AdaptiveFramework::decompose_prepared_with`] — the serial path
-//! stays the bit-identity oracle (asserted by `engine_parity` tests).
+//! Progress events, journal appends and cache/store publication are
+//! observers that run on the calling thread as each representative
+//! completes. Only fresh deterministic direct solves are published —
+//! never transfers, cache hits, or budget-cut, audit-rejected or
+//! degraded results — so a cache hit replays exactly what solving the
+//! same graph would compute. With an unlimited budget every coloring is
+//! therefore a pure function of (model, layout, seed), whatever the
+//! thread count, entry point, or cache warmth.
+//!
+//! Cross-request state lives in sharded, equality-verified maps
+//! ([`ShardedGraphMap`]): the **routing memo** caches per-representative
+//! selector/redundancy probabilities and embeddings (bit-safe because
+//! per-graph frozen outputs are independent of batch composition,
+//! property-tested in `mpld-gnn`), and the **solution caches** hold the
+//! published tail solves. ColorGNN results are never cached across
+//! requests — the restart sampler consumes the session's RNG stream, so
+//! its output is a function of that stream, not of the graph alone.
 
+use crate::checkpoint::{unit_fingerprint, Checkpoint, CheckpointEntry, JournalWriter};
 use crate::framework::{
-    empty_result, finish, journal_record, AdaptiveFramework, AdaptiveResult, BudgetPolicy,
-    ColorDriver, EngineKind, FinishParts, Recovery, RouteBackend, RoutedUnits,
+    AdaptiveFramework, AdaptiveResult, BudgetBreakdown, BudgetPolicy, EngineKind, InferenceStats,
+    Recovery, TimingBreakdown, UnitOutcome, UnitSolve, UsageBreakdown,
 };
-use crate::pipeline::PreparedLayout;
+use crate::memo::EmbeddingMemo;
+use crate::parallel::run_largest_first_streaming;
+use crate::pipeline::{assemble, PreparedLayout};
 use mpld_gnn::{FrozenColorGnn, FrozenRgcn};
-use mpld_graph::{audit_coloring, Certainty, Decomposition, MpldError};
-use mpld_matching::{ShardedGraphMap, ShardedMapStats};
+use mpld_graph::{
+    audit_coloring, Budget, Certainty, DecomposeParams, Decomposition, LayoutGraph, MpldError,
+};
+use mpld_matching::{canonical_form_labeled, CanonicalForm, ShardedGraphMap, ShardedMapStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One routed representative's cached inference outputs (see module
-/// docs): everything `route_units_with` scatters per representative.
+/// Largest unit eligible for the request-local isomorphism memo: the
+/// exact canonical form in `mpld-matching` is factorial-guarded at 12
+/// nodes.
+const MEMO_MAX_NODES: usize = 12;
+
+/// One routed representative's inference outputs: everything
+/// [`AdaptiveFramework::route`] scatters per representative, and what the
+/// cross-request routing memo keeps (see module docs).
+#[derive(Clone, Default)]
 pub(crate) struct RoutingEntry {
     pub(crate) sel_probs: Vec<f32>,
     pub(crate) red_probs: Vec<f32>,
@@ -60,7 +85,7 @@ pub(crate) struct RoutingEntry {
 /// The engine's cross-request routing memo.
 pub(crate) type SharedRoutingMemo = ShardedGraphMap<Arc<RoutingEntry>>;
 
-/// One cached deterministic ILP/EC-tail solve.
+/// One published deterministic ILP/EC-tail solve.
 struct CachedSolve {
     d: Decomposition,
     engine: EngineKind,
@@ -108,22 +133,42 @@ pub struct EngineStoreStats {
     pub entries: u64,
 }
 
+/// The frozen inference heads one decomposition runs.
+pub(crate) struct Heads {
+    pub(crate) sel: FrozenRgcn,
+    pub(crate) red: FrozenRgcn,
+    pub(crate) color: FrozenColorGnn,
+}
+
+impl Heads {
+    /// Compiles the framework's current weights.
+    pub(crate) fn freeze(fw: &AdaptiveFramework) -> Self {
+        Self {
+            sel: fw.selector.freeze(),
+            red: fw.redundancy.freeze(),
+            color: fw.colorgnn.freeze(),
+        }
+    }
+}
+
+/// An engine's cross-request state (see module docs).
+pub(crate) struct Shared {
+    routing: SharedRoutingMemo,
+    /// Tail-solution caches indexed by the `ec_first` routing flag.
+    solutions: [ShardedGraphMap<Arc<CachedSolve>>; 2],
+    /// Persistent store flywheel (see [`crate::engine_with_store`]):
+    /// published solves are appended write-behind; `None` for a purely
+    /// in-memory engine.
+    store: Option<EngineStore>,
+}
+
 /// Immutable decomposition engine shared across concurrent requests (see
 /// module docs). `Send + Sync`; wrap in an [`Arc`] and hand clones to
 /// worker threads, each driving its own [`Session`].
 pub struct Engine {
     fw: AdaptiveFramework,
-    frozen_sel: FrozenRgcn,
-    frozen_red: FrozenRgcn,
-    frozen_color: FrozenColorGnn,
-    routing_memo: SharedRoutingMemo,
-    /// Tail-solution caches indexed by the `ec_first` routing flag (the
-    /// flag decides which engines may answer, so it is part of the key).
-    solutions: [ShardedGraphMap<Arc<CachedSolve>>; 2],
-    /// Persistent store flywheel (see [`crate::engine_with_store`]):
-    /// fresh deterministic tail solves are appended write-behind; `None`
-    /// for a purely in-memory engine.
-    store: Option<EngineStore>,
+    heads: Heads,
+    shared: Shared,
 }
 
 /// Snapshot of an [`Engine`]'s cross-request cache counters.
@@ -139,25 +184,34 @@ pub struct EngineStats {
     pub store: Option<EngineStoreStats>,
 }
 
-/// Per-request mutable state: budget policy, the session's ColorGNN RNG
-/// stream, and optional checkpoint recovery. Cheap to create per
-/// request; never shared between requests.
+/// The ColorGNN seed of every entry point (CLI, server, client) whose
+/// caller pins none.
+pub const DEFAULT_SEED: u64 = 0xBEEF;
+
+/// Per-request mutable state: budget policy, checkpoint recovery, tail
+/// worker count, and the session's ColorGNN RNG stream. Cheap to create
+/// per request; never shared between requests.
 pub struct Session<'a> {
     /// Wall-clock limits for this request.
     pub policy: BudgetPolicy,
     /// Checkpoint resume/journal hooks for this request.
     pub recovery: Recovery<'a>,
+    /// ILP/EC-tail worker threads (default 1: the tail runs on the
+    /// calling thread). Results do not depend on it.
+    pub threads: usize,
     seed: u64,
     rng: SmallRng,
 }
 
 impl Session<'_> {
-    /// An unlimited session whose ColorGNN stream starts at `seed` —
-    /// bit-identical to `colorgnn.reseed(seed)` on the legacy path.
+    /// An unlimited single-threaded session whose ColorGNN stream starts
+    /// at `seed` — bit-identical to `colorgnn.reseed(seed)` followed by a
+    /// framework entry point.
     pub fn new(seed: u64) -> Self {
         Self {
             policy: BudgetPolicy::unlimited(),
             recovery: Recovery::default(),
+            threads: 1,
             seed,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -192,7 +246,8 @@ pub enum Progress {
         /// Representatives served from the cross-request routing memo.
         routing_memo_hits: usize,
     },
-    /// One ILP/EC-tail unit resolved.
+    /// One ILP/EC-tail unit resolved (one event per tail unit, in
+    /// completion order).
     Unit {
         /// Unit index within the prepared layout.
         index: usize,
@@ -200,8 +255,9 @@ pub enum Progress {
         engine: EngineKind,
         /// How much that engine vouches for the result.
         certainty: Certainty,
-        /// Served from the cross-request solution cache (or restored
-        /// from a checkpoint journal) instead of a fresh solve.
+        /// No solve ran for this unit: it was restored from a checkpoint
+        /// journal, served from the solution cache, or transferred from
+        /// an isomorphic unit of the same request.
         cached: bool,
     },
 }
@@ -218,25 +274,22 @@ impl Engine {
     /// the three cross-request maps holds at most `cap` entries, evicting
     /// arbitrarily past it, so an unbounded-traffic server stays bounded.
     pub fn with_cache_cap(fw: AdaptiveFramework, cap: Option<usize>) -> Self {
-        let frozen_sel = fw.selector.freeze();
-        let frozen_red = fw.redundancy.freeze();
-        let frozen_color = fw.colorgnn.freeze();
         let map = || ShardedGraphMap::with_capacity(mpld_matching::DEFAULT_SHARDS, cap);
         Self {
+            heads: Heads::freeze(&fw),
             fw,
-            frozen_sel,
-            frozen_red,
-            frozen_color,
-            routing_memo: ShardedGraphMap::with_capacity(mpld_matching::DEFAULT_SHARDS, cap),
-            solutions: [map(), map()],
-            store: None,
+            shared: Shared {
+                routing: ShardedGraphMap::with_capacity(mpld_matching::DEFAULT_SHARDS, cap),
+                solutions: [map(), map()],
+                store: None,
+            },
         }
     }
 
     /// Attaches an opened persistent store: preloads its audit-clean
-    /// tail solves into the solution caches and appends fresh
-    /// deterministic solves back (write-behind). `lib_loaded` records
-    /// whether the graph library came from the store too.
+    /// tail solves into the solution caches and appends published solves
+    /// back (write-behind). `lib_loaded` records whether the graph
+    /// library came from the store too.
     pub fn with_store(
         fw: AdaptiveFramework,
         opened: mpld_store::OpenedStore,
@@ -250,7 +303,7 @@ impl Engine {
                 mpld_store::TailEngine::Ilp => EngineKind::Ilp,
                 mpld_store::TailEngine::Ec => EngineKind::Ec,
             };
-            engine.solutions[usize::from(s.ec_first)].insert(
+            engine.shared.solutions[usize::from(s.ec_first)].insert(
                 &s.graph,
                 Arc::new(CachedSolve {
                     d: Decomposition {
@@ -262,7 +315,7 @@ impl Engine {
                 }),
             );
         }
-        engine.store = Some(EngineStore {
+        engine.shared.store = Some(EngineStore {
             writer,
             load: load.report,
             lib_loaded,
@@ -277,11 +330,12 @@ impl Engine {
 
     /// Snapshot of the cross-request cache counters.
     pub fn stats(&self) -> EngineStats {
+        let shared = &self.shared;
         EngineStats {
-            routing: self.routing_memo.stats(),
-            solutions_ilp_first: self.solutions[0].stats(),
-            solutions_ec_first: self.solutions[1].stats(),
-            store: self.store.as_ref().map(|s| {
+            routing: shared.routing.stats(),
+            solutions_ilp_first: shared.solutions[0].stats(),
+            solutions_ec_first: shared.solutions[1].stats(),
+            store: shared.store.as_ref().map(|s| {
                 let w = s.writer.stats();
                 EngineStoreStats {
                     loaded_solves: s.load.solves,
@@ -305,7 +359,7 @@ impl Engine {
 
     /// Forces any write-behind store appends to disk.
     pub fn flush_store(&self) {
-        if let Some(store) = &self.store {
+        if let Some(store) = &self.shared.store {
             store.writer.flush();
         }
     }
@@ -328,12 +382,11 @@ impl Engine {
     /// Decomposes a prepared layout against the shared caches, streaming
     /// [`Progress`] events as routing and each tail unit resolve.
     ///
-    /// Serial-parity contract: with empty caches and a fresh
-    /// [`Session::new(seed)`], the result's colorings, costs, engines,
-    /// and usage are identical to `reseed(seed)` + the legacy serial
-    /// path. With warm caches only `memo_hits`/`inference` accounting
-    /// and timing change — cached entries are bitwise what re-computing
-    /// them would produce (see module docs).
+    /// With an unlimited budget the result's colorings, costs, engines,
+    /// usage and budget counts equal `colorgnn.reseed(session.seed())`
+    /// followed by any framework entry point, at any thread count and
+    /// cache warmth; warm caches change only the reuse accounting
+    /// (`memo_hits`, `inference`) and timing (see module docs).
     ///
     /// # Errors
     ///
@@ -345,199 +398,504 @@ impl Engine {
         session: &mut Session<'_>,
         on_event: &mut dyn FnMut(Progress),
     ) -> Result<AdaptiveResult, MpldError> {
-        let start = Instant::now();
-        let n = prep.units.len();
-        let graphs: Vec<&mpld_graph::LayoutGraph> = prep.units.iter().map(|u| &u.hetero).collect();
-        if n == 0 {
-            return Ok(empty_result(prep, &self.fw.params, start));
-        }
-        let total = session.policy.total_budget();
-        let mut routed = RoutedUnits::default();
-        self.fw.route_units_with(
-            &graphs,
-            &total,
-            &mut routed,
-            RouteBackend {
-                frozen_sel: &self.frozen_sel,
-                frozen_red: &self.frozen_red,
-                shared: Some(&self.routing_memo),
-                color: ColorDriver::Session(&self.frozen_color, &mut session.rng),
-            },
-        )?;
-        let RoutedUnits {
-            mut unit_results,
-            mut unit_engines,
-            mut usage,
-            mut timing,
-            guard_failed,
-            selector_probs,
-            mut audit_rejected,
-            inference,
-        } = routed;
-        on_event(Progress::Routed {
-            units: n,
-            matched: usage.matching,
-            colorgnn: usage.colorgnn,
-            routing_memo_hits: inference.shared_memo_hits,
-        });
-
-        let mut budget_fallback = vec![false; n];
-        let mut unit_time = vec![Duration::ZERO; n];
-        let mut quarantines = Vec::new();
-        let mut resumed_units = 0usize;
-        let mut memo_hits = 0usize;
-
-        // Resume: restore journaled tail units whose records survive the
-        // audit (same ladder as the recoverable parallel path).
-        if let Some(cp) = session.recovery.resume {
-            for (i, g) in graphs.iter().enumerate() {
-                if unit_results[i].is_some() {
-                    continue;
-                }
-                let Some(e) = cp.get(i, crate::checkpoint::unit_fingerprint(g)) else {
-                    continue;
-                };
-                match audit_coloring(g, &e.coloring, self.fw.params.k) {
-                    Ok(recomputed) if recomputed == e.cost => {}
-                    _ => continue,
-                }
-                unit_results[i] = Some(Decomposition {
-                    coloring: e.coloring.clone(),
-                    cost: e.cost,
-                    certainty: e.certainty,
-                });
-                unit_engines[i] = Some(e.engine);
-                budget_fallback[i] = e.budget_fallback;
-                resumed_units += 1;
-                match e.engine {
-                    EngineKind::Ilp => usage.ilp += 1,
-                    _ => usage.ec += 1,
-                }
-                on_event(Progress::Unit {
-                    index: i,
-                    engine: e.engine,
-                    certainty: e.certainty,
-                    cached: true,
-                });
-            }
-        }
-
-        // The ILP/EC tail, serially in unit order, consulting the
-        // cross-request solution cache first.
-        for (i, g) in graphs.iter().enumerate() {
-            if unit_results[i].is_some() {
-                continue;
-            }
-            let ec_first = guard_failed[i] || selector_probs[i][1] > self.fw.ec_threshold;
-            let cache = &self.solutions[usize::from(ec_first)];
-            if let Some(hit) = cache.get(g) {
-                match hit.engine {
-                    EngineKind::Ilp => usage.ilp += 1,
-                    _ => usage.ec += 1,
-                }
-                memo_hits += 1;
-                journal_record(session.recovery.journal, i, g, &hit.d, hit.engine, false);
-                on_event(Progress::Unit {
-                    index: i,
-                    engine: hit.engine,
-                    certainty: hit.d.certainty,
-                    cached: true,
-                });
-                unit_results[i] = Some(hit.d.clone());
-                unit_engines[i] = Some(hit.engine);
-                continue;
-            }
-            let unit_budget = session.policy.unit_budget(&total);
-            let solver_before = timing.ilp + timing.ec;
-            let solve = self
-                .fw
-                .solve_tail_guarded(i, g, ec_first, &unit_budget, &mut timing);
-            match solve.engine {
-                EngineKind::Ilp => usage.ilp += 1,
-                _ => usage.ec += 1,
-            }
-            budget_fallback[i] = solve.budget_fallback;
-            unit_time[i] = timing.ilp + timing.ec - solver_before;
-            audit_rejected[i] |= solve.audit_rejected;
-            // Publish only deterministic solves: a budget-cut, audit-
-            // rejected, or quarantined result depends on this request's
-            // deadline or failure, not on the graph alone, and must not
-            // be replayed for other requests.
-            let cacheable = solve.quarantine.is_none()
-                && !solve.budget_fallback
-                && !solve.audit_rejected
-                && matches!(
-                    solve.d.certainty,
-                    Certainty::Certified | Certainty::Heuristic
-                );
-            if cacheable {
-                cache.insert(
-                    g,
-                    Arc::new(CachedSolve {
-                        d: solve.d.clone(),
-                        engine: solve.engine,
-                    }),
-                );
-                // Flywheel: persist the fresh deterministic solve
-                // (write-behind; cache hits are never re-appended).
-                if let Some(store) = &self.store {
-                    store.writer.append_solve(&mpld_store::StoredSolve {
-                        graph: (*g).clone(),
-                        ec_first,
-                        engine: match solve.engine {
-                            EngineKind::Ilp => mpld_store::TailEngine::Ilp,
-                            _ => mpld_store::TailEngine::Ec,
-                        },
-                        certainty: solve.d.certainty,
-                        coloring: solve.d.coloring.clone(),
-                        cost: solve.d.cost,
-                    });
-                }
-            }
-            if let Some(q) = solve.quarantine {
-                quarantines.push((i, q));
-            }
-            journal_record(
-                session.recovery.journal,
-                i,
-                g,
-                &solve.d,
-                solve.engine,
-                solve.budget_fallback,
-            );
-            on_event(Progress::Unit {
-                index: i,
-                engine: solve.engine,
-                certainty: solve.d.certainty,
-                cached: false,
-            });
-            unit_results[i] = Some(solve.d);
-            unit_engines[i] = Some(solve.engine);
-        }
-
+        let executor = Executor {
+            fw: &self.fw,
+            heads: &self.heads,
+            shared: Some(&self.shared),
+        };
+        let r = executor.run(
+            prep,
+            &session.policy,
+            session.recovery,
+            session.threads,
+            &mut session.rng,
+            on_event,
+        );
         // Batch-flush the store appends once per request: one fsync per
         // request tail instead of one per solve.
         self.flush_store();
-
-        Ok(finish(
-            prep,
-            &self.fw.params,
-            FinishParts {
-                unit_results,
-                unit_engines,
-                budget_fallback,
-                unit_time,
-                audit_rejected,
-                usage,
-                timing,
-                memo_hits,
-                inference,
-                quarantines,
-                resumed_units,
-            },
-            start,
-        ))
+        Ok(r)
     }
+}
+
+/// Per-unit state of one decomposition: routing resolves the matching
+/// and ColorGNN units and sets every unit's tail flag, the tail executor
+/// resolves the rest.
+#[derive(Default)]
+pub(crate) struct RunState {
+    pub(crate) results: Vec<Option<Decomposition>>,
+    pub(crate) engines: Vec<Option<EngineKind>>,
+    /// Tail routing flag: EC first (kept when certified, else verified
+    /// by the ILP) rather than the exact ILP alone.
+    pub(crate) ec_first: Vec<bool>,
+    pub(crate) audit_rejected: Vec<bool>,
+    pub(crate) budget_fallback: Vec<bool>,
+    pub(crate) time: Vec<Duration>,
+    pub(crate) usage: UsageBreakdown,
+    pub(crate) timing: TimingBreakdown,
+    pub(crate) inference: InferenceStats,
+    pub(crate) quarantines: Vec<(usize, MpldError)>,
+    pub(crate) memo_hits: usize,
+    pub(crate) resumed_units: usize,
+}
+
+impl RunState {
+    /// Assembles the final [`AdaptiveResult`] once every unit resolved.
+    fn finish(
+        self,
+        prep: &PreparedLayout,
+        params: &DecomposeParams,
+        start: Instant,
+    ) -> AdaptiveResult {
+        #[allow(clippy::expect_used)] // the executor resolves every unit
+        let results: Vec<Decomposition> = self
+            .results
+            .into_iter()
+            .map(|d| d.expect("every unit decomposed"))
+            .collect();
+        #[allow(clippy::expect_used)] // the executor resolves every unit
+        let unit_engines: Vec<EngineKind> = self
+            .engines
+            .into_iter()
+            .map(|e| e.expect("every unit routed"))
+            .collect();
+        let mut usage = self.usage;
+        usage.ilp = unit_engines
+            .iter()
+            .filter(|&&e| e == EngineKind::Ilp)
+            .count();
+        usage.ec = unit_engines
+            .iter()
+            .filter(|&&e| e == EngineKind::Ec)
+            .count();
+        let unit_outcomes: Vec<UnitOutcome> = (0..results.len())
+            .map(|i| UnitOutcome {
+                engine: unit_engines[i],
+                certainty: results[i].certainty,
+                budget_fallback: self.budget_fallback[i],
+                time: self.time[i],
+                audit_rejected: self.audit_rejected[i],
+            })
+            .collect();
+        AdaptiveResult {
+            pipeline: assemble(prep, params, results, start.elapsed()),
+            usage,
+            timing: self.timing,
+            unit_engines,
+            memo_hits: self.memo_hits,
+            inference: self.inference,
+            budget: BudgetBreakdown::from_outcomes(&unit_outcomes),
+            unit_outcomes,
+            quarantines: self.quarantines,
+            resumed_units: self.resumed_units,
+        }
+    }
+}
+
+/// One decomposition's view of a model: the framework, its frozen heads,
+/// and — on an [`Engine`] — the cross-request state.
+pub(crate) struct Executor<'e> {
+    pub(crate) fw: &'e AdaptiveFramework,
+    pub(crate) heads: &'e Heads,
+    pub(crate) shared: Option<&'e Shared>,
+}
+
+impl Executor<'_> {
+    /// Routes `prep` (ColorGNN sampling from `rng`), then resolves its
+    /// ILP/EC tail through the source chain (see module docs).
+    pub(crate) fn run(
+        &self,
+        prep: &PreparedLayout,
+        policy: &BudgetPolicy,
+        recovery: Recovery<'_>,
+        threads: usize,
+        rng: &mut SmallRng,
+        on_event: &mut dyn FnMut(Progress),
+    ) -> AdaptiveResult {
+        let start = Instant::now();
+        let graphs: Vec<&LayoutGraph> = prep.units.iter().map(|u| &u.hetero).collect();
+        if graphs.is_empty() {
+            return RunState::default().finish(prep, &self.fw.params, start);
+        }
+        let total = policy.total_budget();
+        let routing = self.shared.map(|s| &s.routing);
+        let mut st = self.fw.route(&graphs, &total, self.heads, routing, rng);
+        on_event(Progress::Routed {
+            units: graphs.len(),
+            matched: st.usage.matching,
+            colorgnn: st.usage.colorgnn,
+            routing_memo_hits: st.inference.shared_memo_hits,
+        });
+        let open: Vec<usize> = (0..graphs.len())
+            .filter(|&i| st.results[i].is_none())
+            .collect();
+        let (groups, labels) = iso_groups(&graphs, &open, &st.ec_first);
+        let mut tail = Tail {
+            exec: self,
+            graphs: &graphs,
+            labels: &labels,
+            policy,
+            total: &total,
+            threads,
+            journal: recovery.journal,
+            st: &mut st,
+            on_event,
+            direct: Vec::new(),
+        };
+        if let Some(cp) = recovery.resume {
+            tail.resume(cp, &open);
+        }
+        // Representatives (and, through them, their groups), then the
+        // members no transfer could answer, each as its own group.
+        tail.answer(groups.iter().map(Vec::as_slice).collect());
+        let direct = std::mem::take(&mut tail.direct);
+        tail.answer(direct.iter().map(std::slice::from_ref).collect());
+        st.finish(prep, &self.fw.params, start)
+    }
+
+    /// The published solve of a graph identical to `g`, if any.
+    fn cached(&self, g: &LayoutGraph, ec_first: bool) -> Option<Arc<CachedSolve>> {
+        self.shared?.solutions[usize::from(ec_first)].get(g)
+    }
+
+    /// Publishes one fresh deterministic direct solve to the solution
+    /// cache and the persistent store (write-behind).
+    fn publish(&self, g: &LayoutGraph, ec_first: bool, d: &Decomposition, engine: EngineKind) {
+        let Some(shared) = self.shared else { return };
+        shared.solutions[usize::from(ec_first)].insert(
+            g,
+            Arc::new(CachedSolve {
+                d: d.clone(),
+                engine,
+            }),
+        );
+        if let Some(store) = &shared.store {
+            store.writer.append_solve(&mpld_store::StoredSolve {
+                graph: g.clone(),
+                ec_first,
+                engine: match engine {
+                    EngineKind::Ilp => mpld_store::TailEngine::Ilp,
+                    _ => mpld_store::TailEngine::Ec,
+                },
+                certainty: d.certainty,
+                coloring: d.coloring.clone(),
+                cost: d.cost,
+            });
+        }
+    }
+}
+
+/// Where a tail unit's answer came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// An audited checkpoint record.
+    Journal,
+    /// A solution-cache hit or an isomorphism-memo transfer.
+    Reused,
+    /// A guarded solve run for this request.
+    Solved,
+}
+
+/// The ILP/EC tail of one run. Every method runs on the calling thread;
+/// only the guarded solves go out to workers.
+struct Tail<'a, 'e> {
+    exec: &'a Executor<'e>,
+    graphs: &'a [&'a LayoutGraph],
+    /// Canonical labelings from [`iso_groups`].
+    labels: &'a [Option<Vec<u8>>],
+    policy: &'a BudgetPolicy,
+    total: &'a Budget,
+    threads: usize,
+    journal: Option<&'a JournalWriter>,
+    st: &'a mut RunState,
+    on_event: &'a mut dyn FnMut(Progress),
+    /// Group members no transfer could answer.
+    direct: Vec<usize>,
+}
+
+impl Tail<'_, '_> {
+    /// Restores the open units whose checkpoint records survive the
+    /// audit (fingerprint match, valid coloring, recorded cost equal to
+    /// the from-scratch recomputation).
+    fn resume(&mut self, cp: &Checkpoint, open: &[usize]) {
+        for &i in open {
+            let g = self.graphs[i];
+            let Some(e) = cp.get(i, unit_fingerprint(g)) else {
+                continue;
+            };
+            match audit_coloring(g, &e.coloring, self.exec.fw.params.k) {
+                Ok(recomputed) if recomputed == e.cost => {}
+                _ => continue,
+            }
+            let d = Decomposition {
+                coloring: e.coloring.clone(),
+                cost: e.cost,
+                certainty: e.certainty,
+            };
+            self.st.resumed_units += 1;
+            self.settle(i, d, e.engine, e.budget_fallback, Source::Journal);
+        }
+    }
+
+    /// Answers every group's representative — restored, cached, or
+    /// solved fresh on the session's workers, largest first — and
+    /// transfers each result to its group as it completes.
+    fn answer(&mut self, groups: Vec<&[usize]>) {
+        let mut pending: Vec<&[usize]> = Vec::new();
+        for members in groups {
+            let rep = members[0];
+            if self.st.results[rep].is_none() {
+                let Some(hit) = self.exec.cached(self.graphs[rep], self.st.ec_first[rep]) else {
+                    pending.push(members);
+                    continue;
+                };
+                self.st.memo_hits += 1;
+                self.settle(rep, hit.d.clone(), hit.engine, false, Source::Reused);
+            }
+            self.transfer(members);
+        }
+
+        // Fresh solves. Each worker anchors the per-unit budget when it
+        // picks the unit up and runs the fault-isolated guarded solve (so
+        // the job itself never fails); should a job still panic, the
+        // quarantining scheduler costs exactly that unit.
+        let (fw, graphs, policy, total) = (self.exec.fw, self.graphs, self.policy, self.total);
+        let reps: Vec<(usize, bool)> = pending
+            .iter()
+            .map(|m| (m[0], self.st.ec_first[m[0]]))
+            .collect();
+        run_largest_first_streaming(
+            reps.len(),
+            self.threads,
+            |j| graphs[reps[j].0].num_nodes(),
+            |j| {
+                let (i, ec_first) = reps[j];
+                let mut t = TimingBreakdown::default();
+                let unit_budget = policy.unit_budget(total);
+                let s = fw.solve_tail_guarded(i, graphs[i], ec_first, &unit_budget, &mut t);
+                (s, t)
+            },
+            |j, solved| {
+                let (i, ec_first) = reps[j];
+                self.solved(i, ec_first, solved);
+                self.transfer(pending[j]);
+            },
+        );
+    }
+
+    /// Records one fresh solve of representative `i` and publishes it
+    /// when it is deterministic: a budget-cut, audit-rejected, or
+    /// quarantined result depends on this request's deadline or failure,
+    /// not on the graph alone, and must not be replayed for others.
+    fn solved(
+        &mut self,
+        i: usize,
+        ec_first: bool,
+        solved: Result<(UnitSolve, TimingBreakdown), String>,
+    ) {
+        // Second line of defense: should the worker job itself panic, the
+        // unit is quarantined like a panicking solve.
+        let (s, t) = solved.unwrap_or_else(|payload| {
+            let fw = self.exec.fw;
+            let s = fw.quarantined(i, self.graphs[i], ec_first, payload);
+            (s, TimingBreakdown::default())
+        });
+        self.st.timing.ilp += t.ilp;
+        self.st.timing.ec += t.ec;
+        self.st.time[i] = t.ilp + t.ec;
+        self.st.audit_rejected[i] |= s.audit_rejected;
+        let deterministic = s.quarantine.is_none()
+            && !s.budget_fallback
+            && !s.audit_rejected
+            && matches!(s.d.certainty, Certainty::Certified | Certainty::Heuristic);
+        if deterministic {
+            self.exec.publish(self.graphs[i], ec_first, &s.d, s.engine);
+        }
+        if let Some(q) = s.quarantine {
+            self.st.quarantines.push((i, q));
+        }
+        self.settle(i, s.d, s.engine, s.budget_fallback, Source::Solved);
+    }
+
+    /// Transfers the representative's result to the still-open members
+    /// of its group through the shared canonical labeling, re-verifying
+    /// each against the member's own cost. A degraded representative
+    /// must not spread its fallback coloring, and a failed check (a
+    /// corrupted transfer) is not trusted: those members get a direct
+    /// answer instead.
+    fn transfer(&mut self, members: &[usize]) {
+        let rep = members[0];
+        let open: Vec<usize> = members[1..]
+            .iter()
+            .copied()
+            .filter(|&m| self.st.results[m].is_none())
+            .collect();
+        if open.is_empty() {
+            return;
+        }
+        let (Some(d), Some(engine)) = (self.st.results[rep].clone(), self.st.engines[rep]) else {
+            return;
+        };
+        let fell_back = self.st.budget_fallback[rep];
+        for m in open {
+            if d.certainty == Certainty::Degraded {
+                self.direct.push(m);
+                continue;
+            }
+            #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
+            let mut coloring: Vec<u8> = match (&self.labels[rep], &self.labels[m]) {
+                (Some(rep_perm), Some(mem_perm)) => {
+                    let mut canon = vec![0u8; d.coloring.len()];
+                    for (v, &c) in d.coloring.iter().enumerate() {
+                        canon[rep_perm[v] as usize] = c;
+                    }
+                    mem_perm.iter().map(|&p| canon[p as usize]).collect()
+                }
+                _ => d.coloring.clone(),
+            };
+            #[cfg(feature = "failpoints")]
+            mpld_graph::failpoints::corrupt_coloring(
+                "memo.transfer",
+                &mut coloring,
+                self.exec.fw.params.k,
+            );
+            let cost = self.graphs[m].evaluate(&coloring, self.exec.fw.params.alpha);
+            if cost == d.cost {
+                let md = Decomposition {
+                    coloring,
+                    cost,
+                    certainty: d.certainty,
+                };
+                self.st.memo_hits += 1;
+                self.settle(m, md, engine, fell_back, Source::Reused);
+            } else {
+                self.st.audit_rejected[m] = true;
+                self.direct.push(m);
+            }
+        }
+    }
+
+    /// Records tail unit `i`'s answer and tells the observers: the
+    /// journal (unless the answer came from it) and the progress stream.
+    fn settle(
+        &mut self,
+        i: usize,
+        d: Decomposition,
+        engine: EngineKind,
+        budget_fallback: bool,
+        source: Source,
+    ) {
+        if source != Source::Journal {
+            journal_record(self.journal, i, self.graphs[i], &d, engine, budget_fallback);
+        }
+        (self.on_event)(Progress::Unit {
+            index: i,
+            engine,
+            certainty: d.certainty,
+            cached: source != Source::Solved,
+        });
+        self.st.results[i] = Some(d);
+        self.st.engines[i] = Some(engine);
+        self.st.budget_fallback[i] = budget_fallback;
+    }
+}
+
+/// Request-local isomorphism groups over the tail units: each lists its
+/// members in unit order (the first is the representative); units
+/// without an isomorphic partner form singleton groups. Identical graphs
+/// with the same tail flag always group (any size); distinct graphs of
+/// at most [`MEMO_MAX_NODES`] nodes group by canonical certificate. A
+/// cheap structural fingerprint goes first — isomorphic graphs always
+/// share it — so canonicalization is only paid, once per distinct graph,
+/// where fingerprints collide. Also returns the canonical labeling of
+/// every canonically grouped unit (indexed by unit), which realizes the
+/// transfers; members of an unlabeled group are identical graphs.
+fn iso_groups(
+    graphs: &[&LayoutGraph],
+    tail: &[usize],
+    ec_first: &[bool],
+) -> (Vec<Vec<usize>>, Vec<Option<Vec<u8>>>) {
+    let mut identical = [EmbeddingMemo::new(), EmbeddingMemo::new()];
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for &i in tail {
+        let memo = &mut identical[usize::from(ec_first[i])];
+        match memo.find(graphs[i]) {
+            Some(c) => classes[c].push(i),
+            None => {
+                memo.insert(graphs[i], classes.len());
+                classes.push(vec![i]);
+            }
+        }
+    }
+
+    let mut finger: HashMap<(usize, usize, Vec<u8>, bool), Vec<usize>> = HashMap::new();
+    for (c, members) in classes.iter().enumerate() {
+        let (i, g) = (members[0], graphs[members[0]]);
+        if g.num_nodes() <= MEMO_MAX_NODES {
+            let mut degs: Vec<u8> = (0..g.num_nodes() as u32)
+                .map(|v| (g.conflict_degree(v) as u8) << 4 | g.stitch_neighbors(v).len() as u8)
+                .collect();
+            degs.sort_unstable();
+            let key = (
+                g.conflict_edges().len(),
+                g.stitch_edges().len(),
+                degs,
+                ec_first[i],
+            );
+            finger.entry(key).or_default().push(c);
+        }
+    }
+    let mut labels: Vec<Option<Vec<u8>>> = vec![None; graphs.len()];
+    let mut merged: HashMap<(CanonicalForm, bool), Vec<usize>> = HashMap::new();
+    let mut absorbed = vec![false; classes.len()];
+    for bucket in finger.into_values().filter(|b| b.len() > 1) {
+        for c in bucket {
+            let rep = classes[c][0];
+            let (form, perm) = canonical_form_labeled(graphs[rep]);
+            for &i in &classes[c] {
+                labels[i] = Some(perm.clone());
+            }
+            merged
+                .entry((form, ec_first[rep]))
+                .or_default()
+                .extend(&classes[c]);
+            absorbed[c] = true;
+        }
+    }
+
+    let mut groups: Vec<Vec<usize>> = classes
+        .into_iter()
+        .zip(absorbed)
+        .filter_map(|(members, absorbed)| (!absorbed).then_some(members))
+        .collect();
+    groups.extend(merged.into_values().map(|mut members| {
+        members.sort_unstable();
+        members
+    }));
+    groups.sort_by_key(|members| members[0]);
+    (groups, labels)
+}
+
+/// Best-effort append of one answered tail unit to the checkpoint
+/// journal (a failed write is a lost checkpoint, never a failed solve).
+fn journal_record(
+    journal: Option<&JournalWriter>,
+    unit: usize,
+    g: &LayoutGraph,
+    d: &Decomposition,
+    engine: EngineKind,
+    budget_fallback: bool,
+) {
+    let Some(j) = journal else { return };
+    let _ = j.record(&CheckpointEntry {
+        unit,
+        fingerprint: unit_fingerprint(g),
+        engine,
+        certainty: d.certainty,
+        budget_fallback,
+        coloring: d.coloring.clone(),
+        cost: d.cost,
+    });
 }
 
 impl std::fmt::Debug for Engine {

@@ -10,32 +10,31 @@
 //! 3. **Decomposer selection** — otherwise the selector RGCN routes the
 //!    graph to the exact ILP engine or the fast EC engine.
 //!
+//! Steps 1–2 and the selector run batched over all units
+//! ([`AdaptiveFramework::route`]); the ILP/EC tail of step 3 runs in the
+//! one tail executor of [`crate::engine`], behind every entry point.
+//!
 //! Runtime is accounted per category so Fig. 9 (runtime breakdown) and
 //! Fig. 10 (usage breakdown) can be reproduced.
 
-use crate::checkpoint::{unit_fingerprint, Checkpoint, CheckpointEntry, JournalWriter};
-use crate::engine::{RoutingEntry, SharedRoutingMemo};
+use crate::checkpoint::{Checkpoint, JournalWriter};
+use crate::engine::{Executor, Heads, RoutingEntry, RunState, SharedRoutingMemo};
 use crate::memo::{BatchPlan, EmbeddingMemo, DEFAULT_MAX_BATCH_NODES};
-use crate::parallel::{panic_payload_string, run_largest_first_quarantined};
-use crate::pipeline::{assemble, PipelineResult, PreparedLayout};
+use crate::parallel::panic_payload_string;
+use crate::pipeline::{PipelineResult, PreparedLayout};
 use mpld_ec::EcDecomposer;
-use mpld_gnn::{ColorGnn, FrozenColorGnn, FrozenRgcn, InferBatch, RgcnClassifier};
+use mpld_gnn::{ColorGnn, InferBatch, RgcnClassifier};
 use mpld_graph::{
-    audit_coloring, audit_decomposition, greedy_coloring, Budget, CancelToken, Certainty, Clock,
-    DecomposeParams, Decomposer, Decomposition, LayoutGraph, MpldError, SystemClock,
+    audit_decomposition, greedy_coloring, Budget, CancelToken, Certainty, Clock, DecomposeParams,
+    Decomposer, Decomposition, LayoutGraph, MpldError, SystemClock,
 };
 use mpld_ilp::encode::BipDecomposer;
-use mpld_matching::{canonical_form_labeled, CanonicalForm, GraphLibrary};
-use mpld_tensor::{quant, Matrix, Precision};
+use mpld_matching::GraphLibrary;
+use mpld_tensor::{quant, Precision};
 use rand::rngs::SmallRng;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Largest unit eligible for the session memo cache: the exact canonical
-/// form in `mpld-matching` is factorial-guarded at 12 nodes.
-const MEMO_MAX_NODES: usize = 12;
 
 /// Trust margins for the quantized routing lane: a quantized routing
 /// probability within this distance of its decision threshold
@@ -126,9 +125,10 @@ pub struct UnitOutcome {
     /// Whether the exact path was cut short by the budget and a cheaper
     /// engine's (or unverified) result was used instead.
     pub budget_fallback: bool,
-    /// Exact-solver (ILP + EC) time spent on this unit. Zero for units
-    /// resolved by matching, batched ColorGNN, or memo transfer, whose
-    /// cost is accounted in [`TimingBreakdown`] only.
+    /// Exact-solver (ILP + EC) time spent on this unit. Zero exactly for
+    /// the units no solve ran for: matching, batched ColorGNN (accounted
+    /// in [`TimingBreakdown`] only), checkpoint resume, solution-cache
+    /// hit, or isomorphism-memo transfer.
     pub time: Duration,
     /// Whether the independent audit rejected at least one candidate
     /// result for this unit (the kept result is the re-routed recovery).
@@ -158,7 +158,7 @@ pub struct BudgetBreakdown {
 }
 
 impl BudgetBreakdown {
-    fn from_outcomes(outcomes: &[UnitOutcome]) -> Self {
+    pub(crate) fn from_outcomes(outcomes: &[UnitOutcome]) -> Self {
         let mut b = BudgetBreakdown::default();
         for o in outcomes {
             match o.certainty {
@@ -180,11 +180,8 @@ impl BudgetBreakdown {
 
 /// Statistics of the tape-free routing-inference engine for one adaptive
 /// run: how much work the embedding memo deduplicated away and how much
-/// scratch memory the frozen forwards touched.
-///
-/// Always zero on the unbatched comparison path
-/// ([`AdaptiveFramework::decompose_prepared_unbatched`]), which keeps the
-/// per-unit autodiff-tape forwards as the reference implementation.
+/// scratch memory the frozen forwards touched. (Tail reuse — cache hits
+/// plus isomorphism-memo transfers — is [`AdaptiveResult::memo_hits`].)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InferenceStats {
     /// Units whose selector/redundancy inference was served from the
@@ -297,9 +294,8 @@ pub struct AdaptiveResult {
     pub timing: TimingBreakdown,
     /// Which engine handled each unit.
     pub unit_engines: Vec<EngineKind>,
-    /// ILP/EC-tail units resolved by transferring an isomorphic unit's
-    /// solution from the session memo cache (parallel path only; always
-    /// zero on the serial paths).
+    /// ILP/EC-tail units answered without a solve: engine solution-cache
+    /// hits plus transfers from an isomorphic unit of the same request.
     pub memo_hits: usize,
     /// Routing-inference statistics (embedding memo, frozen scratch).
     pub inference: InferenceStats,
@@ -373,25 +369,11 @@ pub struct AdaptiveFramework {
     /// with a trust ladder: library-eligible units stay pinned at f32,
     /// and any quantized score inside its trust margin is transparently
     /// re-inferred at f32, so routing *decisions* match the f32 run.
-    /// ColorGNN and the unbatched comparison path always run f32.
+    /// ColorGNN always runs f32.
     pub precision: Precision,
 }
 
 impl AdaptiveFramework {
-    /// Predicted probability that all stitch candidates of `g` are
-    /// redundant.
-    pub fn redundancy_confidence(&self, g: &LayoutGraph) -> f32 {
-        // Class 0 = "redundant" by the training-label convention.
-        self.redundancy.predict(g)[0]
-    }
-
-    /// Selector decision for `g`: 0 = ILP, 1 = EC (requires the EC
-    /// confidence to clear [`AdaptiveFramework::ec_threshold`]).
-    pub fn select_engine(&self, g: &LayoutGraph) -> u8 {
-        let p = self.selector.predict(g);
-        u8::from(p[1] > self.ec_threshold)
-    }
-
     /// Exact-or-certified decomposition of one unit: when `ec_first`, run
     /// the fast EC engine and accept its result only when it carries an
     /// optimality certificate (see `EcDecomposer::decompose_certified`).
@@ -519,54 +501,39 @@ impl AdaptiveFramework {
         budget: &Budget,
         timing: &mut TimingBreakdown,
     ) -> UnitSolve {
-        match attempt {
-            Ok((d, engine, budget_fallback)) => {
-                if self.audit_ok(g, &d) {
-                    return UnitSolve {
-                        d,
-                        engine,
-                        budget_fallback,
-                        audit_rejected: false,
-                        quarantine: None,
-                    };
-                }
-                if engine != EngineKind::Ilp {
-                    if let Some(d2) = self.ilp_retry_guarded(g, budget, timing) {
-                        return UnitSolve {
-                            d: d2,
-                            engine: EngineKind::Ilp,
-                            budget_fallback,
-                            audit_rejected: true,
-                            quarantine: None,
-                        };
-                    }
-                }
-                UnitSolve {
-                    d: self.greedy_degraded(g),
+        let (engine, budget_fallback, quarantine) = match attempt {
+            Ok((d, engine, budget_fallback)) if self.audit_ok(g, &d) => {
+                return UnitSolve {
+                    d,
                     engine,
                     budget_fallback,
-                    audit_rejected: true,
-                    quarantine: None,
-                }
-            }
-            Err(e) => {
-                if let Some(d2) = self.ilp_retry_guarded(g, budget, timing) {
-                    return UnitSolve {
-                        d: d2,
-                        engine: EngineKind::Ilp,
-                        budget_fallback: false,
-                        audit_rejected: false,
-                        quarantine: None,
-                    };
-                }
-                UnitSolve {
-                    d: self.greedy_degraded(g),
-                    engine: EngineKind::Ilp,
-                    budget_fallback: false,
                     audit_rejected: false,
-                    quarantine: Some(e),
-                }
+                    quarantine: None,
+                };
             }
+            Ok((_, engine, budget_fallback)) => (engine, budget_fallback, None),
+            Err(e) => (EngineKind::Ilp, false, Some(e)),
+        };
+        // An errored attempt is re-run on the ILP too; an audit-rejected
+        // ILP result is not retried on the same engine.
+        let audit_rejected = quarantine.is_none();
+        if engine != EngineKind::Ilp || !audit_rejected {
+            if let Some(d) = self.ilp_retry_guarded(g, budget, timing) {
+                return UnitSolve {
+                    d,
+                    engine: EngineKind::Ilp,
+                    budget_fallback,
+                    audit_rejected,
+                    quarantine: None,
+                };
+            }
+        }
+        UnitSolve {
+            d: self.greedy_degraded(g),
+            engine,
+            budget_fallback,
+            audit_rejected,
+            quarantine,
         }
     }
 
@@ -591,245 +558,55 @@ impl AdaptiveFramework {
         };
         match attempt {
             Ok(r) => self.audited_tail_result(g, r, budget, timing),
-            Err(p) => UnitSolve {
-                d: self.greedy_degraded(g),
-                engine: if ec_first {
-                    EngineKind::Ec
-                } else {
-                    EngineKind::Ilp
-                },
-                budget_fallback: false,
-                audit_rejected: false,
-                quarantine: Some(MpldError::Panicked {
-                    unit,
-                    payload: panic_payload_string(p.as_ref()),
-                }),
-            },
+            Err(p) => self.quarantined(unit, g, ec_first, panic_payload_string(p.as_ref())),
         }
     }
 
-    /// Decomposes one unit graph through the full adaptive flow with
-    /// fault isolation, returning the guarded solve plus whether a
-    /// ColorGNN guard fallback occurred. Infallible: panics and engine
-    /// errors degrade per the ladder instead of propagating.
-    fn decompose_unit(
+    /// A tail solve that panicked: quarantined with a greedy
+    /// [`Certainty::Degraded`] coloring under its routed engine.
+    pub(crate) fn quarantined(
         &self,
         unit: usize,
-        hetero: &LayoutGraph,
-        budget: &Budget,
-        timing: &mut TimingBreakdown,
-    ) -> (UnitSolve, bool) {
-        let mut audit_rejected = false;
-
-        // 1. Library matching (audited: a stale or corrupted library
-        // transfer falls through to the engines below).
-        if hetero.num_nodes() <= self.library.max_nodes() {
-            let t = Instant::now();
-            let hit = self.library.lookup(&self.selector, hetero);
-            timing.matching += t.elapsed();
-            if let Some(d) = hit {
-                if self.audit_ok(hetero, &d) {
-                    return (
-                        UnitSolve {
-                            d,
-                            engine: EngineKind::Matching,
-                            budget_fallback: false,
-                            audit_rejected,
-                            quarantine: None,
-                        },
-                        false,
-                    );
-                }
-                audit_rejected = true;
-            }
-        }
-
-        // 2. Stitch redundancy → ColorGNN on the merged parent graph.
-        let mut fallback = false;
-        if self.use_colorgnn {
-            let t = Instant::now();
-            let redundant = if hetero.has_stitches() {
-                self.redundancy_confidence(hetero) > self.redundancy_bar
+        g: &LayoutGraph,
+        ec_first: bool,
+        payload: String,
+    ) -> UnitSolve {
+        UnitSolve {
+            d: self.greedy_degraded(g),
+            engine: if ec_first {
+                EngineKind::Ec
             } else {
-                true // no stitch candidates at all: trivially non-stitch
-            };
-            timing.redundancy += t.elapsed();
-            if redundant {
-                let t = Instant::now();
-                let (parent, map) = hetero.merge_stitch_edges();
-                // Guarded: a panicking or erroring ColorGNN is a guard
-                // failure, not a layout failure.
-                let pd = catch_unwind(AssertUnwindSafe(|| {
-                    self.colorgnn.decompose(&parent, &self.params, budget)
-                }));
-                timing.colorgnn += t.elapsed();
-                match pd {
-                    Ok(Ok(pd)) if pd.cost.conflicts == 0 => {
-                        // Expand the parent coloring to subfeatures (no
-                        // stitch is activated, so the cost carries over
-                        // exactly) and audit the expansion: an honest
-                        // accepted expansion reproduces the parent cost
-                        // bit-for-bit.
-                        let coloring: Vec<u8> =
-                            map.iter().map(|&p| pd.coloring[p as usize]).collect();
-                        match Decomposition::try_from_coloring(hetero, coloring, self.params.alpha)
-                        {
-                            Ok(d) if d.cost == pd.cost => {
-                                return (
-                                    UnitSolve {
-                                        d,
-                                        engine: EngineKind::ColorGnn,
-                                        budget_fallback: false,
-                                        audit_rejected,
-                                        quarantine: None,
-                                    },
-                                    false,
-                                );
-                            }
-                            _ => {
-                                audit_rejected = true;
-                                fallback = true;
-                            }
-                        }
-                    }
-                    // The parent graph may genuinely need conflicts or
-                    // stitches; defer to the exact engines.
-                    Ok(Ok(_)) => fallback = true,
-                    Ok(Err(_)) | Err(_) => fallback = true,
-                }
-            }
-        }
-
-        // 3. ILP/EC selection with certified EC acceptance, guarded.
-        let t = Instant::now();
-        let ec_first = fallback || self.select_engine(hetero) == 1;
-        timing.selection += t.elapsed();
-        let mut solve = self.solve_tail_guarded(unit, hetero, ec_first, budget, timing);
-        solve.audit_rejected |= audit_rejected;
-        (solve, fallback)
-    }
-
-    /// Adaptively decomposes a prepared layout, one unit at a time (no
-    /// batched inference). Mostly useful for comparison with the batched
-    /// default, [`AdaptiveFramework::decompose_prepared`].
-    pub fn decompose_prepared_unbatched(&self, prep: &PreparedLayout) -> AdaptiveResult {
-        unwrap_unlimited(self.decompose_prepared_unbatched_with(prep, &BudgetPolicy::unlimited()))
-    }
-
-    /// Budgeted variant of
-    /// [`AdaptiveFramework::decompose_prepared_unbatched`].
-    ///
-    /// # Errors
-    ///
-    /// Budget exhaustion is not an error (units keep their best-so-far
-    /// incumbents, see [`BudgetBreakdown`]); `Err` means an engine
-    /// rejected its input outright.
-    pub fn decompose_prepared_unbatched_with(
-        &self,
-        prep: &PreparedLayout,
-        policy: &BudgetPolicy,
-    ) -> Result<AdaptiveResult, MpldError> {
-        let start = Instant::now();
-        let total = policy.total_budget();
-        let mut timing = TimingBreakdown::default();
-        let mut usage = UsageBreakdown::default();
-        let mut unit_engines = Vec::with_capacity(prep.units.len());
-        let mut unit_results = Vec::with_capacity(prep.units.len());
-        let mut unit_outcomes = Vec::with_capacity(prep.units.len());
-        let mut quarantines = Vec::new();
-        for (i, unit) in prep.units.iter().enumerate() {
-            let unit_budget = policy.unit_budget(&total);
-            let solver_before = timing.ilp + timing.ec;
-            let (solve, fell_back) =
-                self.decompose_unit(i, &unit.hetero, &unit_budget, &mut timing);
-            match solve.engine {
-                EngineKind::Matching => usage.matching += 1,
-                EngineKind::ColorGnn => usage.colorgnn += 1,
-                EngineKind::Ilp => usage.ilp += 1,
-                EngineKind::Ec => usage.ec += 1,
-            }
-            if fell_back {
-                usage.colorgnn_fallbacks += 1;
-            }
-            if let Some(q) = solve.quarantine {
-                quarantines.push((i, q));
-            }
-            unit_outcomes.push(UnitOutcome {
-                engine: solve.engine,
-                certainty: solve.d.certainty,
-                budget_fallback: solve.budget_fallback,
-                time: timing.ilp + timing.ec - solver_before,
-                audit_rejected: solve.audit_rejected,
-            });
-            unit_engines.push(solve.engine);
-            unit_results.push(solve.d);
-        }
-        let decompose_time = start.elapsed();
-        let pipeline = assemble(prep, &self.params, unit_results, decompose_time);
-        Ok(AdaptiveResult {
-            pipeline,
-            usage,
-            timing,
-            unit_engines,
-            memo_hits: 0,
-            inference: InferenceStats::default(),
-            budget: BudgetBreakdown::from_outcomes(&unit_outcomes),
-            unit_outcomes,
-            quarantines,
-            resumed_units: 0,
-        })
-    }
-
-    /// Shared prefix of the batched online flow: one selector pass
-    /// (embeddings + ILP/EC probabilities), one redundancy pass, library
-    /// matching with the precomputed embeddings, and the batched ColorGNN
-    /// run over predicted-redundant units. Returns the routing state with
-    /// the ILP/EC tail still unsolved (`unit_results[i] == None`).
-    ///
-    /// This is the per-request parity oracle: it freezes both RGCN heads
-    /// locally (a deterministic weight fold, so the result equals the
-    /// engine's freeze-once heads bit for bit) and drives ColorGNN
-    /// through the model's own mutexed RNG stream.
-    fn route_units(
-        &self,
-        graphs: &[&LayoutGraph],
-        budget: &Budget,
-        routed: &mut RoutedUnits,
-    ) -> Result<(), MpldError> {
-        let t = Instant::now();
-        let frozen_sel = self.selector.freeze();
-        let frozen_red = self.redundancy.freeze();
-        routed.timing.selection += t.elapsed();
-        self.route_units_with(
-            graphs,
-            budget,
-            routed,
-            RouteBackend {
-                frozen_sel: &frozen_sel,
-                frozen_red: &frozen_red,
-                shared: None,
-                color: ColorDriver::Legacy(&self.colorgnn),
+                EngineKind::Ilp
             },
-        )
+            budget_fallback: false,
+            audit_rejected: false,
+            quarantine: Some(MpldError::Panicked { unit, payload }),
+        }
     }
 
-    /// Backend-parameterized routing pass shared by the per-request entry
-    /// points and the concurrent [`Engine`](crate::Engine): the caller
-    /// supplies the frozen heads (freeze-per-call or freeze-once — the
-    /// fold is deterministic, so outputs are bitwise equal), an optional
-    /// cross-request routing memo, and the ColorGNN driver (the model's
-    /// mutexed RNG, or per-session RNG state).
-    pub(crate) fn route_units_with(
+    /// The batched routing prefix of every decomposition: one selector
+    /// pass (embeddings + ILP/EC probabilities) and one redundancy pass
+    /// over the structurally distinct units, audited library matching
+    /// with the precomputed embeddings, and one ColorGNN batch over the
+    /// predicted-redundant units, sampled from `rng`. Returns the run
+    /// state with the ILP/EC tail still unsolved (`results[i] == None`)
+    /// and every unit's tail routing flag set.
+    ///
+    /// `heads` may be frozen once (an [`Engine`](crate::Engine)) or per
+    /// call: the weight fold is deterministic, so outputs are bitwise
+    /// equal. `routing_memo` is an engine's cross-request routing memo.
+    pub(crate) fn route(
         &self,
         graphs: &[&LayoutGraph],
         budget: &Budget,
-        routed: &mut RoutedUnits,
-        mut backend: RouteBackend<'_>,
-    ) -> Result<(), MpldError> {
+        heads: &Heads,
+        routing_memo: Option<&SharedRoutingMemo>,
+        rng: &mut SmallRng,
+    ) -> RunState {
         let n = graphs.len();
-        let timing = &mut routed.timing;
-        let frozen_sel = backend.frozen_sel;
-        let frozen_red = backend.frozen_red;
+        let mut timing = TimingBreakdown::default();
+        let frozen_sel = &heads.sel;
+        let frozen_red = &heads.red;
 
         // Tape-free routing inference: dedup structurally identical units
         // through the embedding memo and run bucketed block-diagonal
@@ -861,7 +638,7 @@ impl AdaptiveFramework {
         // batch composition (property-tested in `mpld-gnn`), so the
         // cached entry is bitwise what this request's own forward pass
         // would have produced.
-        let cached: Vec<Option<Arc<RoutingEntry>>> = match backend.shared {
+        let cached: Vec<Option<Arc<RoutingEntry>>> = match routing_memo {
             Some(shared) => reps.iter().map(|g| shared.get(g)).collect(),
             None => vec![None; nr],
         };
@@ -920,65 +697,38 @@ impl AdaptiveFramework {
         // embeddings the library matcher consumes below (the tape needed
         // a second traversal for the embeddings); the redundancy pass
         // yields probabilities only.
-        let mut sel_probs: Vec<Vec<f32>> = vec![Vec::new(); nr];
-        let mut graph_emb: Vec<Vec<f32>> = vec![Vec::new(); nr];
-        let mut node_emb: Vec<Matrix> = (0..nr).map(|_| Matrix::zeros(0, 0)).collect();
-        let mut red_probs: Vec<Vec<f32>> = vec![Vec::new(); nr];
-        for (s, entry) in cached.iter().enumerate() {
-            if let Some(e) = entry {
-                sel_probs[s] = e.sel_probs.clone();
-                graph_emb[s] = e.graph_emb.clone();
-                node_emb[s] = e.node_emb.clone();
-                red_probs[s] = e.red_probs.clone();
-            }
-        }
+        let mut out: Vec<RoutingEntry> = cached
+            .iter()
+            .map(|c| c.as_deref().cloned().unwrap_or_default())
+            .collect();
         timing.selection += t.elapsed();
 
         let infer_lane = |items: &[usize],
                           precision: Precision,
                           timing: &mut TimingBreakdown,
-                          sel_probs: &mut [Vec<f32>],
-                          graph_emb: &mut [Vec<f32>],
-                          node_emb: &mut [Matrix],
-                          red_probs: &mut [Vec<f32>]| {
+                          out: &mut [RoutingEntry]| {
             let batch: Vec<&LayoutGraph> = items.iter().map(|&s| reps[s]).collect();
             let enc = InferBatch::new(&batch);
             let t = Instant::now();
             let mut sel = frozen_sel.infer_encoded_with(&enc, precision);
             for (bi, &s) in items.iter().enumerate() {
-                sel_probs[s] = std::mem::take(&mut sel.probs[bi]);
-                graph_emb[s] = std::mem::take(&mut sel.graph_embeddings[bi]);
-                node_emb[s] = std::mem::replace(&mut sel.node_embeddings[bi], Matrix::zeros(0, 0));
+                out[s].sel_probs = std::mem::take(&mut sel.probs[bi]);
+                out[s].graph_emb = std::mem::take(&mut sel.graph_embeddings[bi]);
+                out[s].node_emb = std::mem::take(&mut sel.node_embeddings[bi]);
             }
             timing.selection += t.elapsed();
             let t = Instant::now();
             let mut red = frozen_red.predict_encoded_with(&enc, precision);
             for (bi, &s) in items.iter().enumerate() {
-                red_probs[s] = std::mem::take(&mut red.probs[bi]);
+                out[s].red_probs = std::mem::take(&mut red.probs[bi]);
             }
             timing.redundancy += t.elapsed();
         };
         for batch in &f32_plan.batches {
-            infer_lane(
-                batch,
-                Precision::F32,
-                timing,
-                &mut sel_probs,
-                &mut graph_emb,
-                &mut node_emb,
-                &mut red_probs,
-            );
+            infer_lane(batch, Precision::F32, &mut timing, &mut out);
         }
         for batch in &quant_plan.batches {
-            infer_lane(
-                batch,
-                self.precision,
-                timing,
-                &mut sel_probs,
-                &mut graph_emb,
-                &mut node_emb,
-                &mut red_probs,
-            );
+            infer_lane(batch, self.precision, &mut timing, &mut out);
         }
 
         // Trust gate: a quantized routing score that lands within its
@@ -989,9 +739,9 @@ impl AdaptiveFramework {
         // cannot flip a decision, so suite routing stays identical.
         let mut fallback_items: Vec<usize> = Vec::new();
         for &s in &quant_items {
-            let near_sel = (sel_probs[s][1] - self.ec_threshold).abs() <= margin;
-            let near_red =
-                reps[s].has_stitches() && (red_probs[s][0] - self.redundancy_bar).abs() <= margin;
+            let near_sel = (out[s].sel_probs[1] - self.ec_threshold).abs() <= margin;
+            let near_red = reps[s].has_stitches()
+                && (out[s].red_probs[0] - self.redundancy_bar).abs() <= margin;
             #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
             let mut distrusted = near_sel || near_red;
             #[cfg(feature = "failpoints")]
@@ -1003,15 +753,7 @@ impl AdaptiveFramework {
             }
         }
         if !fallback_items.is_empty() {
-            infer_lane(
-                &fallback_items,
-                Precision::F32,
-                timing,
-                &mut sel_probs,
-                &mut graph_emb,
-                &mut node_emb,
-                &mut red_probs,
-            );
+            infer_lane(&fallback_items, Precision::F32, &mut timing, &mut out);
         }
 
         // Publish freshly routed representatives for later requests. The
@@ -1020,23 +762,11 @@ impl AdaptiveFramework {
         // hit replays exactly what this request resolved to. Racing
         // writers are harmless: identical structures produce bitwise
         // identical entries regardless of which request computed them.
-        if let Some(shared) = backend.shared {
-            for s in 0..nr {
-                if cached[s].is_none() {
-                    shared.insert(
-                        reps[s],
-                        Arc::new(RoutingEntry {
-                            sel_probs: sel_probs[s].clone(),
-                            red_probs: red_probs[s].clone(),
-                            graph_emb: graph_emb[s].clone(),
-                            node_emb: node_emb[s].clone(),
-                        }),
-                    );
-                }
+        if let Some(shared) = routing_memo {
+            for s in (0..nr).filter(|&s| cached[s].is_none()) {
+                shared.insert(reps[s], Arc::new(out[s].clone()));
             }
         }
-
-        routed.selector_probs = rep_slot.iter().map(|&s| sel_probs[s].clone()).collect();
 
         // Padding-waste accounting: transient backbone scratch scales
         // with batched nodes times the embedding width (input, aggregate
@@ -1047,7 +777,7 @@ impl AdaptiveFramework {
             .peak_nodes_after
             .max(quant_plan.peak_nodes_after)
             .max(fallback_nodes);
-        routed.inference = InferenceStats {
+        let inference = InferenceStats {
             memo_hits: memo.hits(),
             shared_memo_hits: shared_hits,
             units_inferred: nr - shared_hits,
@@ -1070,10 +800,11 @@ impl AdaptiveFramework {
             padding_waste_after_bytes: peak_after * per_node_bytes,
         };
 
-        routed.unit_results = vec![None; n];
-        routed.unit_engines = vec![None; n];
-        routed.guard_failed = vec![false; n];
-        routed.audit_rejected = vec![false; n];
+        let mut usage = UsageBreakdown::default();
+        let mut results: Vec<Option<Decomposition>> = vec![None; n];
+        let mut engines = vec![None; n];
+        let mut guard_failed = vec![false; n];
+        let mut audit_rejected = vec![false; n];
 
         // 1. Library matching with the precomputed embeddings. Every hit
         // is audited; a stale or corrupted library transfer is rejected
@@ -1081,15 +812,17 @@ impl AdaptiveFramework {
         let t = Instant::now();
         for (i, g) in graphs.iter().enumerate() {
             if g.num_nodes() <= self.library.max_nodes() {
-                let s = rep_slot[i];
-                let (emb, nodes) = (&graph_emb[s], &node_emb[s]);
-                if let Some(d) = self.library.lookup_with_embeddings(g, emb, nodes) {
+                let e = &out[rep_slot[i]];
+                let hit = self
+                    .library
+                    .lookup_with_embeddings(g, &e.graph_emb, &e.node_emb);
+                if let Some(d) = hit {
                     if self.audit_ok(g, &d) {
-                        routed.unit_results[i] = Some(d);
-                        routed.unit_engines[i] = Some(EngineKind::Matching);
-                        routed.usage.matching += 1;
+                        results[i] = Some(d);
+                        engines[i] = Some(EngineKind::Matching);
+                        usage.matching += 1;
                     } else {
-                        routed.audit_rejected[i] = true;
+                        audit_rejected[i] = true;
                     }
                 }
             }
@@ -1103,11 +836,11 @@ impl AdaptiveFramework {
             let mut parents = Vec::new();
             let mut maps = Vec::new();
             for (i, g) in graphs.iter().enumerate() {
-                if routed.unit_results[i].is_some() || g.num_nodes() == 0 {
+                if results[i].is_some() || g.num_nodes() == 0 {
                     continue;
                 }
                 let redundant =
-                    !g.has_stitches() || red_probs[rep_slot[i]][0] > self.redundancy_bar;
+                    !g.has_stitches() || out[rep_slot[i]].red_probs[0] > self.redundancy_bar;
                 if redundant {
                     let (parent, map) = g.merge_stitch_edges();
                     idx.push(i);
@@ -1121,16 +854,14 @@ impl AdaptiveFramework {
             // ColorGNN results are never cached across requests: the
             // restart sampler consumes an RNG stream, so the output is a
             // function of the driver's RNG state, not of the graph alone.
-            let color = &mut backend.color;
-            let results = catch_unwind(AssertUnwindSafe(|| match color {
-                ColorDriver::Legacy(c) => c.decompose_batch(&parent_refs, &self.params, budget),
-                ColorDriver::Session(f, rng) => {
-                    f.decompose_batch_with_rng(&parent_refs, &self.params, budget, rng)
-                }
+            let batch = catch_unwind(AssertUnwindSafe(|| {
+                heads
+                    .color
+                    .decompose_batch_with_rng(&parent_refs, &self.params, budget, rng)
             }));
-            match results {
-                Ok(results) => {
-                    for ((&i, pd), map) in idx.iter().zip(results).zip(&maps) {
+            match batch {
+                Ok(batch) => {
+                    for ((&i, pd), map) in idx.iter().zip(batch).zip(&maps) {
                         if pd.cost.conflicts == 0 {
                             let coloring: Vec<u8> =
                                 map.iter().map(|&p| pd.coloring[p as usize]).collect();
@@ -1143,39 +874,57 @@ impl AdaptiveFramework {
                                 // the parent cost bit-for-bit; anything
                                 // else is an audit rejection.
                                 Ok(d) if d.cost == pd.cost => {
-                                    routed.unit_results[i] = Some(d);
-                                    routed.unit_engines[i] = Some(EngineKind::ColorGnn);
-                                    routed.usage.colorgnn += 1;
+                                    results[i] = Some(d);
+                                    engines[i] = Some(EngineKind::ColorGnn);
+                                    usage.colorgnn += 1;
                                 }
                                 _ => {
-                                    routed.usage.colorgnn_fallbacks += 1;
-                                    routed.guard_failed[i] = true;
-                                    routed.audit_rejected[i] = true;
+                                    usage.colorgnn_fallbacks += 1;
+                                    guard_failed[i] = true;
+                                    audit_rejected[i] = true;
                                 }
                             }
                         } else {
-                            routed.usage.colorgnn_fallbacks += 1;
-                            routed.guard_failed[i] = true;
+                            usage.colorgnn_fallbacks += 1;
+                            guard_failed[i] = true;
                         }
                     }
                 }
                 Err(_) => {
                     for &i in &idx {
-                        routed.usage.colorgnn_fallbacks += 1;
-                        routed.guard_failed[i] = true;
+                        usage.colorgnn_fallbacks += 1;
+                        guard_failed[i] = true;
                     }
                 }
             }
             timing.colorgnn += t.elapsed();
         }
-        Ok(())
+
+        // The tail routing flag: ColorGNN guard failures and confident
+        // selector calls go EC-first; everything else to the exact ILP.
+        let ec_first = (0..n)
+            .map(|i| guard_failed[i] || out[rep_slot[i]].sel_probs[1] > self.ec_threshold)
+            .collect();
+        RunState {
+            time: vec![Duration::ZERO; n],
+            budget_fallback: vec![false; n],
+            results,
+            engines,
+            ec_first,
+            audit_rejected,
+            usage,
+            timing,
+            inference,
+            ..RunState::default()
+        }
     }
 
     /// Adaptively decomposes a prepared layout with batched GNN inference
     /// (the paper batches all simplified graphs for efficiency): one RGCN
     /// pass computes embeddings + selector probabilities for every unit,
-    /// one `RGCN_r` pass the redundancy confidences, and one batched
-    /// ColorGNN run decomposes all predicted-redundant parent graphs.
+    /// one `RGCN_r` pass the redundancy confidences, one batched ColorGNN
+    /// run decomposes all predicted-redundant parent graphs, and the
+    /// ILP/EC tail runs on the calling thread.
     pub fn decompose_prepared(&self, prep: &PreparedLayout) -> AdaptiveResult {
         unwrap_unlimited(self.decompose_prepared_with(prep, &BudgetPolicy::unlimited()))
     }
@@ -1199,88 +948,14 @@ impl AdaptiveFramework {
         prep: &PreparedLayout,
         policy: &BudgetPolicy,
     ) -> Result<AdaptiveResult, MpldError> {
-        let start = Instant::now();
-        let n = prep.units.len();
-        let graphs: Vec<&LayoutGraph> = prep.units.iter().map(|u| &u.hetero).collect();
-        if n == 0 {
-            return Ok(empty_result(prep, &self.params, start));
-        }
-        let total = policy.total_budget();
-        let mut routed = RoutedUnits::default();
-        self.route_units(&graphs, &total, &mut routed)?;
-        let RoutedUnits {
-            mut unit_results,
-            mut unit_engines,
-            mut usage,
-            mut timing,
-            guard_failed,
-            selector_probs,
-            mut audit_rejected,
-            inference,
-        } = routed;
-        let mut budget_fallback = vec![false; n];
-        let mut unit_time = vec![Duration::ZERO; n];
-        let mut quarantines = Vec::new();
-
-        // 3. Remaining units (including ColorGNN-guard failures): ILP/EC
-        // per the selector, with certified EC acceptance (see
-        // `decompose_with_selection`), each solve guarded and audited.
-        for (i, g) in graphs.iter().enumerate() {
-            if unit_results[i].is_some() {
-                continue;
-            }
-            let ec_first = guard_failed[i] || selector_probs[i][1] > self.ec_threshold;
-            let unit_budget = policy.unit_budget(&total);
-            let solver_before = timing.ilp + timing.ec;
-            let solve = self.solve_tail_guarded(i, g, ec_first, &unit_budget, &mut timing);
-            match solve.engine {
-                EngineKind::Ilp => usage.ilp += 1,
-                _ => usage.ec += 1,
-            }
-            budget_fallback[i] = solve.budget_fallback;
-            unit_time[i] = timing.ilp + timing.ec - solver_before;
-            audit_rejected[i] |= solve.audit_rejected;
-            if let Some(q) = solve.quarantine {
-                quarantines.push((i, q));
-            }
-            unit_results[i] = Some(solve.d);
-            unit_engines[i] = Some(solve.engine);
-        }
-
-        Ok(finish(
-            prep,
-            &self.params,
-            FinishParts {
-                unit_results,
-                unit_engines,
-                budget_fallback,
-                unit_time,
-                audit_rejected,
-                usage,
-                timing,
-                memo_hits: 0,
-                inference,
-                quarantines,
-                resumed_units: 0,
-            },
-            start,
-        ))
+        self.decompose_prepared_parallel_recoverable(prep, 1, policy, Recovery::default())
     }
 
     /// Like [`AdaptiveFramework::decompose_prepared`], but fans the
-    /// ILP/EC tail out to `threads` workers scheduled largest-unit-first,
-    /// with a session-scoped memo cache: tail units that are isomorphic
-    /// (same canonical certificate from `mpld-matching`, same routing
-    /// flag) are solved once — the first representative in unit order —
-    /// and every other member receives the representative's coloring
-    /// transferred through the shared canonical label space, re-verified
-    /// against the member's own cost function before acceptance.
-    ///
-    /// The batched GNN passes (selection, redundancy, matching, ColorGNN)
-    /// stay serial: they are a single inference pass each and consume the
-    /// ColorGNN RNG stream in unit order, which keeps results independent
-    /// of `threads`. Consequently cost, usage and per-unit engines are
-    /// identical for any thread count.
+    /// ILP/EC tail out to `threads` workers scheduled largest-unit-first.
+    /// Cost, usage, per-unit engines and colorings are identical for any
+    /// thread count (see [`Engine`](crate::Engine) for the tail's source
+    /// chain and its pure-function contract).
     ///
     /// Timing semantics: `timing.ilp`/`timing.ec` sum the *per-unit solver
     /// time* across workers (the paper's Fig. 9/Table V accounting), so
@@ -1319,15 +994,19 @@ impl AdaptiveFramework {
 
     /// Crash-safe variant of
     /// [`AdaptiveFramework::decompose_prepared_parallel_with`]: with
-    /// `recovery.journal` set, every ILP/EC-tail solve is appended to a
+    /// `recovery.journal` set, every ILP/EC-tail unit is appended to a
     /// truncation-tolerant JSONL journal as it completes; with
     /// `recovery.resume` set, units recorded in a previous run's journal
     /// are restored instead of re-solved (after each record passes the
     /// independent audit against the present unit graph).
     ///
-    /// The GNN routing passes always re-run — they are deterministic given
-    /// the model seed — so a resumed run is bit-identical to the
-    /// uninterrupted one for every journaled unit.
+    /// Every framework entry point lands here: the RGCN heads are frozen
+    /// for this call, ColorGNN samples from the model's own RNG stream
+    /// (so `colorgnn.reseed(s)` before the call equals an engine
+    /// [`Session::new(s)`](crate::Session::new)), and the tail runs the
+    /// engine's executor without a cross-request cache. The routing
+    /// passes always re-run — they are deterministic given the stream —
+    /// so a resumed run is bit-identical to the uninterrupted one.
     ///
     /// # Errors
     ///
@@ -1341,303 +1020,20 @@ impl AdaptiveFramework {
         policy: &BudgetPolicy,
         recovery: Recovery<'_>,
     ) -> Result<AdaptiveResult, MpldError> {
-        let start = Instant::now();
-        let n = prep.units.len();
-        let graphs: Vec<&LayoutGraph> = prep.units.iter().map(|u| &u.hetero).collect();
-        if n == 0 {
-            return Ok(empty_result(prep, &self.params, start));
-        }
-        let total = policy.total_budget();
-        let mut routed = RoutedUnits::default();
-        self.route_units(&graphs, &total, &mut routed)?;
-        let RoutedUnits {
-            mut unit_results,
-            mut unit_engines,
-            mut usage,
-            mut timing,
-            guard_failed,
-            selector_probs,
-            mut audit_rejected,
-            inference,
-        } = routed;
-
-        let mut budget_fallback = vec![false; n];
-        let mut unit_time = vec![Duration::ZERO; n];
-        let mut quarantines: Vec<(usize, MpldError)> = Vec::new();
-        let mut resumed_units = 0usize;
-
-        // 3. The ILP/EC tail. `tail` is in unit order; `ecf[t]` is the
-        // routing flag of tail unit `t` (it is part of the memo key
-        // because it decides which engines may answer). Resumed units stay
-        // in `tail` so the usage accounting below covers them.
-        let tail: Vec<usize> = (0..n).filter(|&i| unit_results[i].is_none()).collect();
-        let ecf: Vec<bool> = tail
-            .iter()
-            .map(|&i| guard_failed[i] || selector_probs[i][1] > self.ec_threshold)
-            .collect();
-
-        // Resume: restore journaled tail units whose records survive the
-        // audit (fingerprint match, valid coloring, recorded cost equal to
-        // the from-scratch recomputation). Anything else is re-solved.
-        if let Some(cp) = recovery.resume {
-            for &i in &tail {
-                let Some(e) = cp.get(i, unit_fingerprint(graphs[i])) else {
-                    continue;
-                };
-                match audit_coloring(graphs[i], &e.coloring, self.params.k) {
-                    Ok(recomputed) if recomputed == e.cost => {}
-                    _ => continue,
-                }
-                unit_results[i] = Some(Decomposition {
-                    coloring: e.coloring.clone(),
-                    cost: e.cost,
-                    certainty: e.certainty,
-                });
-                unit_engines[i] = Some(e.engine);
-                budget_fallback[i] = e.budget_fallback;
-                resumed_units += 1;
-            }
-        }
-
-        // Group memoizable tail units by canonical certificate. A cheap
-        // structural fingerprint goes first: isomorphic graphs always share
-        // it, so canonicalization — the expensive step — is only paid for
-        // units whose fingerprints actually collide. The labeling realizing
-        // each certificate is kept for the transfer.
-        let mut finger: HashMap<(usize, usize, Vec<u8>, bool), Vec<usize>> = HashMap::new();
-        for (t, &i) in tail.iter().enumerate() {
-            let g = graphs[i];
-            if unit_results[i].is_some() {
-                continue; // restored from the checkpoint journal
-            }
-            if g.num_nodes() <= MEMO_MAX_NODES {
-                let mut degs: Vec<u8> = (0..g.num_nodes() as u32)
-                    .map(|v| (g.conflict_degree(v) as u8) << 4 | g.stitch_neighbors(v).len() as u8)
-                    .collect();
-                degs.sort_unstable();
-                finger
-                    .entry((
-                        g.conflict_edges().len(),
-                        g.stitch_edges().len(),
-                        degs,
-                        ecf[t],
-                    ))
-                    .or_default()
-                    .push(t);
-            }
-        }
-        let mut labelings: Vec<Option<Vec<u8>>> = vec![None; tail.len()];
-        let mut groups: HashMap<(CanonicalForm, bool), Vec<usize>> = HashMap::new();
-        for bucket in finger.into_values() {
-            if bucket.len() < 2 {
-                continue;
-            }
-            for t in bucket {
-                let (form, perm) = canonical_form_labeled(graphs[tail[t]]);
-                labelings[t] = Some(perm);
-                groups.entry((form, ecf[t])).or_default().push(t);
-            }
-        }
-        // Work items: one per certificate group (members in unit order,
-        // first member is the representative) plus one singleton per
-        // unmemoizable unit. Sorted by representative so scheduling is
-        // deterministic.
-        let mut items: Vec<Vec<usize>> = groups.into_values().collect();
-        items.extend(
-            (0..tail.len())
-                .filter(|&t| labelings[t].is_none() && unit_results[tail[t]].is_none())
-                .map(|t| vec![t]),
-        );
-        items.sort_by_key(|members| members[0]);
-
-        // Solve one representative per item, largest units first. Each
-        // worker anchors the per-unit budget when it picks the item up,
-        // runs the fault-isolated guarded solve (so the job itself never
-        // fails), and journals the result before returning. The outer
-        // quarantined runner is a second line of defense: should a job
-        // still panic, only that item degrades.
-        let solved: Vec<Result<(UnitSolve, TimingBreakdown), String>> =
-            run_largest_first_quarantined(
-                items.len(),
-                threads,
-                |j| graphs[tail[items[j][0]]].num_nodes(),
-                |j| {
-                    let mut t = TimingBreakdown::default();
-                    let rep = items[j][0];
-                    let i = tail[rep];
-                    let unit_budget = policy.unit_budget(&total);
-                    let s = self.solve_tail_guarded(i, graphs[i], ecf[rep], &unit_budget, &mut t);
-                    journal_record(
-                        recovery.journal,
-                        i,
-                        graphs[i],
-                        &s.d,
-                        s.engine,
-                        s.budget_fallback,
-                    );
-                    (s, t)
-                },
-            );
-
-        // Scatter representatives, transfer to the remaining members, and
-        // re-verify every transfer against the member's own cost.
-        let mut memo_hits = 0usize;
-        let mut unverified: Vec<usize> = Vec::new();
-        for (members, solved_j) in items.iter().zip(solved) {
-            let rep = members[0];
-            let ri = tail[rep];
-            let (s, t) = match solved_j {
-                Ok(pair) => pair,
-                Err(payload) => {
-                    // Second line of defense: the worker job itself
-                    // panicked. Quarantine the representative and re-solve
-                    // the remaining group members individually.
-                    quarantines.push((ri, MpldError::Panicked { unit: ri, payload }));
-                    unit_results[ri] = Some(self.greedy_degraded(graphs[ri]));
-                    unit_engines[ri] = Some(if ecf[rep] {
-                        EngineKind::Ec
-                    } else {
-                        EngineKind::Ilp
-                    });
-                    unverified.extend(members[1..].iter().copied());
-                    continue;
-                }
-            };
-            timing.ilp += t.ilp;
-            timing.ec += t.ec;
-            // A quarantined or degraded representative must not spread its
-            // fallback coloring to isomorphic members: they re-solve.
-            let transferable = s.quarantine.is_none() && s.d.certainty != Certainty::Degraded;
-            audit_rejected[ri] |= s.audit_rejected;
-            budget_fallback[ri] = s.budget_fallback;
-            unit_time[ri] = t.ilp + t.ec;
-            unit_engines[ri] = Some(s.engine);
-            let engine = s.engine;
-            let fell_back = s.budget_fallback;
-            if let Some(q) = s.quarantine {
-                quarantines.push((ri, q));
-            }
-            let d = s.d;
-            unit_results[ri] = Some(d.clone());
-            for &t_pos in &members[1..] {
-                if !transferable {
-                    unverified.push(t_pos);
-                    continue;
-                }
-                let i = tail[t_pos];
-                #[allow(clippy::expect_used)] // grouped units were labeled above
-                let rep_perm = labelings[rep].as_ref().expect("grouped units are labeled");
-                #[allow(clippy::expect_used)] // grouped units were labeled above
-                let mem_perm = labelings[t_pos]
-                    .as_ref()
-                    .expect("grouped units are labeled");
-                let nn = graphs[i].num_nodes();
-                let mut canon_colors = vec![0u8; nn];
-                for v in 0..nn {
-                    canon_colors[rep_perm[v] as usize] = d.coloring[v];
-                }
-                #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
-                let mut coloring: Vec<u8> = (0..nn)
-                    .map(|v| canon_colors[mem_perm[v] as usize])
-                    .collect();
-                #[cfg(feature = "failpoints")]
-                mpld_graph::failpoints::corrupt_coloring(
-                    "memo.transfer",
-                    &mut coloring,
-                    self.params.k,
-                );
-                let cost = graphs[i].evaluate(&coloring, self.params.alpha);
-                if cost == d.cost {
-                    let md = Decomposition {
-                        coloring,
-                        cost,
-                        certainty: d.certainty,
-                    };
-                    journal_record(recovery.journal, i, graphs[i], &md, engine, fell_back);
-                    unit_results[i] = Some(md);
-                    unit_engines[i] = Some(engine);
-                    budget_fallback[i] = fell_back;
-                    memo_hits += 1;
-                } else {
-                    // A certificate collision or a corrupted transfer
-                    // lands here; solve the member directly rather than
-                    // trust the transfer.
-                    audit_rejected[i] = true;
-                    unverified.push(t_pos);
-                }
-            }
-        }
-        for t_pos in unverified {
-            let i = tail[t_pos];
-            let unit_budget = policy.unit_budget(&total);
-            let solver_before = timing.ilp + timing.ec;
-            let s = self.solve_tail_guarded(i, graphs[i], ecf[t_pos], &unit_budget, &mut timing);
-            budget_fallback[i] = s.budget_fallback;
-            unit_time[i] = timing.ilp + timing.ec - solver_before;
-            audit_rejected[i] |= s.audit_rejected;
-            if let Some(q) = s.quarantine {
-                quarantines.push((i, q));
-            }
-            journal_record(
-                recovery.journal,
-                i,
-                graphs[i],
-                &s.d,
-                s.engine,
-                s.budget_fallback,
-            );
-            unit_results[i] = Some(s.d);
-            unit_engines[i] = Some(s.engine);
-        }
-        for &i in &tail {
-            #[allow(clippy::expect_used)] // every tail unit was solved above
-            match unit_engines[i].expect("every tail unit solved") {
-                EngineKind::Ilp => usage.ilp += 1,
-                _ => usage.ec += 1,
-            }
-        }
-
-        Ok(finish(
-            prep,
-            &self.params,
-            FinishParts {
-                unit_results,
-                unit_engines,
-                budget_fallback,
-                unit_time,
-                audit_rejected,
-                usage,
-                timing,
-                memo_hits,
-                inference,
-                quarantines,
-                resumed_units,
-            },
-            start,
-        ))
+        let t = Instant::now();
+        let heads = Heads::freeze(self);
+        let frozen = t.elapsed();
+        let mut rng = self.colorgnn.rng();
+        let executor = Executor {
+            fw: self,
+            heads: &heads,
+            shared: None,
+        };
+        let mut r = executor.run(prep, policy, recovery, threads, &mut rng, &mut |_| {});
+        self.colorgnn.set_rng(rng);
+        r.timing.selection += frozen;
+        Ok(r)
     }
-}
-
-/// Best-effort append of one solved tail unit to the checkpoint journal
-/// (a failed write is a lost checkpoint, never a failed solve).
-pub(crate) fn journal_record(
-    journal: Option<&JournalWriter>,
-    unit: usize,
-    g: &LayoutGraph,
-    d: &Decomposition,
-    engine: EngineKind,
-    budget_fallback: bool,
-) {
-    let Some(j) = journal else { return };
-    let _ = j.record(&CheckpointEntry {
-        unit,
-        fingerprint: unit_fingerprint(g),
-        engine,
-        certainty: d.certainty,
-        budget_fallback,
-        coloring: d.coloring.clone(),
-        cost: d.cost,
-    });
 }
 
 /// Propagates an impossible unlimited-budget error as a panic (the
@@ -1647,130 +1043,6 @@ fn unwrap_unlimited(r: Result<AdaptiveResult, MpldError>) -> AdaptiveResult {
         Ok(res) => res,
         Err(e) => panic!("adaptive framework failed on an unlimited budget: {e}"),
     }
-}
-
-/// The empty-layout result shared by every entry point.
-pub(crate) fn empty_result(
-    prep: &PreparedLayout,
-    params: &DecomposeParams,
-    start: Instant,
-) -> AdaptiveResult {
-    let pipeline = assemble(prep, params, Vec::new(), start.elapsed());
-    AdaptiveResult {
-        pipeline,
-        usage: UsageBreakdown::default(),
-        timing: TimingBreakdown::default(),
-        unit_engines: Vec::new(),
-        memo_hits: 0,
-        inference: InferenceStats::default(),
-        unit_outcomes: Vec::new(),
-        budget: BudgetBreakdown::default(),
-        quarantines: Vec::new(),
-        resumed_units: 0,
-    }
-}
-
-/// Fully-populated per-unit state handed to [`finish`].
-pub(crate) struct FinishParts {
-    pub(crate) unit_results: Vec<Option<Decomposition>>,
-    pub(crate) unit_engines: Vec<Option<EngineKind>>,
-    pub(crate) budget_fallback: Vec<bool>,
-    pub(crate) unit_time: Vec<Duration>,
-    pub(crate) audit_rejected: Vec<bool>,
-    pub(crate) usage: UsageBreakdown,
-    pub(crate) timing: TimingBreakdown,
-    pub(crate) memo_hits: usize,
-    pub(crate) inference: InferenceStats,
-    pub(crate) quarantines: Vec<(usize, MpldError)>,
-    pub(crate) resumed_units: usize,
-}
-
-/// Assembles the final [`AdaptiveResult`] from fully-populated routing
-/// state, deriving per-unit outcomes and the budget breakdown.
-pub(crate) fn finish(
-    prep: &PreparedLayout,
-    params: &DecomposeParams,
-    parts: FinishParts,
-    start: Instant,
-) -> AdaptiveResult {
-    #[allow(clippy::expect_used)] // the entry points decompose every unit
-    let unit_results: Vec<Decomposition> = parts
-        .unit_results
-        .into_iter()
-        .map(|d| d.expect("every unit decomposed"))
-        .collect();
-    #[allow(clippy::expect_used)] // the entry points route every unit
-    let unit_engines: Vec<EngineKind> = parts
-        .unit_engines
-        .into_iter()
-        .map(|e| e.expect("every unit routed"))
-        .collect();
-    let unit_outcomes: Vec<UnitOutcome> = unit_results
-        .iter()
-        .zip(&unit_engines)
-        .zip(parts.budget_fallback.iter().zip(&parts.unit_time))
-        .zip(&parts.audit_rejected)
-        .map(
-            |(((d, &engine), (&fell_back, &time)), &audit_rejected)| UnitOutcome {
-                engine,
-                certainty: d.certainty,
-                budget_fallback: fell_back,
-                time,
-                audit_rejected,
-            },
-        )
-        .collect();
-    let decompose_time = start.elapsed();
-    let pipeline = assemble(prep, params, unit_results, decompose_time);
-    AdaptiveResult {
-        pipeline,
-        usage: parts.usage,
-        timing: parts.timing,
-        unit_engines,
-        memo_hits: parts.memo_hits,
-        inference: parts.inference,
-        budget: BudgetBreakdown::from_outcomes(&unit_outcomes),
-        unit_outcomes,
-        quarantines: parts.quarantines,
-        resumed_units: parts.resumed_units,
-    }
-}
-
-/// Routing state produced by [`AdaptiveFramework::route_units`].
-#[derive(Default)]
-pub(crate) struct RoutedUnits {
-    pub(crate) unit_results: Vec<Option<Decomposition>>,
-    pub(crate) unit_engines: Vec<Option<EngineKind>>,
-    pub(crate) usage: UsageBreakdown,
-    pub(crate) timing: TimingBreakdown,
-    pub(crate) guard_failed: Vec<bool>,
-    pub(crate) selector_probs: Vec<Vec<f32>>,
-    pub(crate) audit_rejected: Vec<bool>,
-    pub(crate) inference: InferenceStats,
-}
-
-/// The pluggable pieces of one routing pass
-/// ([`AdaptiveFramework::route_units_with`]): frozen heads, an optional
-/// cross-request routing memo, and the ColorGNN RNG driver. The
-/// per-request entry points pass freshly frozen heads, no memo, and the
-/// legacy mutexed driver; the shared [`Engine`](crate::Engine) passes its
-/// freeze-once heads, its memo, and per-session RNG state.
-pub(crate) struct RouteBackend<'e> {
-    pub(crate) frozen_sel: &'e FrozenRgcn,
-    pub(crate) frozen_red: &'e FrozenRgcn,
-    pub(crate) shared: Option<&'e SharedRoutingMemo>,
-    pub(crate) color: ColorDriver<'e>,
-}
-
-/// How a routing pass drives the ColorGNN restart sampler.
-pub(crate) enum ColorDriver<'e> {
-    /// The model's own mutexed RNG (`reseed` + `decompose_batch`) — the
-    /// serial parity oracle.
-    Legacy(&'e ColorGnn),
-    /// A frozen head plus caller-owned RNG state: no lock, and the
-    /// stream belongs to one session. Seeded identically to a `reseed`,
-    /// it replays the legacy stream bit for bit.
-    Session(&'e FrozenColorGnn, &'e mut SmallRng),
 }
 
 impl std::fmt::Debug for AdaptiveFramework {

@@ -61,7 +61,7 @@ pub use checkpoint::{
     unit_fingerprint, Checkpoint, CheckpointEntry, CheckpointHeader, JournalWriter,
 };
 pub use density::{density_imbalance, mask_densities};
-pub use engine::{Engine, EngineStats, EngineStoreStats, Progress, Session};
+pub use engine::{Engine, EngineStats, EngineStoreStats, Progress, Session, DEFAULT_SEED};
 pub use framework::{
     AdaptiveFramework, AdaptiveResult, BudgetBreakdown, BudgetPolicy, EngineKind, InferenceStats,
     Recovery, TimingBreakdown, UnitOutcome, UsageBreakdown,

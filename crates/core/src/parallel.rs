@@ -10,16 +10,18 @@
 //! the tail latency of the whole batch — a worker finishing a large unit
 //! back-fills with small ones instead of the reverse.
 //!
-//! Results are collected **without per-slot locks**: each worker appends
-//! `(index, value)` pairs to its own local vector, and the pairs are
-//! scattered into an owned `Vec` after the scope joins.
+//! Results stream back to the calling thread over a channel as each job
+//! completes ([`run_largest_first_streaming`]), so per-result side
+//! effects (progress events, journal appends) run on one thread, in
+//! completion order, without locks.
 //!
-//! Fault isolation: [`run_largest_first_quarantined`] catches each job's
+//! Fault isolation: [`run_largest_first_streaming`] catches each job's
 //! panic with `catch_unwind`, so one poisoned unit costs exactly that
-//! unit — every other worker's completed result is preserved and returned.
+//! unit — every other worker's completed result is still delivered.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Resolves the default worker count: the `MPLD_THREADS` environment
 /// variable if set to a positive integer, otherwise
@@ -61,89 +63,76 @@ where
     S: Fn(usize) -> usize,
     J: Fn(usize) -> T + Sync,
 {
-    let results = run_largest_first_quarantined(n, threads, size, job);
-    let mut out = Vec::with_capacity(n);
-    for r in results {
-        match r {
-            Ok(v) => out.push(v),
-            Err(payload) => panic!("{payload}"),
-        }
-    }
-    out
-}
-
-/// Panic-quarantining [`run_largest_first`]: each job runs under
-/// `catch_unwind`, and the per-index result is `Err(payload)` for a job
-/// that panicked instead of tearing down the whole batch.
-///
-/// One panicking job costs exactly that job — all other results (including
-/// those completed by the panicking worker before and after the fault) are
-/// preserved. The worker thread itself survives the panic and keeps
-/// pulling jobs from the shared cursor.
-pub fn run_largest_first_quarantined<T, S, J>(
-    n: usize,
-    threads: usize,
-    size: S,
-    job: J,
-) -> Vec<Result<T, String>>
-where
-    T: Send,
-    S: Fn(usize) -> usize,
-    J: Fn(usize) -> T + Sync,
-{
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(size(i)));
-
-    let threads = threads.max(1).min(n.max(1));
-    let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
-
-    let guarded = |i: usize| -> Result<T, String> {
-        catch_unwind(AssertUnwindSafe(|| job(i))).map_err(|p| panic_payload_string(p.as_ref()))
-    };
-
-    if threads <= 1 {
-        for &i in &order {
-            slots[i] = Some(guarded(i));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let (order_ref, job_ref, cursor_ref) = (&order, &guarded, &cursor);
-        let partials: Vec<Vec<(usize, Result<T, String>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let k = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                            if k >= n {
-                                break;
-                            }
-                            let i = order_ref[k];
-                            local.push((i, job_ref(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Workers cannot panic (every job is caught above), but a
-                // defensive join keeps the invariant local.
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        for part in partials {
-            for (i, v) in part {
-                slots[i] = Some(v);
-            }
-        }
-    }
-
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    run_largest_first_streaming(n, threads, size, job, |i, r| match r {
+        Ok(v) => slots[i] = Some(v),
+        Err(payload) => panic!("{payload}"),
+    });
     #[allow(clippy::expect_used)] // the cursor walks every index exactly once
     slots
         .into_iter()
         .map(|s| s.expect("every job index produced a result"))
         .collect()
+}
+
+/// Panic-quarantining, streaming [`run_largest_first`]: each job runs
+/// under `catch_unwind`, and its result — or, for a job that panicked,
+/// `Err(payload)` — goes to `done(i, result)` on the calling thread as
+/// soon as the job completes, in completion order.
+///
+/// One panicking job costs exactly that job — all other results
+/// (including those completed by the panicking worker before and after
+/// the fault) are still delivered. The worker thread itself survives the
+/// panic and keeps pulling jobs from the shared cursor. With
+/// `threads <= 1` the jobs run on the calling thread in largest-first
+/// order, each followed by its `done` call.
+pub fn run_largest_first_streaming<T, S, J, D>(
+    n: usize,
+    threads: usize,
+    size: S,
+    job: J,
+    mut done: D,
+) where
+    T: Send,
+    S: Fn(usize) -> usize,
+    J: Fn(usize) -> T + Sync,
+    D: FnMut(usize, Result<T, String>),
+{
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(size(i)));
+    let guarded = |i: usize| -> Result<T, String> {
+        catch_unwind(AssertUnwindSafe(|| job(i))).map_err(|p| panic_payload_string(p.as_ref()))
+    };
+
+    let threads = threads.max(1).min(n.max(1));
+    if threads <= 1 {
+        for &i in &order {
+            done(i, guarded(i));
+        }
+        return;
+    }
+    let cursor = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let (tx, order, guarded, cursor) = (tx.clone(), &order, &guarded, &cursor);
+            scope.spawn(move || loop {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                if k >= n {
+                    break;
+                }
+                let i = order[k];
+                // A dropped receiver means the caller is unwinding.
+                if tx.send((i, guarded(i))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        for (i, r) in rx {
+            done(i, r);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -206,8 +195,9 @@ mod tests {
     #[test]
     fn panicking_job_preserves_all_completed_results() {
         for threads in [1, 2, 4] {
-            let out: Vec<Result<usize, String>> = with_quiet_panics(|| {
-                run_largest_first_quarantined(
+            let mut out: Vec<Option<Result<usize, String>>> = vec![None; 50];
+            with_quiet_panics(|| {
+                run_largest_first_streaming(
                     50,
                     threads,
                     |i| i,
@@ -217,8 +207,13 @@ mod tests {
                         }
                         i * 2
                     },
+                    |i, r| assert!(out[i].replace(r).is_none(), "job {i} delivered twice"),
                 )
             });
+            let out: Vec<Result<usize, String>> = out
+                .into_iter()
+                .map(|r| r.expect("every job delivered"))
+                .collect();
             assert_eq!(out.len(), 50);
             for (i, r) in out.iter().enumerate() {
                 match r {

@@ -24,7 +24,9 @@ pub struct RunSummary {
     pub units: usize,
     /// ILP/EC-tail worker threads the run was configured with.
     pub threads: usize,
-    /// ColorGNN RNG seed, when one was set.
+    /// ColorGNN RNG seed the run sampled from (the CLI and the server
+    /// always record the effective one, [`crate::DEFAULT_SEED`] when the
+    /// caller pinned none).
     pub seed: Option<u64>,
     /// Conflicting feature pairs of the assembled decomposition.
     pub conflicts: u32,
@@ -44,15 +46,15 @@ pub struct RunSummary {
     pub ilp: usize,
     /// ColorGNN guard failures that fell through to the exact tail.
     pub colorgnn_fallbacks: usize,
-    /// Isomorphic-tail-unit memo transfers (parallel path) or
-    /// solution-cache hits (engine path).
+    /// Tail units answered without a solve: solution-cache hits plus
+    /// isomorphism-memo transfers ([`AdaptiveResult::memo_hits`]).
     pub memo_hits: usize,
     /// Routing-inference precision.
     pub precision: Precision,
     /// In-request embedding-memo dedup hits.
     pub dedup_hits: usize,
     /// Representatives served from the engine's cross-request routing
-    /// memo (always zero on the per-request CLI paths).
+    /// memo (zero on a cold engine's first request, such as the CLI's).
     pub routing_memo_hits: usize,
     /// Representatives that ran a fresh routing forward pass.
     pub units_inferred: usize,

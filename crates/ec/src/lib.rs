@@ -39,7 +39,7 @@ use dlx::Dlx;
 use mpld_graph::{
     Budget, Certainty, DecomposeParams, Decomposer, Decomposition, LayoutGraph, MpldError, NodeId,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// The exact-cover decomposer (see crate docs).
 #[derive(Debug, Clone, Copy)]
@@ -178,9 +178,10 @@ impl EcDecomposer {
         // feature *pair* (Eq. 1b), so relaxing all subfeature edges of one
         // conflicting pair at a time (each a min-stitch DLX solve) covers
         // the whole <= 1-conflict solution space exactly. Bounded to keep
-        // EC fast.
-        let mut pair_edges: std::collections::HashMap<(u32, u32), Vec<(NodeId, NodeId)>> =
-            std::collections::HashMap::new();
+        // EC fast. Pairs are tried in sorted order: only a strictly better
+        // candidate replaces the incumbent, so the order decides which of
+        // several equal-cost optima is kept.
+        let mut pair_edges: BTreeMap<(u32, u32), Vec<(NodeId, NodeId)>> = BTreeMap::new();
         for &(u, v) in graph.conflict_edges() {
             let (a, b) = (graph.feature_of(u), graph.feature_of(v));
             let key = if a < b { (a, b) } else { (b, a) };

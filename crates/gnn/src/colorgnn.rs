@@ -121,7 +121,20 @@ impl ColorGnn {
     /// them reproduce each other exactly (used by the parallel-vs-serial
     /// equivalence tests and the perf-baseline harness).
     pub fn reseed(&self, seed: u64) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = SmallRng::seed_from_u64(seed);
+        self.set_rng(SmallRng::seed_from_u64(seed));
+    }
+
+    /// A copy of the sampling RNG's current state. A frozen engine driven
+    /// from it, with the advanced state handed back through
+    /// [`ColorGnn::set_rng`], continues the model's own stream exactly as
+    /// [`ColorGnn::decompose_batch`] would.
+    pub fn rng(&self) -> SmallRng {
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Replaces the sampling RNG's state (see [`ColorGnn::rng`]).
+    pub fn set_rng(&self, rng: SmallRng) {
+        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = rng;
     }
 
     /// Serializes the trained per-layer weights.

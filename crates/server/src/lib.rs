@@ -127,9 +127,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Default seed for requests that do not pin one — matches the perf
-/// harness so served digests line up with the committed baselines.
-pub const DEFAULT_SEED: u64 = 0xBEEF;
+/// Default seed for requests that do not pin one: the one every entry
+/// point shares, so served digests line up with CLI runs.
+pub use mpld::DEFAULT_SEED;
 
 /// Process-wide drain flag set by the SIGTERM/SIGINT handlers installed
 /// by [`install_signal_handlers`].

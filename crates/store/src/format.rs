@@ -33,8 +33,11 @@ use mpld_matching::LibraryEntry;
 use mpld_tensor::Matrix;
 use std::path::{Path, PathBuf};
 
-/// On-disk format version; bumped on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version; bumped on any incompatible layout change, and
+/// whenever the solvers may answer a stored graph differently (2: EC
+/// breaks equal-cost ties in a fixed order, so a version-1 coloring can
+/// differ from a fresh solve of the same graph).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit over raw bytes — the store's model-fingerprint hash
 /// (same constants as the matcher's `graph_fingerprint`).

@@ -251,6 +251,25 @@ mod store_tests {
     }
 
     #[test]
+    fn older_format_version_is_moved_aside() {
+        let dir = TempDir::new("version");
+        let k = key();
+        {
+            let opened = open(dir.path(), &k, StoreCaps::default()).unwrap();
+            opened.writer.append_solve(&solve(0));
+            opened.writer.flush();
+        }
+        let path = k.path_in(dir.path());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let old = format!("{{\"v\":{}", FORMAT_VERSION - 1);
+        let current = format!("{{\"v\":{FORMAT_VERSION}");
+        std::fs::write(&path, text.replacen(&current, &old, 1)).unwrap();
+        let reopened = open(dir.path(), &k, StoreCaps::default()).unwrap();
+        assert!(reopened.load.report.rekeyed);
+        assert_eq!(reopened.load.report.solves, 0);
+    }
+
+    #[test]
     fn caps_drop_not_error() {
         let dir = TempDir::new("caps");
         let k = key();

@@ -12,7 +12,7 @@ use std::fmt;
 /// let b = Matrix::eye(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -11,6 +11,9 @@
 # 3. Decompose the same file through the monolithic path and assert the
 #    deterministic digest fields (cost, units, routing usage, budget)
 #    are bit-identical — the tiled pipeline's parity contract.
+# 4. Compare the written mask files byte for byte: tiled vs monolithic,
+#    and the monolithic run at --threads 1 vs --threads 2 (a coloring is
+#    a pure function of model, layout and seed).
 #
 # Usage: scripts/chip_scale_smoke.sh [model-path]
 # Knobs: MPLD_BIN (default target/release/mpld),
@@ -35,14 +38,23 @@ echo "== tiled run under ulimit -v ${MEM_KB}kB =="
 (
   ulimit -v "$MEM_KB"
   "$BIN" adaptive "$LAYOUT" --model "$MODEL" --tiled true --seed 7 \
-    --json true > /tmp/ci-chip-tiled.json
+    --json true -o /tmp/ci-chip-tiled.masks > /tmp/ci-chip-tiled.json
 )
 cat /tmp/ci-chip-tiled.json
 
 echo "== monolithic oracle =="
-"$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 \
-  --json true > /tmp/ci-chip-serial.json
+"$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 --threads 1 \
+  --json true -o /tmp/ci-chip-serial.masks > /tmp/ci-chip-serial.json
 cat /tmp/ci-chip-serial.json
+
+echo "== monolithic, two tail workers =="
+"$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 --threads 2 \
+  --json true -o /tmp/ci-chip-threads2.masks > /tmp/ci-chip-threads2.json
+
+echo "== mask files byte for byte =="
+cmp /tmp/ci-chip-tiled.masks /tmp/ci-chip-serial.masks
+cmp /tmp/ci-chip-serial.masks /tmp/ci-chip-threads2.masks
+echo "masks identical: tiled = monolithic, --threads 1 = --threads 2"
 
 echo "== digest parity =="
 python3 - /tmp/ci-chip-tiled.json /tmp/ci-chip-serial.json <<'EOF'
@@ -51,8 +63,8 @@ import json, sys
 tiled = json.load(open(sys.argv[1]))
 serial = json.load(open(sys.argv[2]))
 
-# Deterministic digest fields; cache accounting (memo_hits) and timings
-# legitimately differ between the engine and legacy paths.
+# Deterministic digest fields; reuse accounting (memo_hits) and timings
+# are not part of the digest.
 def digest(s):
     usage = dict(s["usage"])
     usage.pop("memo_hits", None)

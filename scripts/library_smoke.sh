@@ -14,6 +14,9 @@
 # 5. Warm store-backed run over the degraded-then-compacted store: the
 #    digest must still equal the oracle bit-for-bit and the run must be
 #    served from the store (zero fresh tail solves).
+# 6. Compare the written mask files byte for byte: the oracle at
+#    --threads 1 vs --threads 2, and the cold vs the warm store-backed
+#    run (a coloring is a pure function of model, layout and seed).
 #
 # Usage: scripts/library_smoke.sh [model-path]
 # Knobs: MPLD_BIN (default target/release/mpld)
@@ -30,12 +33,17 @@ rm -rf "$STORE"
 # ILP/EC tail — the part of a run the store persists — so the warm run
 # has solves to reuse.
 "$BIN" adaptive C499 --model "$MODEL" --seed 7 --threads 1 \
-  --colorgnn false --json true > /tmp/ci-library-oracle.json
+  --colorgnn false --json true -o /tmp/ci-library-oracle.masks \
+  > /tmp/ci-library-oracle.json
 cat /tmp/ci-library-oracle.json
+"$BIN" adaptive C499 --model "$MODEL" --seed 7 --threads 2 \
+  --colorgnn false --json true -o /tmp/ci-library-threads2.masks \
+  > /tmp/ci-library-threads2.json
 
 echo "== cold store-backed run =="
 "$BIN" adaptive C499 --model "$MODEL" --seed 7 --colorgnn false \
-  --store-dir "$STORE" --json true > /tmp/ci-library-cold.json
+  --store-dir "$STORE" --json true -o /tmp/ci-library-cold.masks \
+  > /tmp/ci-library-cold.json
 
 STORE_FILE=$(ls "$STORE"/library-*.jsonl)
 test -s "$STORE_FILE"
@@ -74,7 +82,8 @@ echo "== compact reclaims, verify passes =="
 
 echo "== warm store-backed run over the healed store =="
 "$BIN" adaptive C499 --model "$MODEL" --seed 7 --colorgnn false \
-  --store-dir "$STORE" --json true > /tmp/ci-library-warm.json
+  --store-dir "$STORE" --json true -o /tmp/ci-library-warm.masks \
+  > /tmp/ci-library-warm.json
 
 python3 - /tmp/ci-library-oracle.json /tmp/ci-library-cold.json \
   /tmp/ci-library-warm.json <<'EOF'
@@ -95,6 +104,11 @@ assert fresh <= 2, f"warm run re-solved {fresh} tail units (expected <=2)"
 print(f"store-backed digests match the oracle; warm run re-solved only "
       f"the {fresh} destroyed records")
 EOF
+
+echo "== mask files byte for byte =="
+cmp /tmp/ci-library-oracle.masks /tmp/ci-library-threads2.masks
+cmp /tmp/ci-library-cold.masks /tmp/ci-library-warm.masks
+echo "masks identical: --threads 1 = --threads 2, cold store = warm store"
 
 rm -rf "$STORE"
 echo "library smoke passed: cold populate, kill -9 tear + bit flip detected,"

@@ -2,47 +2,71 @@
 //! (every unit keeps a full valid coloring no matter how tight the
 //! budget), bit-identical results under an unlimited policy, and
 //! cooperative cancellation.
+//!
+//! Every run decomposes through a cold [`Engine`] with its own
+//! [`Session`] seed, so concurrent tests never share an RNG stream and
+//! no run's tail is answered from another run's solution cache.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use mpld::{
-    prepare, train_framework, AdaptiveFramework, BudgetPolicy, OfflineConfig, PreparedLayout,
-    TrainingData,
+    prepare, train_framework, AdaptiveFramework, AdaptiveResult, BudgetPolicy, Engine,
+    OfflineConfig, PreparedLayout, Recovery, Session, TrainingData,
 };
 use mpld_graph::{CancelToken, Certainty, Clock, DecomposeParams, MockClock};
 use mpld_layout::circuit_by_name;
 use proptest::prelude::*;
 
-fn fixture() -> &'static (AdaptiveFramework, PreparedLayout) {
-    static FIXTURE: OnceLock<(AdaptiveFramework, PreparedLayout)> = OnceLock::new();
+fn offline_config() -> OfflineConfig {
+    let mut cfg = OfflineConfig::default();
+    cfg.rgcn.epochs = 1;
+    cfg.colorgnn.epochs = 1;
+    cfg.library = mpld_matching::LibraryConfig {
+        max_parent_size: 4,
+        max_splits: 1,
+        max_nodes: 5,
+        stitches: false,
+    };
+    cfg
+}
+
+/// Serialized model + test layout, trained once for the file.
+fn fixture() -> &'static (Vec<u8>, PreparedLayout) {
+    static FIXTURE: OnceLock<(Vec<u8>, PreparedLayout)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = DecomposeParams::tpl();
         let layout = circuit_by_name("C432").expect("exists").generate();
         let prep = prepare(&layout, &params);
         let mut data = TrainingData::default();
         data.add_layout_capped(&prep, &params, 8);
-        let mut cfg = OfflineConfig::default();
-        cfg.rgcn.epochs = 1;
-        cfg.colorgnn.epochs = 1;
-        cfg.library = mpld_matching::LibraryConfig {
-            max_parent_size: 4,
-            max_splits: 1,
-            max_nodes: 5,
-            stitches: false,
-        };
-        (train_framework(&data, &params, &cfg), prep)
+        let fw = train_framework(&data, &params, &offline_config());
+        let mut bytes = Vec::new();
+        fw.save(&mut bytes).expect("serialize to Vec");
+        (bytes, prep)
     })
+}
+
+/// A fresh copy of the fixture model (the tiny library rebuilds fast).
+fn framework() -> AdaptiveFramework {
+    let (bytes, _) = fixture();
+    AdaptiveFramework::load(bytes.as_slice(), &DecomposeParams::tpl(), &offline_config())
+        .expect("fixture model loads")
+}
+
+/// One run on a cold engine.
+fn run(session: &mut Session<'_>) -> AdaptiveResult {
+    Engine::new(framework())
+        .decompose(&fixture().1, session)
+        .expect("budget exhaustion is not an error")
 }
 
 /// The anytime contract: whatever the budget, every unit ends with a
 /// full-coverage coloring whose values lie in `0..k` and whose summed
 /// cost matches the per-unit costs.
-fn assert_anytime_contract(
-    fw: &AdaptiveFramework,
-    prep: &PreparedLayout,
-    r: &mpld::AdaptiveResult,
-) {
+fn assert_anytime_contract(r: &AdaptiveResult) {
+    let prep = &fixture().1;
+    let k = DecomposeParams::tpl().k;
     assert_eq!(r.unit_outcomes.len(), prep.units.len());
     assert_eq!(
         r.pipeline.decomposition.unit_subfeature_colorings.len(),
@@ -54,14 +78,14 @@ fn assert_anytime_contract(
         .zip(&r.pipeline.decomposition.unit_subfeature_colorings)
     {
         assert_eq!(coloring.len(), u.hetero.num_nodes(), "full coverage");
-        assert!(coloring.iter().all(|&c| c < fw.params.k), "colors in 0..k");
+        assert!(coloring.iter().all(|&c| c < k), "colors in 0..k");
     }
     assert!(r
         .pipeline
         .decomposition
         .feature_colors
         .iter()
-        .all(|&c| c < fw.params.k));
+        .all(|&c| c < k));
     let b = &r.budget;
     assert_eq!(
         b.certified + b.heuristic + b.budget_exhausted + b.quarantined,
@@ -83,7 +107,7 @@ fn assert_anytime_contract(
         .iter()
         .zip(&r.pipeline.decomposition.unit_subfeature_colorings)
     {
-        mpld_graph::audit_coloring(&u.hetero, coloring, fw.params.k)
+        mpld_graph::audit_coloring(&u.hetero, coloring, k)
             .expect("reported coloring must be audit-valid");
     }
 }
@@ -101,8 +125,6 @@ proptest! {
         total_sel in 0u8..2,
     ) {
         let total = total_sel == 1;
-        let (fw, prep) = fixture();
-        fw.colorgnn.reseed(0xC432);
         let clock = Arc::new(MockClock::ticking(Duration::from_micros(tick_us)));
         let policy = BudgetPolicy {
             total: total.then(|| Duration::from_micros(per_unit_us * 4)),
@@ -110,30 +132,23 @@ proptest! {
             cancel: None,
             clock: Some(clock as Arc<dyn Clock>),
         };
-        let r = fw
-            .decompose_prepared_with(prep, &policy)
-            .expect("budget exhaustion is not an error");
-        assert_anytime_contract(fw, prep, &r);
+        let r = run(&mut Session::with_policy(0xC432, policy));
+        assert_anytime_contract(&r);
     }
 }
 
 #[test]
 fn unlimited_policy_is_bit_identical_to_legacy_entry_point() {
-    let (fw, prep) = fixture();
-    let params = fw.params;
-    fw.colorgnn.reseed(7);
-    let legacy = fw.decompose_prepared(prep);
-    fw.colorgnn.reseed(7);
-    let budgeted = fw
-        .decompose_prepared_with(prep, &BudgetPolicy::unlimited())
-        .expect("unlimited policy cannot fail");
+    let params = DecomposeParams::tpl();
+    let plain = run(&mut Session::new(7));
+    let budgeted = run(&mut Session::with_policy(7, BudgetPolicy::unlimited()));
     assert_eq!(
-        legacy.pipeline.decomposition, budgeted.pipeline.decomposition,
+        plain.pipeline.decomposition, budgeted.pipeline.decomposition,
         "unlimited policy must be bit-identical"
     );
-    assert_eq!(legacy.pipeline.cost, budgeted.pipeline.cost);
-    assert_eq!(legacy.unit_engines, budgeted.unit_engines);
-    assert_eq!(legacy.usage, budgeted.usage);
+    assert_eq!(plain.pipeline.cost, budgeted.pipeline.cost);
+    assert_eq!(plain.unit_engines, budgeted.unit_engines);
+    assert_eq!(plain.usage, budgeted.usage);
     assert_eq!(budgeted.budget.budget_exhausted, 0);
     assert_eq!(budgeted.budget.budget_fallbacks, 0);
     // The always-on audit layer must be invisible on an honest run.
@@ -142,15 +157,40 @@ fn unlimited_policy_is_bit_identical_to_legacy_entry_point() {
     assert!(budgeted.quarantines.is_empty());
     assert_eq!(budgeted.resumed_units, 0);
     assert_eq!(
-        legacy.pipeline.cost.value(params.alpha),
+        plain.pipeline.cost.value(params.alpha),
         budgeted.pipeline.cost.value(params.alpha)
     );
 }
 
+/// The equivalence perfbench and `perf_baseline` rely on: reseeding the
+/// model's ColorGNN stream and calling a framework entry point equals an
+/// engine session started from the same seed, bit for bit.
+#[test]
+fn reseed_plus_framework_entry_point_equals_session_seed() {
+    let (_, prep) = fixture();
+    let fw = framework();
+    fw.colorgnn.reseed(0x5EED);
+    let framework_run = fw
+        .decompose_prepared_parallel_recoverable(
+            prep,
+            2,
+            &BudgetPolicy::unlimited(),
+            Recovery::default(),
+        )
+        .expect("unlimited policy cannot fail");
+    let session_run = run(&mut Session::new(0x5EED));
+    assert_eq!(
+        framework_run.pipeline.decomposition,
+        session_run.pipeline.decomposition
+    );
+    assert_eq!(framework_run.unit_engines, session_run.unit_engines);
+    assert_eq!(framework_run.usage, session_run.usage);
+    assert_eq!(framework_run.budget, session_run.budget);
+    assert_eq!(framework_run.memo_hits, session_run.memo_hits);
+}
+
 #[test]
 fn cancelled_run_still_covers_every_unit() {
-    let (fw, prep) = fixture();
-    fw.colorgnn.reseed(11);
     let token = CancelToken::new();
     token.cancel(); // cancelled before the run even starts
     let policy = BudgetPolicy {
@@ -159,10 +199,8 @@ fn cancelled_run_still_covers_every_unit() {
         cancel: Some(token),
         clock: None,
     };
-    let r = fw
-        .decompose_prepared_with(prep, &policy)
-        .expect("cancellation with incumbents is not an error");
-    assert_anytime_contract(fw, prep, &r);
+    let r = run(&mut Session::with_policy(11, policy));
+    assert_anytime_contract(&r);
     // Cancellation can only downgrade certainty (searches that finish
     // within one gauge stride may still certify); every downgraded unit
     // must still carry a recorded engine.
@@ -175,8 +213,6 @@ fn cancelled_run_still_covers_every_unit() {
 
 #[test]
 fn tight_budget_parallel_matches_contract_and_reports_fallbacks() {
-    let (fw, prep) = fixture();
-    fw.colorgnn.reseed(23);
     let clock = Arc::new(MockClock::ticking(Duration::from_micros(300)));
     let policy = BudgetPolicy {
         total: None,
@@ -184,8 +220,7 @@ fn tight_budget_parallel_matches_contract_and_reports_fallbacks() {
         cancel: None,
         clock: Some(clock as Arc<dyn Clock>),
     };
-    let r = fw
-        .decompose_prepared_parallel_with(prep, 2, &policy)
-        .expect("budget exhaustion is not an error");
-    assert_anytime_contract(fw, prep, &r);
+    let mut session = Session::with_policy(23, policy);
+    session.threads = 2;
+    assert_anytime_contract(&run(&mut session));
 }

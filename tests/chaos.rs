@@ -17,44 +17,67 @@ use std::sync::{Mutex, OnceLock};
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
 use mpld::{
-    prepare, train_framework, AdaptiveFramework, AdaptiveResult, BudgetPolicy, OfflineConfig,
-    PreparedLayout, TrainingData,
+    prepare, train_framework, AdaptiveFramework, AdaptiveResult, Engine, LayoutDecomposition,
+    OfflineConfig, PreparedLayout, Session, TrainingData,
 };
 use mpld_graph::{audit_coloring, failpoints, DecomposeParams};
 use mpld_layout::circuit_by_name;
 
-fn fixture() -> &'static (AdaptiveFramework, PreparedLayout) {
-    static FIXTURE: OnceLock<(AdaptiveFramework, PreparedLayout)> = OnceLock::new();
+mod oracle;
+
+fn offline_config() -> OfflineConfig {
+    let mut cfg = OfflineConfig::default();
+    cfg.rgcn.epochs = 1;
+    cfg.colorgnn.epochs = 1;
+    cfg.library = mpld_matching::LibraryConfig {
+        max_parent_size: 4,
+        max_splits: 1,
+        max_nodes: 5,
+        stitches: false,
+    };
+    cfg
+}
+
+/// Serialized model + test layout, trained once for the file.
+fn fixture() -> &'static (Vec<u8>, PreparedLayout) {
+    static FIXTURE: OnceLock<(Vec<u8>, PreparedLayout)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = DecomposeParams::tpl();
         let layout = circuit_by_name("C432").expect("exists").generate();
         let prep = prepare(&layout, &params);
         let mut data = TrainingData::default();
         data.add_layout_capped(&prep, &params, 8);
-        let mut cfg = OfflineConfig::default();
-        cfg.rgcn.epochs = 1;
-        cfg.colorgnn.epochs = 1;
-        cfg.library = mpld_matching::LibraryConfig {
-            max_parent_size: 4,
-            max_splits: 1,
-            max_nodes: 5,
-            stitches: false,
-        };
-        (train_framework(&data, &params, &cfg), prep)
+        let fw = train_framework(&data, &params, &offline_config());
+        let mut bytes = Vec::new();
+        fw.save(&mut bytes).expect("serialize to Vec");
+        (bytes, prep)
     })
 }
 
-/// The chaos invariants for one faulted run.
-fn assert_chaos_contract(fw: &AdaptiveFramework, prep: &PreparedLayout, r: &AdaptiveResult) {
+/// A fresh copy of the fixture model (the tiny library rebuilds fast;
+/// the rebuild runs the exact engine, so failpoints must be off).
+fn framework() -> AdaptiveFramework {
+    let (bytes, _) = fixture();
+    AdaptiveFramework::load(bytes.as_slice(), &DecomposeParams::tpl(), &offline_config())
+        .expect("fixture model loads")
+}
+
+/// Every final per-unit coloring covers its unit and passes the audit.
+fn assert_audit_clean(prep: &PreparedLayout, decomposition: &LayoutDecomposition) {
     for (u, coloring) in prep
         .units
         .iter()
-        .zip(&r.pipeline.decomposition.unit_subfeature_colorings)
+        .zip(&decomposition.unit_subfeature_colorings)
     {
         assert_eq!(coloring.len(), u.hetero.num_nodes(), "full coverage");
-        audit_coloring(&u.hetero, coloring, fw.params.k)
+        audit_coloring(&u.hetero, coloring, DecomposeParams::tpl().k)
             .expect("every final coloring passes the independent audit");
     }
+}
+
+/// The chaos invariants for one faulted run.
+fn assert_chaos_contract(prep: &PreparedLayout, r: &AdaptiveResult) {
+    assert_audit_clean(prep, &r.pipeline.decomposition);
     let b = &r.budget;
     assert_eq!(
         b.certified + b.heuristic + b.budget_exhausted + b.quarantined,
@@ -73,7 +96,7 @@ fn assert_chaos_contract(fw: &AdaptiveFramework, prep: &PreparedLayout, r: &Adap
 #[test]
 fn chaos_injection_never_escapes_and_results_stay_audit_clean() {
     let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (fw, prep) = fixture();
+    let (_, prep) = fixture();
     // Injected panics are expected; silence the default hook's backtrace
     // spam while the chaos rounds run.
     let hook = std::panic::take_hook();
@@ -81,33 +104,38 @@ fn chaos_injection_never_escapes_and_results_stay_audit_clean() {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut hits = 0u64;
 
-        // Parallel path (the default), a sweep of injection seeds at 5%.
+        // Two tail workers, a sweep of injection seeds at 5%, each on a
+        // cold engine so every tail unit is solved under injection.
         for seed in 0..6u64 {
+            failpoints::disable();
+            let engine = Engine::new(framework());
             failpoints::configure(seed, 0.05);
-            fw.colorgnn.reseed(seed ^ 0x5EED);
-            let r = fw
-                .decompose_prepared_parallel_with(prep, 2, &BudgetPolicy::unlimited())
+            let mut session = Session::new(seed ^ 0x5EED);
+            session.threads = 2;
+            let r = engine
+                .decompose(prep, &mut session)
                 .expect("faults must degrade units, never fail the layout");
-            assert_chaos_contract(fw, prep, &r);
+            assert_chaos_contract(prep, &r);
             hits += failpoints::total_hits();
         }
 
-        // Serial batched path.
+        // The tail on the calling thread.
+        failpoints::disable();
+        let engine = Engine::new(framework());
         failpoints::configure(101, 0.05);
-        fw.colorgnn.reseed(0xA);
-        let r = fw
-            .decompose_prepared_with(prep, &BudgetPolicy::unlimited())
+        let r = engine
+            .decompose(prep, &mut Session::new(0xA))
             .expect("faults must degrade units, never fail the layout");
-        assert_chaos_contract(fw, prep, &r);
+        assert_chaos_contract(prep, &r);
         hits += failpoints::total_hits();
 
-        // Serial unbatched path.
+        // The per-unit oracle shares the engines, so it must survive
+        // injection too.
+        failpoints::disable();
+        let fw = framework();
         failpoints::configure(202, 0.05);
-        fw.colorgnn.reseed(0xB);
-        let r = fw
-            .decompose_prepared_unbatched_with(prep, &BudgetPolicy::unlimited())
-            .expect("faults must degrade units, never fail the layout");
-        assert_chaos_contract(fw, prep, &r);
+        let r = oracle::decompose_per_unit(&fw, prep);
+        assert_audit_clean(prep, &r.pipeline.decomposition);
         hits += failpoints::total_hits();
 
         assert!(
@@ -128,13 +156,16 @@ fn chaos_injection_never_escapes_and_results_stay_audit_clean() {
 #[test]
 fn zero_rate_is_bit_identical_to_disabled() {
     let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (fw, prep) = fixture();
+    let (_, prep) = fixture();
     failpoints::disable();
-    fw.colorgnn.reseed(77);
-    let off = fw.decompose_prepared(prep);
+    let run = || {
+        Engine::new(framework())
+            .decompose(prep, &mut Session::new(77))
+            .expect("decomposes")
+    };
+    let off = run();
     failpoints::configure(1234, 0.0);
-    fw.colorgnn.reseed(77);
-    let zero = fw.decompose_prepared(prep);
+    let zero = run();
     failpoints::disable();
     assert_eq!(off.pipeline.decomposition, zero.pipeline.decomposition);
     assert_eq!(off.pipeline.cost, zero.pipeline.cost);

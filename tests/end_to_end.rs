@@ -2,11 +2,13 @@
 //! circuits, online decomposition of a held-out circuit, checked against
 //! the exact optimum.
 
-use mpld::{prepare, run_pipeline, train_framework, OfflineConfig, TrainingData};
+use mpld::{prepare, run_pipeline, train_framework, Engine, OfflineConfig, Session, TrainingData};
 use mpld_gnn::TrainConfig;
 use mpld_graph::DecomposeParams;
 use mpld_ilp::IlpDecomposer;
 use mpld_layout::iscas_suite;
+
+mod oracle;
 
 fn quick_config() -> OfflineConfig {
     OfflineConfig {
@@ -59,7 +61,7 @@ fn adaptive_framework_is_optimal_on_held_out_circuit() {
 }
 
 #[test]
-fn batched_and_unbatched_framework_agree() {
+fn batched_framework_agrees_with_the_per_unit_oracle() {
     let params = DecomposeParams::tpl();
     let suite = iscas_suite();
     let train_prep = prepare(&suite[1].generate(), &params);
@@ -69,7 +71,7 @@ fn batched_and_unbatched_framework_agree() {
 
     let test = prepare(&suite[0].generate(), &params);
     let batched = fw.decompose_prepared(&test);
-    let unbatched = fw.decompose_prepared_unbatched(&test);
+    let unbatched = oracle::decompose_per_unit(&fw, &test);
     // Engines may differ only through ColorGNN randomness; the cost value
     // must agree because both paths guard ColorGNN results and fall back
     // to exact engines otherwise.
@@ -77,7 +79,7 @@ fn batched_and_unbatched_framework_agree() {
         batched.pipeline.cost.value(params.alpha),
         unbatched.pipeline.cost.value(params.alpha)
     );
-    assert_eq!(batched.usage.matching, unbatched.usage.matching);
+    assert_eq!(batched.usage.matching, unbatched.matched);
 }
 
 #[test]
@@ -90,11 +92,21 @@ fn parallel_adaptive_matches_serial_across_thread_counts() {
     let fw = train_framework(&data, &params, &quick_config());
     let test = prepare(&suite[0].generate(), &params);
 
-    // ColorGNN sampling consumes an RNG stream per call; reseed before
-    // every run so all five runs see the same stream and any difference
-    // can only come from the parallel tail itself.
-    fw.colorgnn.reseed(99);
-    let serial = fw.decompose_prepared(&test);
+    // Every run starts the same ColorGNN stream on its own cold engine,
+    // so every tail solves afresh and any difference could only come
+    // from the tail's thread count.
+    let run = |threads: usize| {
+        let mut session = Session::new(99);
+        session.threads = threads;
+        Engine::new(oracle::cold_copy(&fw))
+            .decompose(&test, &mut session)
+            .expect("decomposes")
+    };
+    let serial = run(1);
+    assert!(
+        serial.unit_outcomes.iter().any(|o| !o.time.is_zero()),
+        "the tail must solve something"
+    );
     let optimal = run_pipeline(&test, &IlpDecomposer::new(), &params);
     assert_eq!(
         serial.pipeline.cost.value(params.alpha),
@@ -102,11 +114,10 @@ fn parallel_adaptive_matches_serial_across_thread_counts() {
     );
 
     for threads in [1usize, 2, 8] {
-        fw.colorgnn.reseed(99);
-        let par = fw.decompose_prepared_parallel(&test, threads);
+        let par = run(threads);
         assert_eq!(
-            par.pipeline.cost, serial.pipeline.cost,
-            "cost diverged at {threads} threads"
+            par.pipeline.decomposition, serial.pipeline.decomposition,
+            "coloring diverged at {threads} threads"
         );
         assert_eq!(
             par.usage, serial.usage,
@@ -115,6 +126,10 @@ fn parallel_adaptive_matches_serial_across_thread_counts() {
         assert_eq!(
             par.unit_engines, serial.unit_engines,
             "per-unit engines diverged at {threads} threads"
+        );
+        assert_eq!(
+            par.memo_hits, serial.memo_hits,
+            "memo transfers diverged at {threads} threads"
         );
         // Memoized transfers are re-verified against each member's own
         // cost function inside the framework; check the assembled
@@ -143,8 +158,15 @@ fn memo_cache_transfers_are_reverified_and_optimal() {
     let fw = train_framework(&data, &params, &quick_config());
 
     let test = prepare(&suite[2].generate(), &params);
-    fw.colorgnn.reseed(7);
-    let par = fw.decompose_prepared_parallel(&test, 2);
+    let mut session = Session::new(7);
+    session.threads = 2;
+    let par = Engine::new(oracle::cold_copy(&fw))
+        .decompose(&test, &mut session)
+        .expect("decomposes");
+    assert!(
+        par.memo_hits > 0,
+        "C880's tail must transfer isomorphic units"
+    );
     let optimal = run_pipeline(&test, &IlpDecomposer::new(), &params);
     // Every transferred coloring passed the member-graph re-verification,
     // so the assembled cost must still be exactly optimal.
@@ -152,10 +174,12 @@ fn memo_cache_transfers_are_reverified_and_optimal() {
         par.pipeline.cost.value(params.alpha),
         optimal.cost.value(params.alpha)
     );
-    // The serial paths never memoize.
-    fw.colorgnn.reseed(7);
-    let serial = fw.decompose_prepared(&test);
-    assert_eq!(serial.memo_hits, 0);
+    // A cold tail on the calling thread answers every unit identically.
+    let serial = Engine::new(fw)
+        .decompose(&test, &mut Session::new(7))
+        .expect("decomposes");
+    assert_eq!(serial.pipeline.decomposition, par.pipeline.decomposition);
+    assert_eq!(serial.memo_hits, par.memo_hits);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The shared-state service layer, end to end: a frozen [`Engine`] must
-//! reproduce the per-request serial oracle bit for bit (cold caches and
-//! warm), serve concurrent sessions from one instance with identical
-//! digests, reuse routing/solution caches across requests, and honor
-//! deadlines by returning incumbents instead of errors.
+//! reproduce an oracle run on a separate cold engine bit for bit (cold
+//! caches and warm), serve concurrent sessions from one instance with
+//! identical digests, reuse routing/solution caches across requests, and
+//! honor deadlines by returning incumbents instead of errors.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -13,6 +13,8 @@ use mpld::{
 };
 use mpld_graph::{Certainty, DecomposeParams, MockClock};
 use mpld_layout::circuit_by_name;
+
+mod oracle;
 
 const SEED: u64 = 0xD15EA5E;
 
@@ -28,20 +30,20 @@ fn trained_framework() -> AdaptiveFramework {
     train_framework(&data, &params, &cfg)
 }
 
-/// Serial oracle + warm engine over the same weights, built once: the
-/// oracle result is recorded *before* the framework moves into the
-/// engine, so both see identical models.
+/// Engine + oracle over the same weights, built once: the oracle runs on
+/// a separate cold engine over a copy of the model, so the fixture's
+/// engine starts cold too.
 fn fixture() -> &'static (Engine, PreparedLayout, AdaptiveResult) {
     static FIXTURE: OnceLock<(Engine, PreparedLayout, AdaptiveResult)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let fw = trained_framework();
-        let params = fw.params;
         let test = prepare(
             &circuit_by_name("C432").expect("exists").generate(),
-            &params,
+            &fw.params,
         );
-        fw.colorgnn.reseed(SEED);
-        let serial = fw.decompose_prepared(&test);
+        let serial = Engine::new(oracle::cold_copy(&fw))
+            .decompose(&test, &mut Session::new(SEED))
+            .expect("decomposes");
         (Engine::new(fw), test, serial)
     })
 }

@@ -6,9 +6,20 @@
 //! bookkeeping, plus (behind `--features failpoints`) that a forced
 //! distrust storm routes every quantized unit through the f32 fallback.
 
-use mpld::{prepare, train_framework, AdaptiveFramework, OfflineConfig, Precision, TrainingData};
+use mpld::{
+    prepare, train_framework, AdaptiveFramework, AdaptiveResult, Engine, OfflineConfig, Precision,
+    PreparedLayout, Session, TrainingData,
+};
 use mpld_graph::DecomposeParams;
 use mpld_layout::iscas_suite;
+use std::sync::RwLock;
+
+mod oracle;
+
+/// The failpoint registry is process-global: the test that arms it takes
+/// this lock exclusively, so no other test of this binary trains or
+/// decomposes while faults are injected.
+static FAILPOINT_SCOPE: RwLock<()> = RwLock::new(());
 
 fn trained_framework(params: &DecomposeParams) -> (AdaptiveFramework, Vec<mpld::PreparedLayout>) {
     let suite = iscas_suite();
@@ -26,26 +37,32 @@ fn trained_framework(params: &DecomposeParams) -> (AdaptiveFramework, Vec<mpld::
     (train_framework(&data, params, &cfg), preps)
 }
 
+/// One run of `fw`'s model at `precision`, on a cold engine over a copy
+/// of the model (same weights, same library entries).
+fn run_at(fw: &AdaptiveFramework, precision: Precision, prep: &PreparedLayout) -> AdaptiveResult {
+    let mut copy = oracle::cold_copy(fw);
+    copy.precision = precision;
+    // Every run samples ColorGNN from the same session stream (precision
+    // never touches ColorGNN).
+    Engine::new(copy)
+        .decompose(prep, &mut Session::new(42))
+        .expect("decomposes")
+}
+
 #[test]
 fn quantized_routing_matches_f32_decisions() {
+    let _scope = FAILPOINT_SCOPE.read().unwrap_or_else(|e| e.into_inner());
     let params = DecomposeParams::tpl();
-    let (mut fw, preps) = trained_framework(&params);
+    let (fw, preps) = trained_framework(&params);
 
     for prep in &preps {
-        // ColorGNN keeps a persistent sampling RNG; pin it per run so the
-        // compared runs see the same schedule (precision never touches
-        // ColorGNN, but the RNG advances across calls).
-        fw.precision = Precision::F32;
-        fw.colorgnn.reseed(42);
-        let base = fw.decompose_prepared(prep);
+        let base = run_at(&fw, Precision::F32, prep);
         assert_eq!(base.inference.precision, Precision::F32);
         assert_eq!(base.inference.quantized_units, 0);
         assert_eq!(base.inference.f32_fallbacks, 0);
 
         for precision in [Precision::F16, Precision::Int8] {
-            fw.precision = precision;
-            fw.colorgnn.reseed(42);
-            let q = fw.decompose_prepared(prep);
+            let q = run_at(&fw, precision, prep);
 
             // The tier's contract: identical decisions and cost, not
             // merely similar ones.
@@ -90,6 +107,7 @@ fn quantized_routing_matches_f32_decisions() {
 
 #[test]
 fn planner_reduces_padding_waste_on_real_layouts() {
+    let _scope = FAILPOINT_SCOPE.read().unwrap_or_else(|e| e.into_inner());
     let params = DecomposeParams::tpl();
     let (fw, preps) = trained_framework(&params);
     // On a real circuit the units span size bands, so the bucketed plan's
@@ -106,6 +124,7 @@ fn planner_reduces_padding_waste_on_real_layouts() {
 #[cfg(feature = "failpoints")]
 #[test]
 fn forced_distrust_falls_back_every_quantized_unit() {
+    let _scope = FAILPOINT_SCOPE.write().unwrap_or_else(|e| e.into_inner());
     let params = DecomposeParams::tpl();
     let (mut fw, preps) = trained_framework(&params);
     fw.precision = Precision::Int8;

@@ -4,42 +4,63 @@
 //! records are audited out and silently re-solved.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
-
-/// Serializes the bit-identity tests: they reseed the shared fixture's
-/// ColorGNN RNG and compare two runs, which must not interleave.
-static SEED_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::OnceLock;
 
 use mpld::{
-    prepare, train_framework, AdaptiveFramework, BudgetPolicy, Checkpoint, CheckpointHeader,
-    JournalWriter, OfflineConfig, PreparedLayout, Recovery, TrainingData,
+    prepare, train_framework, AdaptiveFramework, AdaptiveResult, Checkpoint, CheckpointHeader,
+    Engine, JournalWriter, OfflineConfig, PreparedLayout, Recovery, Session, TrainingData,
 };
 use mpld_graph::DecomposeParams;
 use mpld_layout::circuit_by_name;
 
-fn fixture() -> &'static (AdaptiveFramework, PreparedLayout) {
-    static FIXTURE: OnceLock<(AdaptiveFramework, PreparedLayout)> = OnceLock::new();
+fn offline_config() -> OfflineConfig {
+    let mut cfg = OfflineConfig::default();
+    cfg.rgcn.epochs = 1;
+    cfg.colorgnn.epochs = 1;
+    cfg.library = mpld_matching::LibraryConfig {
+        max_parent_size: 4,
+        max_splits: 1,
+        max_nodes: 5,
+        stitches: false,
+    };
+    cfg
+}
+
+/// Serialized model + test layout, trained once for the file.
+fn fixture() -> &'static (Vec<u8>, PreparedLayout) {
+    static FIXTURE: OnceLock<(Vec<u8>, PreparedLayout)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = DecomposeParams::tpl();
         let layout = circuit_by_name("C432").expect("exists").generate();
         let prep = prepare(&layout, &params);
         let mut data = TrainingData::default();
         data.add_layout_capped(&prep, &params, 8);
-        let mut cfg = OfflineConfig::default();
-        cfg.rgcn.epochs = 1;
-        cfg.colorgnn.epochs = 1;
-        cfg.library = mpld_matching::LibraryConfig {
-            max_parent_size: 4,
-            max_splits: 1,
-            max_nodes: 5,
-            stitches: false,
-        };
-        let mut fw = train_framework(&data, &params, &cfg);
-        // Route everything the library misses to the ILP/EC tail — the
-        // journaled path these tests exercise.
-        fw.use_colorgnn = false;
-        (fw, prep)
+        let fw = train_framework(&data, &params, &offline_config());
+        let mut bytes = Vec::new();
+        fw.save(&mut bytes).expect("serialize to Vec");
+        (bytes, prep)
     })
+}
+
+/// A fresh copy of the fixture model that routes everything the library
+/// misses to the ILP/EC tail — the journaled path these tests exercise.
+fn framework() -> AdaptiveFramework {
+    let (bytes, _) = fixture();
+    let mut fw =
+        AdaptiveFramework::load(bytes.as_slice(), &DecomposeParams::tpl(), &offline_config())
+            .expect("fixture model loads");
+    fw.use_colorgnn = false;
+    fw
+}
+
+/// One run on a cold engine with two tail workers.
+fn run(seed: u64, recovery: Recovery<'_>) -> AdaptiveResult {
+    let mut session = Session::new(seed);
+    session.threads = 2;
+    session.recovery = recovery;
+    Engine::new(framework())
+        .decompose(&fixture().1, &mut session)
+        .expect("unlimited policy cannot fail")
 }
 
 fn journal_path(name: &str) -> PathBuf {
@@ -64,24 +85,18 @@ fn header_for(prep: &PreparedLayout, fw: &AdaptiveFramework) -> CheckpointHeader
 /// checks the resumed run reproduces the uninterrupted run bit-identically.
 #[test]
 fn killed_run_resumes_bit_identically() {
-    let _guard = SEED_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (fw, prep) = fixture();
+    let (_, prep) = fixture();
+    let fw = framework();
     let path = journal_path("kill-resume.jsonl");
-    let policy = BudgetPolicy::unlimited();
 
-    fw.colorgnn.reseed(42);
-    let w = JournalWriter::append(&path, &header_for(prep, fw)).expect("journal opens");
-    let baseline = fw
-        .decompose_prepared_parallel_recoverable(
-            prep,
-            2,
-            &policy,
-            Recovery {
-                resume: None,
-                journal: Some(&w),
-            },
-        )
-        .expect("unlimited policy cannot fail");
+    let w = JournalWriter::append(&path, &header_for(prep, &fw)).expect("journal opens");
+    let baseline = run(
+        42,
+        Recovery {
+            resume: None,
+            journal: Some(&w),
+        },
+    );
     drop(w);
     assert!(
         baseline.usage.ilp + baseline.usage.ec > 0,
@@ -100,18 +115,13 @@ fn killed_run_resumes_bit_identically() {
     assert!(cp.skipped_lines() >= 1, "the torn record is skipped");
     assert!(!cp.is_empty(), "intact records survive");
 
-    fw.colorgnn.reseed(42);
-    let resumed = fw
-        .decompose_prepared_parallel_recoverable(
-            prep,
-            2,
-            &policy,
-            Recovery {
-                resume: Some(&cp),
-                journal: None,
-            },
-        )
-        .expect("unlimited policy cannot fail");
+    let resumed = run(
+        42,
+        Recovery {
+            resume: Some(&cp),
+            journal: None,
+        },
+    );
 
     assert!(resumed.resumed_units > 0, "records must actually be reused");
     assert_eq!(
@@ -130,24 +140,18 @@ fn killed_run_resumes_bit_identically() {
 /// — the final result is still identical to the honest run.
 #[test]
 fn tampered_record_is_audited_out_and_resolved() {
-    let _guard = SEED_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (fw, prep) = fixture();
+    let (_, prep) = fixture();
+    let fw = framework();
     let path = journal_path("tampered.jsonl");
-    let policy = BudgetPolicy::unlimited();
 
-    fw.colorgnn.reseed(7);
-    let w = JournalWriter::append(&path, &header_for(prep, fw)).expect("journal opens");
-    let baseline = fw
-        .decompose_prepared_parallel_recoverable(
-            prep,
-            2,
-            &policy,
-            Recovery {
-                resume: None,
-                journal: Some(&w),
-            },
-        )
-        .expect("unlimited policy cannot fail");
+    let w = JournalWriter::append(&path, &header_for(prep, &fw)).expect("journal opens");
+    let baseline = run(
+        7,
+        Recovery {
+            resume: None,
+            journal: Some(&w),
+        },
+    );
     drop(w);
 
     // Tamper: lie about the first record's conflict count (no unit in
@@ -170,18 +174,13 @@ fn tampered_record_is_audited_out_and_resolved() {
         .expect("load ok")
         .expect("journal exists");
     let intact = cp.len();
-    fw.colorgnn.reseed(7);
-    let resumed = fw
-        .decompose_prepared_parallel_recoverable(
-            prep,
-            2,
-            &policy,
-            Recovery {
-                resume: Some(&cp),
-                journal: None,
-            },
-        )
-        .expect("unlimited policy cannot fail");
+    let resumed = run(
+        7,
+        Recovery {
+            resume: Some(&cp),
+            journal: None,
+        },
+    );
 
     assert!(
         resumed.resumed_units < intact,
@@ -199,7 +198,8 @@ fn tampered_record_is_audited_out_and_resolved() {
 /// check the CLI performs before resuming.
 #[test]
 fn mismatched_header_is_detected() {
-    let (fw, prep) = fixture();
+    let (_, prep) = fixture();
+    let fw = framework();
     let path = journal_path("mismatch.jsonl");
     let header = CheckpointHeader {
         layout: "SomethingElse".into(),

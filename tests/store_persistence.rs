@@ -60,8 +60,9 @@ fn fixture() -> &'static (Vec<u8>, PreparedLayout, AdaptiveResult, DecomposePara
             &circuit_by_name("C432").expect("exists").generate(),
             &params,
         );
-        fw.colorgnn.reseed(SEED);
-        let serial = fw.decompose_prepared(&test);
+        let serial = Engine::new(fw)
+            .decompose(&test, &mut Session::new(SEED))
+            .expect("decomposes");
         (bytes, test, serial, params)
     })
 }

@@ -21,6 +21,8 @@ use mpld_geometry::{Feature, GridIndex, Rect};
 use mpld_graph::DecomposeParams;
 use mpld_layout::{circuit_by_name, generate_layout, GeneratorParams, Layout};
 
+mod oracle;
+
 const SEED: u64 = 0xD15EA5E;
 
 fn quiet() -> impl Fn(TiledProgress) + Sync {
@@ -181,10 +183,6 @@ fn tiled_run_reproduces_the_serial_oracle_digest() {
     let fw = train_framework(&data, &params, &cfg);
 
     let layout = circuit_by_name("C432").expect("exists").generate();
-    let serial_prep = prepare(&layout, &params);
-    fw.colorgnn.reseed(SEED);
-    let serial = fw.decompose_prepared(&serial_prep);
-
     let config = TilingConfig {
         tile_span: 2 * layout.d, // force many tiles and boundary units
         halo: 0,
@@ -196,10 +194,12 @@ fn tiled_run_reproduces_the_serial_oracle_digest() {
         "want boundary units in play"
     );
 
-    let engine = Engine::new(fw);
-    let mut session = Session::new(SEED);
-    let tiled = engine
-        .decompose(&tp.prep, &mut session)
+    // Each run solves its tail on its own cold engine.
+    let serial = Engine::new(oracle::cold_copy(&fw))
+        .decompose(&prepare(&layout, &params), &mut Session::new(SEED))
+        .expect("decomposes");
+    let tiled = Engine::new(fw)
+        .decompose(&tp.prep, &mut Session::new(SEED))
         .expect("decomposes");
 
     let digest = |r: &AdaptiveResult| {
