@@ -12,7 +12,7 @@
 use crate::engine::Engine;
 use crate::framework::AdaptiveFramework;
 use crate::training::OfflineConfig;
-use mpld_graph::{DecomposeParams, LayoutGraph};
+use mpld_graph::DecomposeParams;
 use mpld_matching::{GraphLibrary, LibraryConfig};
 use mpld_store::{LoadReport, StoreCaps, StoreKey};
 use std::path::Path;
@@ -31,8 +31,9 @@ pub fn library_token(cfg: &LibraryConfig) -> String {
 }
 
 /// Derives the store key for a model given by its serialized bytes.
-/// The embedding dimension is probed from `probe_dim` (the loaded
-/// selector) so the key reflects the architecture actually in use.
+/// The embedding dimension comes from the loaded selector
+/// ([`mpld_gnn::RgcnClassifier::embedding_dim`]) so the key reflects the
+/// architecture actually in use.
 fn store_key(
     model_digest: u64,
     dim: usize,
@@ -46,14 +47,6 @@ fn store_key(
         dim,
         library: library_token(lib_cfg),
     }
-}
-
-/// The selector's graph-embedding dimension, probed by embedding a
-/// trivial one-node graph (the classifier exposes no static accessor).
-fn probe_dim(selector: &mpld_gnn::RgcnClassifier) -> usize {
-    #[allow(clippy::expect_used)] // a 1-node graph with no edges is always valid
-    let probe = LayoutGraph::homogeneous(1, vec![]).expect("one-node probe graph");
-    selector.graph_embedding(&probe).len()
 }
 
 /// Builds a store-backed [`Engine`] from serialized model bytes:
@@ -108,7 +101,7 @@ pub fn engine_with_store_configured(
         params,
         cfg,
         |selector| {
-            let key = store_key(digest, probe_dim(selector), params, &cfg.library);
+            let key = store_key(digest, selector.embedding_dim(), params, &cfg.library);
             match mpld_store::open(store_dir, &key, caps) {
                 Ok(mut o) => {
                     let lib =

@@ -16,6 +16,13 @@
 //! Bit-identity: every primitive reproduces its tape op's accumulation
 //! order and dispatches to the same GEMM microkernel, so on any given
 //! batch the frozen outputs equal the tape outputs to the last bit.
+//! That identity is per batch, not per graph: a graph's bits depend on
+//! its row offset within the batch, because the wide GEMM rounds rows in
+//! full 4-row tiles with FMA and ragged leftover rows without it. A
+//! 963-graph batch of the default graph library differed from the
+//! per-graph tape in 962 graphs (at most 3.5e-7 relative), while one
+//! frozen forward per graph matched it bit for bit on all 963. Compare
+//! outputs across batches only from single-graph forwards.
 //! The tape path stays as the training engine and correctness oracle —
 //! `tests/frozen_equivalence.rs` property-tests the equivalence.
 

@@ -491,6 +491,14 @@ impl RgcnClassifier {
     /// Graph and node embeddings for a batch of graphs in one pass.
     /// Returns one `(graph_embedding, node_embeddings)` pair per graph.
     ///
+    /// The frozen engine reproduces this batch bit for bit, but a graph's
+    /// bits here depend on its row offset within the batch (full 4-row
+    /// FMA tiles versus ragged rows in the wide GEMM), so they may
+    /// differ in the last bits from [`Self::graph_embedding`] and
+    /// [`Self::node_embeddings`] on the graph alone: 962 of the default
+    /// library's 963 graphs did as one batch. Compare outputs across
+    /// batches only from single-graph forwards.
+    ///
     /// # Panics
     ///
     /// Panics if any graph is empty.

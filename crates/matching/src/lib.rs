@@ -18,16 +18,16 @@
 //! use mpld_graph::{DecomposeParams, LayoutGraph};
 //! use mpld_matching::{GraphLibrary, LibraryConfig};
 //!
-//! let mut embedder = RgcnClassifier::selector(1);
+//! let embedder = RgcnClassifier::selector(1);
 //! let cfg = LibraryConfig { max_parent_size: 4, max_splits: 1, max_nodes: 5, stitches: false };
-//! let lib = GraphLibrary::build(&mut embedder, &cfg, &DecomposeParams::tpl());
+//! let lib = GraphLibrary::build(&embedder, &cfg, &DecomposeParams::tpl());
 //! // K4 is the only irreducible 4-node graph.
 //! assert_eq!(lib.len(), 1);
 //! let k4 = LayoutGraph::homogeneous(
 //!     4,
 //!     vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
 //! ).unwrap();
-//! let d = lib.lookup(&mut embedder, &k4).expect("K4 is in the library");
+//! let d = lib.lookup(&embedder, &k4).expect("K4 is in the library");
 //! assert_eq!(d.cost.conflicts, 1); // K4 at k = 3: one unavoidable conflict
 //! ```
 

@@ -2,10 +2,13 @@
 //! (Algorithm 2 and Section IV-D-1 of the paper).
 //!
 //! Offline, [`GraphLibrary::build`] enumerates every valid small parent
-//! graph and its stitch variants, uses normalized RGCN graph embeddings to
-//! skip isomorphic duplicates (`max(Lh · h) ≈ 1` ⇒ already stored), and
-//! stores each new graph with its optimal ILP decomposition and node
-//! embeddings.
+//! graph and its stitch variants, skips isomorphic duplicates by exact
+//! canonical form, and stores each new graph with its optimal ILP
+//! decomposition and its normalized RGCN graph and node embeddings. The
+//! paper skips a duplicate when `max(Lh · h) ≈ 1`; RGCN embeddings are
+//! permutation invariant, so every isomorphic duplicate meets that rule
+//! (a test checks it on every entry), and the canonical index decides the
+//! same duplicates without embedding the rejected graphs.
 //!
 //! Online, [`GraphLibrary::lookup`] embeds the target graph, finds the
 //! entry with unit dot product, derives the node-to-node mapping by
@@ -15,9 +18,9 @@
 //! match can never produce a wrong decomposition.
 
 use crate::canon::{canonical_form, CanonicalForm};
-use crate::enumerate::{enumerate_parent_graphs, enumerate_stitch_variants};
+use crate::enumerate::{parent_graphs, stitch_variants};
 use crate::vf2::{find_isomorphism, full_candidates};
-use mpld_gnn::RgcnClassifier;
+use mpld_gnn::{FrozenRgcn, InferBatch, RgcnClassifier};
 use mpld_graph::{
     Budget, Certainty, CostBreakdown, DecomposeParams, Decomposer, Decomposition, LayoutGraph,
 };
@@ -69,15 +72,6 @@ pub struct LibraryEntry {
 pub struct LibraryStats {
     /// Graphs skipped because an isomorphic entry existed.
     pub duplicates_skipped: usize,
-    /// Isomorphic duplicates the embedding test failed to flag
-    /// (`max(Lh · h) < 1` although an isomorphic entry existed). Must be
-    /// zero — RGCN embeddings are permutation invariant, so this validates
-    /// the paper's dedup rule.
-    pub embedding_missed_duplicates: usize,
-    /// Distinct (non-isomorphic) graphs whose embeddings collided with a
-    /// stored entry. Collisions are harmless: the exact canonical check
-    /// arbitrates during construction and lookups verify every mapping.
-    pub embedding_collisions: usize,
 }
 
 /// The graph library (see module docs).
@@ -104,12 +98,12 @@ impl GraphLibrary {
             max_nodes: cfg.max_nodes,
             stats: LibraryStats::default(),
         };
-        let parents = enumerate_parent_graphs(cfg.max_parent_size.min(cfg.max_nodes), params.k);
-        for parent in &parents {
-            lib.insert_graph(embedder, params, parent.clone());
+        let frozen = embedder.freeze();
+        for (parent, canon) in parent_graphs(cfg.max_parent_size.min(cfg.max_nodes), params.k) {
+            lib.insert(&frozen, params, parent.clone(), canon);
             if cfg.stitches {
-                for variant in enumerate_stitch_variants(parent, cfg.max_splits, cfg.max_nodes) {
-                    lib.insert_graph(embedder, params, variant);
+                for (variant, canon) in stitch_variants(&parent, cfg.max_splits, cfg.max_nodes) {
+                    lib.insert(&frozen, params, variant, canon);
                 }
             }
         }
@@ -150,30 +144,33 @@ impl GraphLibrary {
         params: &DecomposeParams,
         graph: LayoutGraph,
     ) -> bool {
-        let ilp = IlpDecomposer::new();
         let canon = canonical_form(&graph);
-        let embedding = normalize(embedder.graph_embedding(&graph));
-        // The paper's dedup: max dot with stored embeddings == 1.
-        let embedding_dup = self
-            .entries
-            .iter()
-            .any(|e| dot(&e.embedding, &embedding) > 1.0 - 1e-5);
-        let exact_dup = self.canon_index.contains_key(&canon);
-        if exact_dup && !embedding_dup {
-            self.stats.embedding_missed_duplicates += 1;
-        }
-        if embedding_dup && !exact_dup {
-            self.stats.embedding_collisions += 1;
-        }
-        if exact_dup {
+        self.insert(&embedder.freeze(), params, graph, canon)
+    }
+
+    /// Stores `graph`, whose canonical form is `canon`, unless an entry
+    /// with that form exists. One frozen single-graph forward yields both
+    /// embeddings, bit-identical to the tape's `graph_embedding` and
+    /// `node_embeddings` (a batched forward is not: its bits depend on
+    /// each graph's row offset in the batch).
+    fn insert(
+        &mut self,
+        frozen: &FrozenRgcn,
+        params: &DecomposeParams,
+        graph: LayoutGraph,
+        canon: CanonicalForm,
+    ) -> bool {
+        if self.canon_index.contains_key(&canon) {
             self.stats.duplicates_skipped += 1;
             return false;
         }
-        let node_embeddings = embedder.node_embeddings(&graph);
+        let mut out = frozen.infer_encoded(&InferBatch::single(&graph));
+        let embedding = normalize(out.graph_embeddings.swap_remove(0));
+        let node_embeddings = out.node_embeddings.swap_remove(0);
         // Library solutions must be certified optimal, so the offline build
         // always runs the exact engine to completion.
         #[allow(clippy::expect_used)] // ILP serves every k the enumerator emits
-        let d = ilp
+        let d = IlpDecomposer::new()
             .decompose(&graph, params, &Budget::unlimited())
             .expect("exact ILP on an unlimited budget");
         self.canon_index.insert(canon, self.entries.len());
@@ -414,26 +411,73 @@ mod tests {
         }
     }
 
+    /// `g` with its nodes renamed by `relabel` (features follow).
+    fn relabeled(g: &LayoutGraph, relabel: &[u32]) -> LayoutGraph {
+        let mut feats = vec![0u32; g.num_nodes()];
+        for v in 0..g.num_nodes() {
+            feats[relabel[v] as usize] = g.feature_of(v as u32);
+        }
+        let map = |edges: &[(u32, u32)]| -> Vec<(u32, u32)> {
+            edges
+                .iter()
+                .map(|&(a, b)| (relabel[a as usize], relabel[b as usize]))
+                .collect()
+        };
+        LayoutGraph::new(feats, map(g.conflict_edges()), map(g.stitch_edges()))
+            .expect("relabeling is valid")
+    }
+
+    fn default_library() -> (GraphLibrary, RgcnClassifier) {
+        let embedder = RgcnClassifier::selector(0xAB);
+        let lib = GraphLibrary::build(
+            &embedder,
+            &LibraryConfig::default(),
+            &DecomposeParams::tpl(),
+        );
+        (lib, embedder)
+    }
+
     #[test]
     fn embedding_never_misses_a_duplicate() {
+        // The paper's dedup rule, `max(Lh · h) > 1 - 1e-5`, flags every
+        // isomorphic duplicate: a relabeled copy of each entry of the
+        // default library embeds onto the stored embedding.
+        let (lib, embedder) = default_library();
+        let mut rng = SmallRng::seed_from_u64(23);
+        for e in lib.entries() {
+            let mut relabel: Vec<u32> = (0..e.graph.num_nodes() as u32).collect();
+            relabel.shuffle(&mut rng);
+            let h = normalize(embedder.graph_embedding(&relabeled(&e.graph, &relabel)));
+            let d = dot(&e.embedding, &h);
+            assert!(d > 1.0 - 1e-5, "relabeled entry embeds at dot {d}");
+        }
+
+        // Re-inserting a relabeled copy of a stored graph is skipped.
         let (mut lib, embedder) = small_library();
-        // Permutation invariance: every isomorphic duplicate is flagged.
-        assert_eq!(lib.stats().embedding_missed_duplicates, 0);
-        // Re-inserting a relabeled copy of a stored graph must be skipped.
         let e = lib.entries()[0].graph.clone();
         let n = e.num_nodes() as u32;
         let relabel: Vec<u32> = (0..n).map(|v| (v + 1) % n).collect();
-        let ce = e
-            .conflict_edges()
-            .iter()
-            .map(|&(a, b)| (relabel[a as usize], relabel[b as usize]))
-            .collect();
-        let g = LayoutGraph::homogeneous(e.num_nodes(), ce).expect("relabeled copy");
         let before = lib.len();
-        assert!(!lib.insert_graph(&embedder, &DecomposeParams::tpl(), g));
+        assert!(!lib.insert_graph(&embedder, &DecomposeParams::tpl(), relabeled(&e, &relabel)));
         assert_eq!(lib.len(), before);
         assert_eq!(lib.stats().duplicates_skipped, 1);
-        assert_eq!(lib.stats().embedding_missed_duplicates, 0);
+    }
+
+    #[test]
+    fn stored_embeddings_equal_the_tape_bit_for_bit() {
+        let (lib, embedder) = default_library();
+        assert_eq!(lib.len(), 963);
+        for e in lib.entries() {
+            let h = normalize(embedder.graph_embedding(&e.graph));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&e.embedding), bits(&h));
+            let u = embedder.node_embeddings(&e.graph);
+            assert_eq!(
+                (e.node_embeddings.rows(), e.node_embeddings.cols()),
+                (u.rows(), u.cols())
+            );
+            assert_eq!(bits(e.node_embeddings.as_slice()), bits(u.as_slice()));
+        }
     }
 
     #[test]
@@ -443,30 +487,9 @@ mod tests {
         let mut matched = 0;
         for e in lib.entries().iter().take(15) {
             // Relabel the stored graph randomly and look it up.
-            let n = e.graph.num_nodes();
-            let mut relabel: Vec<u32> = (0..n as u32).collect();
+            let mut relabel: Vec<u32> = (0..e.graph.num_nodes() as u32).collect();
             relabel.shuffle(&mut rng);
-            let feat: Vec<u32> = {
-                // Features must follow stitch components: remap densely.
-                let mut feats = vec![0u32; n];
-                for v in 0..n {
-                    feats[relabel[v] as usize] = e.graph.feature_of(v as u32);
-                }
-                feats
-            };
-            let ce: Vec<(u32, u32)> = e
-                .graph
-                .conflict_edges()
-                .iter()
-                .map(|&(a, b)| (relabel[a as usize], relabel[b as usize]))
-                .collect();
-            let se: Vec<(u32, u32)> = e
-                .graph
-                .stitch_edges()
-                .iter()
-                .map(|&(a, b)| (relabel[a as usize], relabel[b as usize]))
-                .collect();
-            let g = LayoutGraph::new(feat, ce, se).expect("relabeling is valid");
+            let g = relabeled(&e.graph, &relabel);
             let d = lib
                 .lookup(&embedder, &g)
                 .expect("isomorphic entry must match");

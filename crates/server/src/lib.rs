@@ -546,11 +546,15 @@ fn respond_json(mut stream: TcpStream, status: &str, body: &str) -> std::io::Res
 }
 
 /// Extracts the token following `"key":` from a flat JSON object —
-/// enough for the four-field request body this server accepts.
+/// enough for the four-field request body this server accepts. Only an
+/// occurrence followed by `:` is the key; the same text as a value
+/// (`"job_id":"circuit"`) is skipped.
 fn body_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\"");
-    let rest = &body[body.find(&pat)? + pat.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+    let rest = body
+        .match_indices(&pat)
+        .find_map(|(i, _)| body[i + pat.len()..].trim_start().strip_prefix(':'))?
+        .trim_start();
     if let Some(stripped) = rest.strip_prefix('"') {
         stripped.find('"').map(|end| &stripped[..end])
     } else {
@@ -1020,6 +1024,10 @@ mod tests {
         let b = r#"{ "circuit" : "C499" , "seed" : 12 }"#;
         assert_eq!(body_field(b, "circuit"), Some("C499"));
         assert_eq!(body_field(b, "seed"), Some("12"));
+        // A key's text appearing earlier as a value is not the key.
+        let b = r#"{"job_id":"circuit","circuit":"C432"}"#;
+        assert_eq!(body_field(b, "circuit"), Some("C432"));
+        assert_eq!(body_field(b, "job_id"), Some("circuit"));
     }
 
     #[test]

@@ -30,11 +30,9 @@ fn main() {
     let cfg = LibraryConfig::default();
     let library = GraphLibrary::build(&embedder, &cfg, &params);
     println!(
-        "library: {} graphs (dedup skipped {}, embedding collisions {}, missed dups {})",
+        "library: {} graphs (dedup skipped {})",
         library.len(),
         library.stats().duplicates_skipped,
-        library.stats().embedding_collisions,
-        library.stats().embedding_missed_duplicates,
     );
     let with_stitch = library
         .entries()
