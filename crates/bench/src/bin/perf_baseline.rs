@@ -1,37 +1,37 @@
-//! Perf-baseline harness: measures suite preparation time, per-engine
-//! decomposition throughput, serial-vs-parallel adaptive wall time, and
-//! the long-lived serving path (requests/s and cross-request memo hit
-//! rates through the real HTTP endpoint), then writes the numbers to
-//! `BENCH_pipeline.json` (hand-rolled JSON, no serde) so perf
-//! regressions show up as artifact diffs.
+//! Perf-baseline digest harness: runs the suite through every entry point
+//! the framework offers (serial and parallel adaptive, the long-lived
+//! serving path over real HTTP, journal resume, the persistent store and
+//! the chip-scale tiled path), asserts in-binary that they all agree, and
+//! writes their routing, cost, cache and training digests to
+//! `BENCH_pipeline.json` (hand-rolled JSON, no serde), so a behaviour
+//! change shows up as an artifact diff. `scripts/check_perf_digest.py`
+//! compares a fresh artifact with the committed one.
+//!
+//! Nothing here reads a clock except the `budgeted` section, whose 1 ms
+//! per-unit deadline is wall-clock time: its counts depend on the host
+//! and its load, so they are informational, not digest fields. Timing is
+//! the job of the `perfbench/` benchmark and the criterion benches.
 //!
 //! Usage: `cargo run --release -p mpld-bench --bin perf_baseline [out.json]`
 //!
 //! Knobs: `MPLD_CIRCUITS`, `MPLD_TRAIN_CAP`, `MPLD_EPOCHS` as usual, plus
 //! `MPLD_THREADS` for the parallel adaptive path (default: available
-//! parallelism — on a single-core host the pool is bypassed entirely, so
-//! the parallel column measures the memo gain, not scheduling overhead),
-//! `MPLD_SEED` for the ColorGNN sampling RNG (recorded in the artifact so
-//! a run is reproducible from the JSON alone), and `MPLD_PRECISION` has no
-//! effect here: the quantized section always measures f16 and int8
-//! against the f32 run.
+//! parallelism), `MPLD_SEED` for the ColorGNN sampling RNG (recorded in
+//! the artifact so a run is reproducible from the JSON alone),
+//! `MPLD_BENCH_UNIT_LIMIT_MS` for the `budgeted` deadline and
+//! `MPLD_CHIP_RECTS` for the chip-scale layout.
 
 use mpld::{
-    audit_boundary_units, peak_rss_bytes, prepare, prepare_tiled_file, train_framework_with_report,
-    AdaptiveResult, BudgetPolicy, EngineKind, Precision, PreparedLayout, Session, TilingConfig,
-    TrainingData,
+    audit_boundary_units, prepare, prepare_tiled_file, train_framework_with_report, AdaptiveResult,
+    BudgetPolicy, EngineKind, PreparedLayout, Session, TilingConfig, TrainingData,
 };
 use mpld_bench::env_usize;
-use mpld_ec::EcDecomposer;
-use mpld_gnn::{ColorGnn, ColorGnnTrainConfig, RgcnClassifier, TrainConfig};
-use mpld_graph::{DecomposeParams, Decomposer, LayoutGraph};
-use mpld_ilp::encode::BipDecomposer;
-use mpld_ilp::IlpDecomposer;
+use mpld_graph::DecomposeParams;
 use mpld_layout::{
     generate_layout_streaming, iscas_suite, read_layout, GeneratorParams, LayoutWriter, ReadLimits,
 };
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn main() {
     let out_path = std::env::args()
@@ -39,11 +39,6 @@ fn main() {
         .unwrap_or_else(|| "BENCH_pipeline.json".into());
     let params = DecomposeParams::tpl();
     let limit = env_usize("MPLD_CIRCUITS", 15).clamp(1, 15);
-    // Available parallelism, not a forced floor: forcing extra workers on
-    // a single-core host made the "parallel" column pay pool scheduling
-    // overhead it can never win back (speedup 0.96 in the committed
-    // artifact); with threads == 1 the pool is bypassed and the column
-    // isolates the isomorphism-memo gain.
     let threads = mpld::default_threads();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let seed: u64 = std::env::var("MPLD_SEED")
@@ -54,55 +49,14 @@ fn main() {
     // 1. Suite preparation (generation + conflict graph + simplification +
     // stitch insertion for every circuit).
     let circuits: Vec<_> = iscas_suite().into_iter().take(limit).collect();
-    let t = Instant::now();
     let prepared: Vec<PreparedLayout> = circuits
         .iter()
         .map(|c| prepare(&c.generate(), &params))
         .collect();
-    let prepare_seconds = t.elapsed().as_secs_f64();
     let total_units: usize = prepared.iter().map(|p| p.units.len()).sum();
-    eprintln!("prepared {limit} circuits ({total_units} units) in {prepare_seconds:.2}s");
+    eprintln!("prepared {limit} circuits ({total_units} units)");
 
-    // 2. Per-engine throughput on the unit population of the largest
-    // prepared circuit (capped so the exact engines stay bounded).
-    let biggest = prepared
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, p)| p.units.len())
-        .map(|(i, _)| i)
-        .expect("non-empty suite");
-    let sample: Vec<_> = prepared[biggest]
-        .units
-        .iter()
-        .take(env_usize("MPLD_BENCH_UNITS", 300))
-        .collect();
-    let engines: Vec<(&str, Box<dyn Decomposer>)> = vec![
-        ("ilp_eq3", Box::new(BipDecomposer::new())),
-        ("ilp_bb", Box::new(IlpDecomposer::new())),
-        ("ec", Box::new(EcDecomposer::new())),
-    ];
-    let mut engine_rows = Vec::new();
-    for (name, engine) in &engines {
-        let t = Instant::now();
-        for u in &sample {
-            std::hint::black_box(engine.decompose_unbounded(&u.hetero, &params));
-        }
-        let secs = t.elapsed().as_secs_f64();
-        let per_sec = sample.len() as f64 / secs.max(1e-12);
-        eprintln!(
-            "{name}: {} units in {secs:.2}s ({per_sec:.0} units/s)",
-            sample.len()
-        );
-        engine_rows.push(format!(
-            "    {{\"name\": \"{name}\", \"units\": {}, \"seconds\": {secs:.4}, \"units_per_second\": {per_sec:.1}}}",
-            sample.len()
-        ));
-    }
-
-    // 3. Adaptive framework: serial (batched) vs parallel (largest-first
-    // work-stealing + isomorphism memo cache) wall time per circuit. The
-    // ColorGNN RNG is reseeded before every run so both paths see the
-    // same stream and the cost comparison is exact.
+    // 2. Offline training on the first two circuits.
     let mut data = TrainingData::default();
     let cap = env_usize("MPLD_TRAIN_CAP", 150);
     for p in prepared.iter().take(2) {
@@ -111,11 +65,9 @@ fn main() {
     let mut cfg = mpld::OfflineConfig::default();
     let epochs = env_usize("MPLD_EPOCHS", 12);
     cfg.rgcn.epochs = epochs;
-    let t = Instant::now();
-    let (mut fw, train_report) = train_framework_with_report(&data, &params, &cfg);
+    let (fw, train_report) = train_framework_with_report(&data, &params, &cfg);
     eprintln!(
-        "trained framework in {:.2}s ({} units, {} deduped; losses: selector {:.6}, redundancy {:.6}, colorgnn {:.6})",
-        t.elapsed().as_secs_f64(),
+        "trained framework ({} units, {} deduped; losses: selector {:.6}, redundancy {:.6}, colorgnn {:.6})",
         train_report.num_units,
         train_report.deduped_units,
         train_report.selector_loss,
@@ -123,8 +75,11 @@ fn main() {
         train_report.colorgnn_loss,
     );
 
+    // 3. Adaptive framework: the serial (batched) and the parallel
+    // (largest-first work-stealing + isomorphism memo) paths per circuit.
+    // The ColorGNN RNG is reseeded before every run so both paths see the
+    // same stream and their costs must be equal.
     let mut circuit_rows = Vec::new();
-    let (mut serial_total, mut parallel_total) = (0.0f64, 0.0f64);
     let mut memo_total = 0usize;
     let (mut audit_rejections, mut quarantined) = (0usize, 0usize);
     let (mut infer_memo_hits, mut infer_units) = (0usize, 0usize);
@@ -133,22 +88,14 @@ fn main() {
     let mut serial_results: Vec<AdaptiveResult> = Vec::new();
     for (c, prep) in circuits.iter().zip(&prepared) {
         fw.colorgnn.reseed(seed);
-        let t = Instant::now();
         let serial = fw.decompose_prepared(prep);
-        let s_secs = t.elapsed().as_secs_f64();
-
         fw.colorgnn.reseed(seed);
-        let t = Instant::now();
         let parallel = fw.decompose_prepared_parallel(prep, threads);
-        let p_secs = t.elapsed().as_secs_f64();
-
         assert_eq!(
             serial.pipeline.cost, parallel.pipeline.cost,
             "{}: parallel adaptive cost diverged from serial",
             c.name
         );
-        serial_total += s_secs;
-        parallel_total += p_secs;
         memo_total += parallel.memo_hits;
         audit_rejections += parallel.budget.audit_rejections;
         quarantined += parallel.budget.quarantined;
@@ -159,16 +106,11 @@ fn main() {
         waste_before += serial.inference.padding_waste_before_bytes;
         waste_after = waste_after.max(serial.inference.padding_waste_after_bytes);
         eprintln!(
-            "{}: serial {s_secs:.3}s, parallel {p_secs:.3}s ({} units, {} memo hits) [serial ilp {:.3}s ec {:.3}s gnn {:.3}s match {:.3}s sel {:.3}s red {:.3}s]",
+            "{}: {} units, {} memo hits, cost {}",
             c.name,
             prep.units.len(),
             parallel.memo_hits,
-            serial.timing.ilp.as_secs_f64(),
-            serial.timing.ec.as_secs_f64(),
-            serial.timing.colorgnn.as_secs_f64(),
-            serial.timing.matching.as_secs_f64(),
-            serial.timing.selection.as_secs_f64(),
-            serial.timing.redundancy.as_secs_f64(),
+            serial.pipeline.cost
         );
         // Routing/cost digest: deterministic per (model seed, circuit),
         // so the CI perf_baseline step can diff it against the committed
@@ -176,7 +118,7 @@ fn main() {
         // costs (compared only when `fp_kernel` matches — the last bits
         // of the forward pass depend on the GEMM microkernel).
         circuit_rows.push(format!(
-            "      {{\"name\": \"{}\", \"units\": {}, \"serial_seconds\": {s_secs:.4}, \"parallel_seconds\": {p_secs:.4}, \"memo_hits\": {}, \"cost_equal\": true, \"conflicts\": {}, \"stitches\": {}, \"engines\": {{\"matching\": {}, \"colorgnn\": {}, \"ilp\": {}, \"ec\": {}}}}}",
+            "      {{\"name\": \"{}\", \"units\": {}, \"memo_hits\": {}, \"cost_equal\": true, \"conflicts\": {}, \"stitches\": {}, \"engines\": {{\"matching\": {}, \"colorgnn\": {}, \"ilp\": {}, \"ec\": {}}}}}",
             c.name,
             prep.units.len(),
             parallel.memo_hits,
@@ -189,260 +131,13 @@ fn main() {
         ));
         serial_results.push(serial);
     }
-    let speedup = serial_total / parallel_total.max(1e-12);
-    eprintln!(
-        "adaptive suite: serial {serial_total:.2}s, parallel {parallel_total:.2}s -> {speedup:.2}x ({threads} threads, {memo_total} memo hits, seed {seed}, {audit_rejections} audit rejections, {quarantined} quarantined)"
-    );
     eprintln!(
         "routing inference: {infer_units} units inferred, {infer_memo_hits} embedding-memo hits, scratch high-water {scratch_high_water} bytes"
     );
-
-    // 3q. Quantized routing tiers: the full serial suite again at f16 and
-    // int8. The trust ladder (library pinning + margin-gated f32
-    // re-inference) must reproduce the f32 routing decisions and costs
-    // exactly — asserted here per circuit, and the per-circuit digest rows
-    // are recorded so the CI digest guard can verify them against the
-    // adaptive rows independently.
-    struct QuantRun {
-        precision: Precision,
-        kernel: &'static str,
-        serial_seconds: f64,
-        quantized_units: usize,
-        pinned_f32: usize,
-        f32_fallbacks: usize,
-        batches_planned: usize,
-        waste_before: usize,
-        waste_after: usize,
-        circuit_rows: Vec<String>,
-    }
-    let mut quant_runs: Vec<QuantRun> = Vec::new();
-    for precision in [Precision::F16, Precision::Int8] {
-        fw.precision = precision;
-        let mut run = QuantRun {
-            precision,
-            kernel: "",
-            serial_seconds: 0.0,
-            quantized_units: 0,
-            pinned_f32: 0,
-            f32_fallbacks: 0,
-            batches_planned: 0,
-            waste_before: 0,
-            waste_after: 0,
-            circuit_rows: Vec::new(),
-        };
-        for ((c, prep), base) in circuits.iter().zip(&prepared).zip(&serial_results) {
-            fw.colorgnn.reseed(seed);
-            let t = Instant::now();
-            let q = fw.decompose_prepared(prep);
-            run.serial_seconds += t.elapsed().as_secs_f64();
-            assert_eq!(
-                q.pipeline.cost, base.pipeline.cost,
-                "{}: {precision} cost diverged from f32",
-                c.name
-            );
-            assert_eq!(
-                q.unit_engines, base.unit_engines,
-                "{}: {precision} routed a unit to a different engine",
-                c.name
-            );
-            run.kernel = q.inference.kernel_quant;
-            run.quantized_units += q.inference.quantized_units;
-            run.pinned_f32 += q.inference.pinned_f32;
-            run.f32_fallbacks += q.inference.f32_fallbacks;
-            run.batches_planned += q.inference.batches_planned;
-            run.waste_before += q.inference.padding_waste_before_bytes;
-            run.waste_after = run.waste_after.max(q.inference.padding_waste_after_bytes);
-            run.circuit_rows.push(format!(
-                "        {{\"name\": \"{}\", \"units\": {}, \"conflicts\": {}, \"stitches\": {}, \"quantized_units\": {}, \"f32_fallbacks\": {}, \"engines\": {{\"matching\": {}, \"colorgnn\": {}, \"ilp\": {}, \"ec\": {}}}}}",
-                c.name,
-                prep.units.len(),
-                q.pipeline.cost.conflicts,
-                q.pipeline.cost.stitches,
-                q.inference.quantized_units,
-                q.inference.f32_fallbacks,
-                q.usage.matching,
-                q.usage.colorgnn,
-                q.usage.ilp,
-                q.usage.ec,
-            ));
-        }
-        eprintln!(
-            "quantized suite [{precision}] ({}): {:.2}s serial, {} quantized / {} pinned / {} fallbacks, {} batches, waste {} -> {} bytes",
-            run.kernel,
-            run.serial_seconds,
-            run.quantized_units,
-            run.pinned_f32,
-            run.f32_fallbacks,
-            run.batches_planned,
-            run.waste_before,
-            run.waste_after,
-        );
-        quant_runs.push(run);
-    }
-    fw.precision = Precision::F32;
     // Serialized weights for the persistent-store section (6b): the
     // framework itself is consumed by `Engine::new` in section 5.
     let mut model_bytes: Vec<u8> = Vec::new();
     fw.save(&mut model_bytes).expect("serialize framework");
-
-    // 3b. Routing-inference throughput: the tape path (per-unit autodiff
-    // forwards, the pre-frozen implementation) vs the frozen engine,
-    // per-unit and batched (the adaptive default). One "unit" is the full
-    // routing cost: one selector and one redundancy forward.
-    let infer_graphs: Vec<&mpld_graph::LayoutGraph> = sample.iter().map(|u| &u.hetero).collect();
-    let reps = env_usize("MPLD_INFER_REPS", 5);
-    let time_pass = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let tape_secs = time_pass(&mut || {
-        for g in &infer_graphs {
-            std::hint::black_box(fw.selector.predict(g));
-            std::hint::black_box(fw.redundancy.predict(g));
-        }
-    });
-    let frozen_sel = fw.selector.freeze();
-    let frozen_red = fw.redundancy.freeze();
-    let frozen_secs = time_pass(&mut || {
-        for g in &infer_graphs {
-            std::hint::black_box(frozen_sel.predict(g));
-            std::hint::black_box(frozen_red.predict(g));
-        }
-    });
-    let batched_secs = time_pass(&mut || {
-        let enc = mpld_gnn::InferBatch::new(&infer_graphs);
-        std::hint::black_box(frozen_sel.infer_encoded(&enc));
-        std::hint::black_box(frozen_red.predict_encoded(&enc));
-    });
-    // Quantized batched passes over the planner's bucketed batches — the
-    // exact shape the adaptive routing tier runs (the f32 row above keeps
-    // the historical single-union shape for comparability with committed
-    // artifacts).
-    let sizes: Vec<(usize, usize)> = infer_graphs
-        .iter()
-        .map(|g| {
-            (
-                g.num_nodes(),
-                g.conflict_edges().len() + g.stitch_edges().len(),
-            )
-        })
-        .collect();
-    let items: Vec<usize> = (0..infer_graphs.len()).collect();
-    let plan = mpld::BatchPlan::new(&items, &sizes, mpld::DEFAULT_MAX_BATCH_NODES);
-    let planned: Vec<Vec<&mpld_graph::LayoutGraph>> = plan
-        .batches
-        .iter()
-        .map(|b| b.iter().map(|&i| infer_graphs[i]).collect())
-        .collect();
-    let time_quant = |precision: Precision| {
-        time_pass(&mut || {
-            for batch in &planned {
-                let enc = mpld_gnn::InferBatch::new(batch);
-                std::hint::black_box(frozen_sel.infer_encoded_with(&enc, precision));
-                std::hint::black_box(frozen_red.predict_encoded_with(&enc, precision));
-            }
-        })
-    };
-    let planned_f32_secs = time_quant(Precision::F32);
-    let f16_secs = time_quant(Precision::F16);
-    let int8_secs = time_quant(Precision::Int8);
-    scratch_high_water = scratch_high_water
-        .max(frozen_sel.scratch_high_water_bytes())
-        .max(frozen_red.scratch_high_water_bytes());
-    let n_inf = (reps * infer_graphs.len()) as f64;
-    let tape_ups = n_inf / tape_secs.max(1e-12);
-    let frozen_ups = n_inf / frozen_secs.max(1e-12);
-    let batched_ups = n_inf / batched_secs.max(1e-12);
-    let planned_f32_ups = n_inf / planned_f32_secs.max(1e-12);
-    let f16_ups = n_inf / f16_secs.max(1e-12);
-    let int8_ups = n_inf / int8_secs.max(1e-12);
-    let infer_speedup = batched_ups / tape_ups.max(1e-12);
-    let f16_speedup = f16_ups / batched_ups.max(1e-12);
-    let int8_speedup = int8_ups / batched_ups.max(1e-12);
-    eprintln!(
-        "inference throughput ({} units x {reps}): tape {tape_ups:.0}/s, frozen {frozen_ups:.0}/s, frozen-batched {batched_ups:.0}/s ({infer_speedup:.1}x)",
-        infer_graphs.len()
-    );
-    eprintln!(
-        "quantized throughput ({} planned batches): f32-planned {planned_f32_ups:.0}/s, f16 {f16_ups:.0}/s ({f16_speedup:.2}x), int8 {int8_ups:.0}/s ({int8_speedup:.2}x vs f32 single-union)",
-        planned.len()
-    );
-
-    // 3c. Training throughput: the per-graph fresh-tape reference
-    // (`train_reference`, batch 1) vs the pooled block-diagonal batched
-    // engine, over the same labeled data and epoch count. One "graph" is
-    // one training-graph visit (graph x epoch), summed across the three
-    // heads (selector RGCN, redundancy RGCN, ColorGNN).
-    let train_epochs = env_usize("MPLD_TRAIN_BENCH_EPOCHS", 8);
-    let train_batch = env_usize("MPLD_TRAIN_BATCH", 24);
-    let selector_data: Vec<(&LayoutGraph, u8)> = data
-        .units
-        .iter()
-        .zip(&data.selector_labels)
-        .map(|(g, &l)| (g, l))
-        .collect();
-    let redundancy_data: Vec<(&LayoutGraph, u8)> = data
-        .redundancy_labels
-        .iter()
-        .map(|&(i, l)| (&data.units[i], l))
-        .collect();
-    let parents: Vec<LayoutGraph> = data
-        .units
-        .iter()
-        .filter(|g| g.num_nodes() > 0 && !g.conflict_edges().is_empty())
-        .map(|g| g.merge_stitch_edges().0)
-        .collect();
-    let parent_refs: Vec<&LayoutGraph> = parents.iter().collect();
-    let rgcn_cfg = |batch: usize| TrainConfig {
-        epochs: train_epochs,
-        lr: 0.01,
-        batch,
-        balance: true,
-    };
-    let color_cfg = |batch: usize| ColorGnnTrainConfig {
-        epochs: train_epochs,
-        lr: 0.02,
-        margin: 1.0,
-        batch,
-    };
-    let time_training = |batched: bool| -> f64 {
-        let t = Instant::now();
-        let mut sel = RgcnClassifier::selector(cfg.seed);
-        let mut red = RgcnClassifier::redundancy(cfg.seed ^ 0xF00D);
-        let mut color = ColorGnn::new(cfg.seed ^ 0xC01);
-        if batched {
-            sel.train(&selector_data, &rgcn_cfg(train_batch));
-            if !redundancy_data.is_empty() {
-                red.train(&redundancy_data, &rgcn_cfg(train_batch));
-            }
-            if !parent_refs.is_empty() {
-                color.train(&parent_refs, params.k, &color_cfg(train_batch));
-            }
-        } else {
-            sel.train_reference(&selector_data, &rgcn_cfg(1));
-            if !redundancy_data.is_empty() {
-                red.train_reference(&redundancy_data, &rgcn_cfg(1));
-            }
-            if !parent_refs.is_empty() {
-                color.train_reference(&parent_refs, params.k, &color_cfg(1));
-            }
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let reference_secs = time_training(false);
-    let batched_secs = time_training(true);
-    let train_visits =
-        ((selector_data.len() + redundancy_data.len() + parent_refs.len()) * train_epochs) as f64;
-    let reference_gps = train_visits / reference_secs.max(1e-12);
-    let batched_gps = train_visits / batched_secs.max(1e-12);
-    let train_speedup = batched_gps / reference_gps.max(1e-12);
-    eprintln!(
-        "training throughput ({} graph-visits): reference {reference_gps:.1}/s, batched {batched_gps:.1}/s ({train_speedup:.2}x, batch {train_batch})",
-        train_visits as usize
-    );
 
     // 4. Budget-exhaustion profile: the whole suite again under a tight
     // per-unit deadline, recording per-solver exhaustion and fallback
@@ -460,7 +155,6 @@ fn main() {
         (EngineKind::Ilp, 0, 0),
         (EngineKind::Ec, 0, 0),
     ];
-    let t = Instant::now();
     for prep in &prepared {
         fw.colorgnn.reseed(seed);
         let r = fw
@@ -481,9 +175,8 @@ fn main() {
             }
         }
     }
-    let budgeted_seconds = t.elapsed().as_secs_f64();
     eprintln!(
-        "budgeted suite ({unit_limit_ms}ms/unit): {certified} certified, {heuristic} heuristic, {exhausted} budget-exhausted, {fallbacks} fallbacks, {b_audit_rejections} audit rejections, {b_quarantined} quarantined in {budgeted_seconds:.2}s"
+        "budgeted suite ({unit_limit_ms}ms/unit): {certified} certified, {heuristic} heuristic, {exhausted} budget-exhausted, {fallbacks} fallbacks, {b_audit_rejections} audit rejections, {b_quarantined} quarantined"
     );
     let engine_label = |e: EngineKind| match e {
         EngineKind::Matching => "matching",
@@ -502,7 +195,7 @@ fn main() {
 
     // 5. Serving: the suite once more through the long-lived service — a
     // warm shared [`mpld::Engine`] behind the real HTTP/NDJSON endpoint,
-    // each circuit requested twice so the warm request measures the
+    // each circuit requested twice so the warm request exercises the
     // cross-request routing-memo + solution-cache path end to end. Served
     // costs and engine usage are asserted equal to the serial adaptive
     // run (the engine parity contract over the wire). Runs last: the
@@ -520,12 +213,10 @@ fn main() {
         ..mpld_server::ServerConfig::default()
     };
     let mut serving_rows = Vec::new();
-    let (mut cold_total, mut warm_total) = (0.0f64, 0.0f64);
     let mut warm_routing_hits = 0usize;
-    let serving_seconds = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let eng = std::sync::Arc::clone(&engine);
         let server = scope.spawn(|| mpld_server::serve(eng, listener, &serve_cfg, &shutdown));
-        let t_all = Instant::now();
         for ((c, prep), base) in circuits.iter().zip(&prepared).zip(&serial_results) {
             // Distinct job ids: durable jobs are idempotent, so a
             // byte-identical re-POST would replay the first job's log
@@ -540,20 +231,9 @@ fn main() {
                     body.len()
                 )
             };
-            let t = Instant::now();
             let cold = http_request(serve_addr, &request_for("cold"));
-            let cold_secs = t.elapsed().as_secs_f64();
-            let t = Instant::now();
             let warm = http_request(serve_addr, &request_for("warm"));
-            let warm_secs = t.elapsed().as_secs_f64();
-            let summary_of = |resp: &str| -> mpld::RunSummary {
-                let line = resp
-                    .lines()
-                    .find(|l| l.starts_with("{\"event\":\"done\""))
-                    .unwrap_or_else(|| panic!("{}: no done event in:\n{resp}", c.name));
-                mpld::RunSummary::parse(line).expect("served summary parses")
-            };
-            let (a, b) = (summary_of(&cold), summary_of(&warm));
+            let (a, b) = (served_summary(&cold), served_summary(&warm));
             for s in [&a, &b] {
                 assert_eq!(
                     (s.conflicts, s.stitches),
@@ -578,43 +258,36 @@ fn main() {
                 "{}: warm request re-ran routing inference",
                 c.name
             );
-            cold_total += cold_secs;
-            warm_total += warm_secs;
             warm_routing_hits += b.routing_memo_hits;
             eprintln!(
-                "serve {}: cold {cold_secs:.3}s, warm {warm_secs:.3}s ({} routing memo hits, {} solution hits)",
+                "serve {}: warm request {} routing memo hits, {} solution hits",
                 c.name, b.routing_memo_hits, b.memo_hits
             );
             serving_rows.push(format!(
-                "      {{\"name\": \"{}\", \"units\": {}, \"cold_seconds\": {cold_secs:.4}, \"warm_seconds\": {warm_secs:.4}, \"warm_routing_memo_hits\": {}, \"warm_solution_memo_hits\": {}, \"cost_equal\": true}}",
+                "      {{\"name\": \"{}\", \"units\": {}, \"warm_routing_memo_hits\": {}, \"warm_solution_memo_hits\": {}, \"cost_equal\": true}}",
                 c.name,
                 prep.units.len(),
                 b.routing_memo_hits,
                 b.memo_hits
             ));
         }
-        let secs = t_all.elapsed().as_secs_f64();
         shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
         server.join().expect("server thread").expect("serve");
-        secs
     });
     let serve_requests = 2 * circuits.len();
-    let requests_per_second = serve_requests as f64 / serving_seconds.max(1e-12);
-    let warm_speedup = cold_total / warm_total.max(1e-12);
     let engine_stats = engine.stats();
     let routing_lookups = engine_stats.routing.hits + engine_stats.routing.misses;
     let routing_hit_rate = engine_stats.routing.hits as f64 / routing_lookups.max(1) as f64;
     eprintln!(
-        "serving suite: {serve_requests} requests in {serving_seconds:.2}s ({requests_per_second:.2} req/s, {serve_workers} workers); warm speedup {warm_speedup:.2}x, routing memo {}/{routing_lookups} hits",
+        "serving suite: {serve_requests} requests ({serve_workers} workers); routing memo {}/{routing_lookups} hits",
         engine_stats.routing.hits
     );
 
     // 6. Serving resume: a journaled durable job killed mid-append
     // (simulated by tearing the journal file the way SIGKILL leaves it)
     // and re-submitted to a fresh serve loop over the same journal dir.
-    // Measures resume overhead vs the cold journaled run; the digest
-    // guard checks the resumed run stayed bit-identical and actually
-    // reused surviving records.
+    // The resumed run must stay bit-identical to the cold one and
+    // actually reuse surviving records.
     let (resume_circuit, resume_base) = circuits
         .iter()
         .zip(&serial_results)
@@ -648,30 +321,20 @@ fn main() {
     // separate "process" sharing only the journal directory (and the
     // warm engine, which a respawned process would rebuild bit-identical
     // from the same weights).
-    let serve_once = |raw: &str| -> (String, f64) {
+    let serve_once = |raw: &str| -> String {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let eng = std::sync::Arc::clone(&engine);
             let server = scope.spawn(|| mpld_server::serve(eng, listener, &journaled_cfg, &stop));
-            let t = Instant::now();
             let resp = http_request(addr, raw);
-            let secs = t.elapsed().as_secs_f64();
             stop.store(true, std::sync::atomic::Ordering::SeqCst);
             server.join().expect("server thread").expect("serve");
-            (resp, secs)
+            resp
         })
     };
-    let served_summary = |resp: &str| -> mpld::RunSummary {
-        let line = resp
-            .lines()
-            .find(|l| l.starts_with("{\"event\":\"done\""))
-            .unwrap_or_else(|| panic!("no done event in:\n{resp}"));
-        mpld::RunSummary::parse(line).expect("served summary parses")
-    };
-    let (cold_resp, resume_cold_secs) = serve_once(&resume_raw);
-    let resume_cold = served_summary(&cold_resp);
+    let resume_cold = served_summary(&serve_once(&resume_raw));
     assert_eq!(
         resume_cold.resumed_units, 0,
         "first journaled run must resume nothing"
@@ -694,8 +357,7 @@ fn main() {
     std::fs::write(&journal_path, torn).expect("tear journal");
     let records_kept = keep - 1;
 
-    let (resume_resp, resume_secs) = serve_once(&resume_raw);
-    let resume_summary = served_summary(&resume_resp);
+    let resume_summary = served_summary(&serve_once(&resume_raw));
     let resume_digest = |s: &mpld::RunSummary| {
         (
             s.conflicts,
@@ -718,7 +380,7 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&journal_dir);
     eprintln!(
-        "serving resume {}: cold {resume_cold_secs:.3}s, resume {resume_secs:.3}s ({} of {resume_tail_units} tail units resumed, {records_kept} records survived the tear)",
+        "serving resume {}: {} of {resume_tail_units} tail units resumed, {records_kept} records survived the tear",
         resume_circuit.name, resume_summary.resumed_units
     );
 
@@ -727,8 +389,7 @@ fn main() {
     // tail solves and the graph library), then a second engine — a fresh
     // "process" sharing only the store directory — re-serves the suite.
     // The warm engine must re-solve almost nothing (>=80% fewer fresh
-    // tail solves, asserted) with bit-identical digests, and its startup
-    // load must stay in the milliseconds range.
+    // tail solves, asserted) with bit-identical digests.
     let store_dir = std::env::temp_dir().join(format!("mpld-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let store_digest = |r: &AdaptiveResult| {
@@ -741,7 +402,7 @@ fn main() {
     };
     let fresh_tail_solves =
         |r: &AdaptiveResult| (r.usage.ilp + r.usage.ec).saturating_sub(r.memo_hits);
-    let run_store_suite = |label: &str| -> (Vec<AdaptiveResult>, usize, f64, mpld::EngineStats) {
+    let run_store_suite = |label: &str| -> (Vec<AdaptiveResult>, usize, mpld::EngineStats) {
         let (store_engine, _report) = mpld::engine_with_store(
             &model_bytes,
             &params,
@@ -751,7 +412,6 @@ fn main() {
             None,
         )
         .expect("open store-backed engine");
-        let t = Instant::now();
         let mut results = Vec::with_capacity(prepared.len());
         let mut fresh = 0usize;
         for prep in &prepared {
@@ -762,19 +422,17 @@ fn main() {
             fresh += fresh_tail_solves(&r);
             results.push(r);
         }
-        let secs = t.elapsed().as_secs_f64();
         let stats = store_engine.stats();
         let s = stats.store.as_ref().expect("store stats present");
         eprintln!(
-            "library [{label}]: {fresh} fresh tail solves in {secs:.2}s ({} loaded in {} ms, library {}, {} appended)",
+            "library [{label}]: {fresh} fresh tail solves ({} loaded, library {}, {} appended)",
             s.loaded_solves,
-            s.load_ms,
             if s.lib_loaded { "loaded" } else { "rebuilt" },
             s.appended
         );
-        (results, fresh, secs, stats)
+        (results, fresh, stats)
     };
-    let (cold_results, cold_fresh, library_cold_secs, _cold_stats) = run_store_suite("cold");
+    let (cold_results, cold_fresh, _cold_stats) = run_store_suite("cold");
     for ((c, base), cold) in circuits.iter().zip(&serial_results).zip(&cold_results) {
         assert_eq!(
             cold.pipeline.cost, base.pipeline.cost,
@@ -782,7 +440,7 @@ fn main() {
             c.name
         );
     }
-    let (warm_results, warm_fresh, library_warm_secs, warm_stats) = run_store_suite("warm");
+    let (warm_results, warm_fresh, warm_stats) = run_store_suite("warm");
     for ((c, cold), warm) in circuits.iter().zip(&cold_results).zip(&warm_results) {
         assert_eq!(
             store_digest(warm),
@@ -801,16 +459,11 @@ fn main() {
     );
     let warm_store = warm_stats.store.as_ref().expect("store stats present");
     let library_hit_rate = (cold_fresh - warm_fresh) as f64 / cold_fresh as f64;
-    let (library_load_ms, library_lib_loaded, library_store_entries) = (
-        warm_store.load_ms,
-        warm_store.lib_loaded,
-        warm_store.entries,
-    );
-    let library_loaded_solves = warm_store.loaded_solves;
     let _ = std::fs::remove_dir_all(&store_dir);
     eprintln!(
-        "library store: cold {cold_fresh} -> warm {warm_fresh} fresh tail solves ({:.1}% served), {library_loaded_solves} solves loaded in {library_load_ms} ms",
-        library_hit_rate * 100.0
+        "library store: cold {cold_fresh} -> warm {warm_fresh} fresh tail solves ({:.1}% served), {} solves loaded",
+        library_hit_rate * 100.0,
+        warm_store.loaded_solves
     );
     drop(cold_results);
     drop(warm_results);
@@ -818,7 +471,7 @@ fn main() {
     // 7. Chip scale: a generated multi-hundred-k-rect layout streamed to
     // disk, prepared through the tiled pipeline (O(tile) geometry working
     // set), and decomposed on the warm engine. Runs LAST so its generated
-    // units cannot warm any cache the suite sections measure. A smaller
+    // units cannot warm any cache the suite sections exercise. A smaller
     // parity probe is additionally prepared both ways and decomposed
     // twice to re-prove the tiled/serial digest identity at this seed
     // (the tiled_parity test suite proves it structurally).
@@ -874,26 +527,15 @@ fn main() {
     let probe_serial_r = engine
         .decompose(&probe_serial_prep, &mut probe_session)
         .expect("probe serial decompose");
-    let chip_digest = |r: &AdaptiveResult| {
-        (
-            r.pipeline.decomposition.clone(),
-            r.pipeline.cost,
-            r.unit_engines.clone(),
-            r.usage,
-        )
-    };
     assert_eq!(
-        chip_digest(&probe_tiled_r),
-        chip_digest(&probe_serial_r),
+        store_digest(&probe_tiled_r),
+        store_digest(&probe_serial_r),
         "tiled probe digest must equal the serial digest"
     );
 
     // The chip-scale run itself.
     let chip_path = chip_dir.join("chip.mpld");
-    let t = Instant::now();
     let (chip_features, chip_written) = gen_to_file(chip_rects, &chip_path);
-    let chip_gen_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
     let chip_tp = prepare_tiled_file(
         &chip_path,
         &ReadLimits::unlimited(),
@@ -902,27 +544,21 @@ fn main() {
         &|_| {},
     )
     .expect("chip tiled prepare");
-    let chip_prepare_secs = t.elapsed().as_secs_f64();
     let chip_stats = chip_tp.stats;
-    let t = Instant::now();
     let mut chip_session = Session::new(seed);
     let chip_r = engine
         .decompose(&chip_tp.prep, &mut chip_session)
         .expect("chip decompose");
-    let chip_decompose_secs = t.elapsed().as_secs_f64();
     let (chip_audited, chip_audit_clean) =
         audit_boundary_units(&chip_tp.prep, &chip_r, &chip_tp.boundary_units, params.k);
     assert!(
         chip_audit_clean,
         "chip-scale boundary audit must be clean ({chip_audited} units)"
     );
-    let chip_rects_per_second =
-        chip_written as f64 / (chip_prepare_secs + chip_decompose_secs).max(1e-12);
-    let chip_peak_rss = peak_rss_bytes();
     let _ = std::fs::remove_dir_all(&chip_dir);
     eprintln!(
-        "chip scale: {chip_written} rects ({chip_features} features) gen {chip_gen_secs:.2}s, tiled prepare {chip_prepare_secs:.2}s ({}x{} tiles, max {} features/tile), decompose {chip_decompose_secs:.2}s, {chip_rects_per_second:.0} rects/s, audit clean on {chip_audited} boundary units",
-        chip_stats.tiles_x, chip_stats.tiles_y, chip_stats.max_tile_features
+        "chip scale: {chip_written} rects ({chip_features} features), {}x{} tiles (max {} features/tile), cost {}, audit clean on {chip_audited} boundary units",
+        chip_stats.tiles_x, chip_stats.tiles_y, chip_stats.max_tile_features, chip_r.pipeline.cost
     );
 
     let mut json = String::new();
@@ -939,21 +575,10 @@ fn main() {
         "  \"fp_kernel\": \"{}\",",
         mpld_tensor::infer::kernel_name()
     );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"speedup is parallel-tail + isomorphism-memo wall-clock gain over the serial batched path; thread scaling requires cpu_cores > 1\","
-    );
     let _ = writeln!(json, "  \"circuits\": {limit},");
     let _ = writeln!(json, "  \"total_units\": {total_units},");
-    let _ = writeln!(json, "  \"prepare_seconds\": {prepare_seconds:.4},");
-    let _ = writeln!(json, "  \"engine_throughput\": [");
-    let _ = writeln!(json, "{}", engine_rows.join(",\n"));
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"adaptive\": {{");
     let _ = writeln!(json, "    \"threads\": {threads},");
-    let _ = writeln!(json, "    \"serial_seconds\": {serial_total:.4},");
-    let _ = writeln!(json, "    \"parallel_seconds\": {parallel_total:.4},");
-    let _ = writeln!(json, "    \"speedup\": {speedup:.3},");
     let _ = writeln!(json, "    \"memo_hits\": {memo_total},");
     let _ = writeln!(json, "    \"audit_rejections\": {audit_rejections},");
     let _ = writeln!(json, "    \"quarantined\": {quarantined},");
@@ -963,18 +588,6 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"inference\": {{");
     let _ = writeln!(json, "    \"threads\": 1,");
-    let _ = writeln!(json, "    \"sample_units\": {},", infer_graphs.len());
-    let _ = writeln!(json, "    \"reps\": {reps},");
-    let _ = writeln!(json, "    \"tape_units_per_second\": {tape_ups:.1},");
-    let _ = writeln!(json, "    \"frozen_units_per_second\": {frozen_ups:.1},");
-    let _ = writeln!(
-        json,
-        "    \"frozen_batched_units_per_second\": {batched_ups:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"batched_speedup_over_tape\": {infer_speedup:.2},"
-    );
     let _ = writeln!(json, "    \"routing_memo_hits\": {infer_memo_hits},");
     let _ = writeln!(json, "    \"routing_units_inferred\": {infer_units},");
     let _ = writeln!(
@@ -985,95 +598,16 @@ fn main() {
     let _ = writeln!(json, "    \"padding_waste_before_bytes\": {waste_before},");
     let _ = writeln!(json, "    \"padding_waste_after_bytes\": {waste_after}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"quantized\": {{");
-    let _ = writeln!(json, "    \"threads\": 1,");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"decisions asserted equal to the f32 adaptive run in-binary; per_circuit rows are re-checked against adaptive.per_circuit by the digest guard\","
-    );
-    let _ = writeln!(
-        json,
-        "    \"batched_units_per_second\": {{\"f32_planned\": {planned_f32_ups:.1}, \"f16\": {f16_ups:.1}, \"int8\": {int8_ups:.1}}},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"speedup_over_f32_batched\": {{\"f16\": {f16_speedup:.2}, \"int8\": {int8_speedup:.2}}},"
-    );
-    let _ = writeln!(json, "    \"precisions\": [");
-    for (qi, run) in quant_runs.iter().enumerate() {
-        let _ = writeln!(json, "      {{");
-        let _ = writeln!(json, "        \"label\": \"{}\",", run.precision);
-        let _ = writeln!(json, "        \"kernel\": \"{}\",", run.kernel);
-        let _ = writeln!(
-            json,
-            "        \"serial_seconds\": {:.4},",
-            run.serial_seconds
-        );
-        let _ = writeln!(
-            json,
-            "        \"quantized_units\": {},",
-            run.quantized_units
-        );
-        let _ = writeln!(json, "        \"pinned_f32\": {},", run.pinned_f32);
-        let _ = writeln!(json, "        \"f32_fallbacks\": {},", run.f32_fallbacks);
-        let _ = writeln!(
-            json,
-            "        \"batches_planned\": {},",
-            run.batches_planned
-        );
-        let _ = writeln!(
-            json,
-            "        \"padding_waste_before_bytes\": {},",
-            run.waste_before
-        );
-        let _ = writeln!(
-            json,
-            "        \"padding_waste_after_bytes\": {},",
-            run.waste_after
-        );
-        let _ = writeln!(json, "        \"decisions_equal_f32\": true,");
-        let _ = writeln!(json, "        \"per_circuit\": [");
-        let _ = writeln!(json, "{}", run.circuit_rows.join(",\n"));
-        let _ = writeln!(json, "        ]");
-        let _ = writeln!(
-            json,
-            "      }}{}",
-            if qi + 1 < quant_runs.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"training\": {{");
     let _ = writeln!(json, "    \"threads\": 1,");
     let _ = writeln!(json, "    \"train_seed\": {},", cfg.seed);
-    let _ = writeln!(json, "    \"bench_epochs\": {train_epochs},");
-    let _ = writeln!(json, "    \"batch\": {train_batch},");
-    let _ = writeln!(json, "    \"selector_graphs\": {},", selector_data.len());
-    let _ = writeln!(
-        json,
-        "    \"redundancy_graphs\": {},",
-        redundancy_data.len()
-    );
-    let _ = writeln!(json, "    \"colorgnn_graphs\": {},", parent_refs.len());
-    let _ = writeln!(json, "    \"graph_visits\": {},", train_visits as usize);
-    let _ = writeln!(json, "    \"reference_seconds\": {reference_secs:.4},");
-    let _ = writeln!(json, "    \"batched_seconds\": {batched_secs:.4},");
-    let _ = writeln!(
-        json,
-        "    \"reference_graphs_per_second\": {reference_gps:.1},"
-    );
-    let _ = writeln!(json, "    \"batched_graphs_per_second\": {batched_gps:.1},");
-    let _ = writeln!(
-        json,
-        "    \"batched_speedup_over_reference\": {train_speedup:.2},"
-    );
     let _ = writeln!(json, "    \"labeled_units\": {},", train_report.num_units);
     let _ = writeln!(
         json,
         "    \"deduped_units\": {},",
         train_report.deduped_units
     );
-    // Final-epoch losses of the section-3 framework training: a
+    // Final-epoch losses of the section-2 framework training: a
     // seed-keyed trajectory digest, compared by the CI digest guard when
     // fp_kernel and the training config match.
     let _ = writeln!(json, "    \"final_losses\": {{");
@@ -1097,7 +631,6 @@ fn main() {
     let _ = writeln!(json, "  \"budgeted\": {{");
     let _ = writeln!(json, "    \"threads\": {threads},");
     let _ = writeln!(json, "    \"unit_time_limit_ms\": {unit_limit_ms},");
-    let _ = writeln!(json, "    \"seconds\": {budgeted_seconds:.4},");
     let _ = writeln!(json, "    \"certified\": {certified},");
     let _ = writeln!(json, "    \"heuristic\": {heuristic},");
     let _ = writeln!(json, "    \"budget_exhausted\": {exhausted},");
@@ -1119,14 +652,6 @@ fn main() {
     let _ = writeln!(json, "    \"workers\": {serve_workers},");
     let _ = writeln!(json, "    \"queue_depth\": {serve_queue},");
     let _ = writeln!(json, "    \"requests\": {serve_requests},");
-    let _ = writeln!(json, "    \"seconds\": {serving_seconds:.4},");
-    let _ = writeln!(
-        json,
-        "    \"requests_per_second\": {requests_per_second:.3},"
-    );
-    let _ = writeln!(json, "    \"cold_seconds\": {cold_total:.4},");
-    let _ = writeln!(json, "    \"warm_seconds\": {warm_total:.4},");
-    let _ = writeln!(json, "    \"warm_speedup\": {warm_speedup:.2},");
     let _ = writeln!(json, "    \"warm_routing_memo_hits\": {warm_routing_hits},");
     let _ = writeln!(
         json,
@@ -1150,8 +675,6 @@ fn main() {
     let _ = writeln!(json, "    \"circuit\": \"{}\",", resume_circuit.name);
     let _ = writeln!(json, "    \"tail_units\": {resume_tail_units},");
     let _ = writeln!(json, "    \"journal_records_kept\": {records_kept},");
-    let _ = writeln!(json, "    \"cold_seconds\": {resume_cold_secs:.4},");
-    let _ = writeln!(json, "    \"resume_seconds\": {resume_secs:.4},");
     let _ = writeln!(
         json,
         "    \"resumed_units\": {},",
@@ -1164,12 +687,9 @@ fn main() {
     let _ = writeln!(json, "    \"cold_tail_solves\": {cold_fresh},");
     let _ = writeln!(json, "    \"warm_tail_solves\": {warm_fresh},");
     let _ = writeln!(json, "    \"warm_hit_rate\": {library_hit_rate:.4},");
-    let _ = writeln!(json, "    \"cold_seconds\": {library_cold_secs:.4},");
-    let _ = writeln!(json, "    \"warm_seconds\": {library_warm_secs:.4},");
-    let _ = writeln!(json, "    \"load_ms\": {library_load_ms},");
-    let _ = writeln!(json, "    \"lib_loaded\": {library_lib_loaded},");
-    let _ = writeln!(json, "    \"loaded_solves\": {library_loaded_solves},");
-    let _ = writeln!(json, "    \"store_entries\": {library_store_entries},");
+    let _ = writeln!(json, "    \"lib_loaded\": {},", warm_store.lib_loaded);
+    let _ = writeln!(json, "    \"loaded_solves\": {},", warm_store.loaded_solves);
+    let _ = writeln!(json, "    \"store_entries\": {},", warm_store.entries);
     let _ = writeln!(json, "    \"digests_equal\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"chip_scale\": {{");
@@ -1217,21 +737,6 @@ fn main() {
         "    \"objective\": {:.1},",
         chip_r.pipeline.cost.value(params.alpha)
     );
-    let _ = writeln!(json, "    \"generate_seconds\": {chip_gen_secs:.4},");
-    let _ = writeln!(json, "    \"prepare_seconds\": {chip_prepare_secs:.4},");
-    let _ = writeln!(json, "    \"decompose_seconds\": {chip_decompose_secs:.4},");
-    let _ = writeln!(
-        json,
-        "    \"rects_per_second\": {chip_rects_per_second:.1},"
-    );
-    match chip_peak_rss {
-        Some(b) => {
-            let _ = writeln!(json, "    \"peak_rss_bytes\": {b},");
-        }
-        None => {
-            let _ = writeln!(json, "    \"peak_rss_bytes\": null,");
-        }
-    }
     let _ = writeln!(json, "    \"boundary_audit_clean\": true,");
     let _ = writeln!(
         json,
@@ -1243,7 +748,7 @@ fn main() {
     println!("wrote {out_path}");
 }
 
-/// Blocking one-shot HTTP client for the serving section: sends `raw`,
+/// Blocking one-shot HTTP client for the serving sections: sends `raw`,
 /// reads until the server closes the stream (the NDJSON body has no
 /// Content-Length), and returns the full response.
 fn http_request(addr: std::net::SocketAddr, raw: &str) -> String {
@@ -1253,4 +758,13 @@ fn http_request(addr: std::net::SocketAddr, raw: &str) -> String {
     let mut out = String::new();
     stream.read_to_string(&mut out).expect("read response");
     out
+}
+
+/// The run summary carried by a served response's final `done` event.
+fn served_summary(resp: &str) -> mpld::RunSummary {
+    let line = resp
+        .lines()
+        .find(|l| l.starts_with("{\"event\":\"done\""))
+        .unwrap_or_else(|| panic!("no done event in:\n{resp}"));
+    mpld::RunSummary::parse(line).expect("served summary parses")
 }

@@ -43,6 +43,11 @@ impl Parsed {
         self.options.get(name).map(String::as_str)
     }
 
+    /// The names of every option given (without dashes), in no order.
+    pub fn option_names(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().map(String::as_str)
+    }
+
     /// A parsed option with a default.
     pub fn option_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.option(name) {

@@ -4,8 +4,8 @@ use crate::args::{parse, Parsed};
 use mpld::{
     audit_boundary_units, layout_stats, prepare, prepare_tiled, prepare_tiled_file, run_pipeline,
     AdaptiveFramework, BudgetPolicy, Checkpoint, CheckpointHeader, Engine, JournalWriter,
-    OfflineConfig, Precision, Recovery, RunSummary, Session, TiledPrepared, TiledProgress,
-    TiledRunSummary, TilingConfig, TrainingData,
+    OfflineConfig, Recovery, RunSummary, Session, TiledPrepared, TiledProgress, TiledRunSummary,
+    TilingConfig, TrainingData,
 };
 use mpld_ec::EcDecomposer;
 use mpld_graph::{DecomposeParams, Decomposer, MpldError};
@@ -122,13 +122,6 @@ commands:
                                      (default 0xBEEF, as for serve and
                                      submit; echoed in the run summary);
                                      same seed => same results
-      --precision f32|f16|int8       routing-inference precision (default:
-                                     MPLD_PRECISION env or f32). f16/int8
-                                     run the quantized weight planes;
-                                     scores too close to a routing
-                                     threshold are transparently
-                                     re-inferred at f32, so decisions
-                                     match the f32 run
       --colorgnn false               disable the ColorGNN heuristic head:
                                      its units route to the certified
                                      ILP/EC tail instead (slower, exact,
@@ -168,7 +161,6 @@ commands:
       --workers <n>                  request worker threads (default 2)
       --queue-depth <n>              accepted connections allowed to wait;
                                      beyond this new requests get 429
-      --precision f32|f16|int8       routing-inference precision
       --colorgnn false               disable the ColorGNN head (see
                                      adaptive); tail solves are journaled
                                      under --journal-dir
@@ -227,29 +219,109 @@ commands:
 <layout> is a benchmark circuit name (see 'mpld list') or a path to a
 layout file in the text interchange format.";
 
-/// Dispatches the parsed command line.
+type Command = fn(&Parsed) -> Result<(), CliError>;
+
+/// Dispatches the parsed command line. Each command names the options it
+/// reads; any other option is a usage error, raised before the command
+/// touches a file.
 pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     let parsed = parse(argv)?;
-    match parsed.positional(0) {
-        None | Some("help") | Some("--help") => {
-            println!("{USAGE}");
-            Ok(())
+    let name = parsed.positional(0).unwrap_or("help");
+    let (command, options): (Command, &[&str]) = match name {
+        "help" | "--help" => (
+            |_| {
+                println!("{USAGE}");
+                Ok(())
+            },
+            &[],
+        ),
+        "list" => (|_| cmd_list(), &[]),
+        "generate" => (cmd_generate, &["o"]),
+        "gen" => (cmd_gen, &["rects", "out", "seed", "d", "name"]),
+        "stats" => (cmd_stats, &["exact", "k", "alpha"]),
+        "decompose" => (cmd_decompose, &["engine", "o", "k", "alpha"]),
+        "train" => (cmd_train, &["circuits", "cap", "epochs", "o", "k", "alpha"]),
+        "adaptive" => (
+            cmd_adaptive,
+            &[
+                "model",
+                "k",
+                "alpha",
+                "threads",
+                "time-limit",
+                "unit-time-limit",
+                "seed",
+                "json",
+                "checkpoint",
+                "o",
+                "colorgnn",
+                "cache-cap",
+                "store-dir",
+                "store-max-entries",
+                "store-max-bytes",
+                "tiled",
+                "tile-span",
+                "halo",
+            ],
+        ),
+        "serve" => (
+            cmd_serve,
+            &[
+                "model",
+                "k",
+                "alpha",
+                "addr",
+                "workers",
+                "queue-depth",
+                "journal-dir",
+                "max-body-bytes",
+                "max-line-bytes",
+                "max-rects",
+                "colorgnn",
+                "cache-cap",
+                "store-dir",
+                "store-max-entries",
+                "store-max-bytes",
+                "tiled",
+                "tile-span",
+                "halo",
+            ],
+        ),
+        "library" => (cmd_library, &["store-dir", "json"]),
+        "submit" => (
+            cmd_submit,
+            &[
+                "addr",
+                "connect-timeout",
+                "read-timeout",
+                "retries",
+                "backoff",
+                "jitter-seed",
+                "seed",
+                "time-limit",
+                "job-id",
+                "json",
+            ],
+        ),
+        "render" => (cmd_render, &["engine", "o", "k", "alpha"]),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown command {other:?}\n{USAGE}"
+            )))
         }
-        Some("list") => cmd_list(),
-        Some("generate") => cmd_generate(&parsed),
-        Some("gen") => cmd_gen(&parsed),
-        Some("stats") => cmd_stats(&parsed),
-        Some("decompose") => cmd_decompose(&parsed),
-        Some("train") => cmd_train(&parsed),
-        Some("adaptive") => cmd_adaptive(&parsed),
-        Some("serve") => cmd_serve(&parsed),
-        Some("library") => cmd_library(&parsed),
-        Some("submit") => cmd_submit(&parsed),
-        Some("render") => cmd_render(&parsed),
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown command {other:?}\n{USAGE}"
-        ))),
+    };
+    let mut unknown: Vec<&str> = parsed
+        .option_names()
+        .filter(|o| !options.contains(o))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        return Err(CliError::Usage(format!(
+            "{name}: unknown option --{} (see 'mpld help')",
+            unknown.join(", --")
+        )));
     }
+    command(&parsed)
 }
 
 fn load_layout(arg: &str) -> Result<Layout, CliError> {
@@ -476,24 +548,10 @@ fn cmd_train(parsed: &Parsed) -> Result<(), CliError> {
     Ok(())
 }
 
-fn precision_from(parsed: &Parsed) -> Result<Precision, CliError> {
-    match parsed.option("precision") {
-        Some(v) => Precision::parse(v)
-            .ok_or_else(|| format!("cannot parse --precision {v} (expected f32|f16|int8)").into()),
-        None => Ok(Precision::from_env()),
-    }
-}
-
-fn load_model(
-    model: &str,
-    params: &DecomposeParams,
-    precision: Precision,
-) -> Result<AdaptiveFramework, CliError> {
+fn load_model(model: &str, params: &DecomposeParams) -> Result<AdaptiveFramework, CliError> {
     let file = File::open(model).map_err(|e| format!("cannot open {model}: {e}"))?;
-    let mut fw = AdaptiveFramework::load(BufReader::new(file), params, &OfflineConfig::default())
-        .map_err(|e| format!("cannot load {model}: {e}"))?;
-    fw.precision = precision;
-    Ok(fw)
+    AdaptiveFramework::load(BufReader::new(file), params, &OfflineConfig::default())
+        .map_err(|e| format!("cannot load {model}: {e}").into())
 }
 
 fn store_caps_from(parsed: &Parsed) -> Result<mpld_store::StoreCaps, CliError> {
@@ -532,7 +590,6 @@ fn cache_cap_from(parsed: &Parsed) -> Result<Option<usize>, CliError> {
 /// load from the model-fingerprint-keyed store file, and fresh solves
 /// append back), else in memory.
 fn load_engine(parsed: &Parsed, model: &str, params: &DecomposeParams) -> Result<Engine, CliError> {
-    let precision = precision_from(parsed)?;
     let colorgnn: Option<bool> = parsed
         .option("colorgnn")
         .map(|v| {
@@ -542,7 +599,7 @@ fn load_engine(parsed: &Parsed, model: &str, params: &DecomposeParams) -> Result
         .transpose()?;
     let cache_cap = cache_cap_from(parsed)?;
     let Some(store_dir) = parsed.option("store-dir") else {
-        let mut fw = load_model(model, params, precision)?;
+        let mut fw = load_model(model, params)?;
         fw.use_colorgnn = colorgnn.unwrap_or(fw.use_colorgnn);
         return Ok(Engine::with_cache_cap(fw, cache_cap));
     };
@@ -554,10 +611,7 @@ fn load_engine(parsed: &Parsed, model: &str, params: &DecomposeParams) -> Result
         std::path::Path::new(store_dir),
         store_caps_from(parsed)?,
         cache_cap,
-        |fw| {
-            fw.precision = precision;
-            fw.use_colorgnn = colorgnn.unwrap_or(fw.use_colorgnn);
-        },
+        |fw| fw.use_colorgnn = colorgnn.unwrap_or(fw.use_colorgnn),
     )
     .map(|(engine, _)| engine)
     .map_err(|e| format!("cannot open store {store_dir}: {e}").into())
@@ -878,18 +932,6 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
             r.usage.colorgnn_fallbacks,
             r.memo_hits
         );
-        let inf = &r.inference;
-        if inf.precision != Precision::F32 {
-            println!(
-                "precision: {} (kernel {}; {} quantized, {} pinned f32, {} f32 fallbacks, {} batches)",
-                inf.precision,
-                inf.kernel_quant,
-                inf.quantized_units,
-                inf.pinned_f32,
-                inf.f32_fallbacks,
-                inf.batches_planned
-            );
-        }
         if !policy.is_unlimited() {
             println!(
                 "budget: {} certified  {} heuristic  {} budget-exhausted  {} fallbacks",
@@ -1280,6 +1322,33 @@ mod tests {
     #[test]
     fn list_runs() {
         assert!(dispatch(&["list".to_string()]).is_ok());
+    }
+
+    #[test]
+    fn options_a_command_does_not_read_are_usage_errors() {
+        let unknown = |argv: &[&str], option: &str| {
+            let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+            match dispatch(&argv) {
+                Err(CliError::Usage(m)) => {
+                    assert!(m.contains("unknown option") && m.contains(option), "{m}");
+                }
+                other => panic!("{argv:?}: expected a usage error, got {other:?}"),
+            }
+        };
+        unknown(&["decompose", "C432", "--engin", "ec"], "--engin");
+        unknown(&["list", "--bogus", "1"], "--bogus");
+        // Rejected before the (missing) model file is opened.
+        unknown(
+            &[
+                "adaptive",
+                "C432",
+                "--model",
+                "/nonexistent/model.bin",
+                "--precision",
+                "int8",
+            ],
+            "--precision",
+        );
     }
 
     #[test]

@@ -30,25 +30,10 @@ use mpld_graph::{
 };
 use mpld_ilp::encode::BipDecomposer;
 use mpld_matching::GraphLibrary;
-use mpld_tensor::{quant, Precision};
 use rand::rngs::SmallRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Trust margins for the quantized routing lane: a quantized routing
-/// probability within this distance of its decision threshold
-/// ([`AdaptiveFramework::ec_threshold`] /
-/// [`AdaptiveFramework::redundancy_bar`]) is re-inferred at f32 before
-/// any decision is taken. Calibrated an order of magnitude above the
-/// probability drift the quantized planes show on the benchmark suite
-/// (the `quant_parity` property tests bound the *worst-case* drift over
-/// random weights much higher; trained heads sit far inside it), and the
-/// CI perf-digest guard independently asserts that quantized routing
-/// reproduces the f32 decisions circuit for circuit.
-const F16_TRUST_MARGIN: f32 = 5e-3;
-/// See [`F16_TRUST_MARGIN`].
-const INT8_TRUST_MARGIN: f32 = 2.5e-2;
 
 /// Wall-clock limits for one adaptive decomposition run.
 ///
@@ -200,26 +185,7 @@ pub struct InferenceStats {
     /// High-water mark of frozen scratch-buffer bytes across both RGCN
     /// heads (the steady-state inference memory footprint).
     pub scratch_high_water_bytes: usize,
-    /// Numeric precision the routing forwards ran at
-    /// ([`AdaptiveFramework::precision`]).
-    pub precision: Precision,
-    /// Representatives whose *accepted* routing scores came from the
-    /// quantized plane (quantized lane minus fallbacks).
-    pub quantized_units: usize,
-    /// Representatives pinned to the f32 lane because the graph library
-    /// holds a size-compatible entry (the cosine prefilter there cannot
-    /// tolerate quantization noise).
-    pub pinned_f32: usize,
-    /// Quantized-lane representatives whose routing score landed inside
-    /// the trust margin (or hit the `route.quant_trust` failpoint) and
-    /// were transparently re-inferred at f32.
-    pub f32_fallbacks: usize,
-    /// Dispatch-selected f32 kernel name (e.g. `"avx2fma"`).
-    pub kernel_f32: &'static str,
-    /// Dispatch-selected kernel name for the active precision (e.g.
-    /// `"avx512-q8"`; equals `kernel_f32` when `precision` is `F32`).
-    pub kernel_quant: &'static str,
-    /// Inference batches the bucketed planner emitted across both lanes.
+    /// Inference batches the bucketed planner emitted.
     pub batches_planned: usize,
     /// Estimated transient backbone scratch (bytes) of the single-union
     /// batch the planner replaced.
@@ -364,13 +330,6 @@ pub struct AdaptiveFramework {
     pub ec_threshold: f32,
     /// Whether ColorGNN is enabled ("Ours w. GNN" vs plain "Ours").
     pub use_colorgnn: bool,
-    /// Numeric precision of the batched routing forwards (selector +
-    /// redundancy heads). `F16`/`Int8` run the quantized weight planes
-    /// with a trust ladder: library-eligible units stay pinned at f32,
-    /// and any quantized score inside its trust margin is transparently
-    /// re-inferred at f32, so routing *decisions* match the f32 run.
-    /// ColorGNN always runs f32.
-    pub precision: Precision,
 }
 
 impl AdaptiveFramework {
@@ -644,42 +603,12 @@ impl AdaptiveFramework {
         };
         let shared_hits = cached.iter().filter(|c| c.is_some()).count();
 
-        // Trust ladder, lane split. Quantized precisions route most
-        // representatives through the reduced-precision planes; the ones
-        // the library could structurally match stay pinned at f32 (its
-        // cosine prefilter slack, 1e-4, is comparable to quantization
-        // noise, so a quantized embedding could change a lookup). For the
-        // unpinned rest, quantized embeddings are harmless: without a
-        // size-compatible entry, `lookup_with_embeddings` returns `None`
-        // no matter what embeddings it is given.
-        let quantized = self.precision != Precision::F32;
-        let margin = match self.precision {
-            Precision::F32 => 0.0,
-            Precision::F16 => F16_TRUST_MARGIN,
-            Precision::Int8 => INT8_TRUST_MARGIN,
-        };
-        let pinned: Vec<bool> = if quantized {
-            reps.iter()
-                .map(|g| self.library.has_size_compatible(g))
-                .collect()
-        } else {
-            vec![false; nr]
-        };
-        // Memo-served representatives skip the inference lanes entirely.
-        let f32_items: Vec<usize> = (0..nr)
-            .filter(|&s| cached[s].is_none() && (!quantized || pinned[s]))
-            .collect();
-        let quant_items: Vec<usize> = if quantized {
-            (0..nr)
-                .filter(|&s| cached[s].is_none() && !pinned[s])
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Memo-served representatives skip inference entirely.
+        let items: Vec<usize> = (0..nr).filter(|&s| cached[s].is_none()).collect();
 
-        // Bucketed batch plans per lane: similarly-sized graphs share a
-        // batch, several tightly-packed batches replace the old single
-        // union batch, and the peak transient scratch drops accordingly.
+        // Bucketed batch plan: similarly-sized graphs share a batch,
+        // several tightly-packed batches replace the old single union
+        // batch, and the peak transient scratch drops accordingly.
         let sizes: Vec<(usize, usize)> = reps
             .iter()
             .map(|g| {
@@ -689,8 +618,7 @@ impl AdaptiveFramework {
                 )
             })
             .collect();
-        let f32_plan = BatchPlan::new(&f32_items, &sizes, DEFAULT_MAX_BATCH_NODES);
-        let quant_plan = BatchPlan::new(&quant_items, &sizes, DEFAULT_MAX_BATCH_NODES);
+        let plan = BatchPlan::new(&items, &sizes, DEFAULT_MAX_BATCH_NODES);
 
         // Per-representative outputs, scattered batch by batch. One
         // selector pass yields probabilities plus the graph and node
@@ -703,67 +631,31 @@ impl AdaptiveFramework {
             .collect();
         timing.selection += t.elapsed();
 
-        let infer_lane = |items: &[usize],
-                          precision: Precision,
-                          timing: &mut TimingBreakdown,
-                          out: &mut [RoutingEntry]| {
-            let batch: Vec<&LayoutGraph> = items.iter().map(|&s| reps[s]).collect();
-            let enc = InferBatch::new(&batch);
+        for batch in &plan.batches {
+            let gs: Vec<&LayoutGraph> = batch.iter().map(|&s| reps[s]).collect();
+            let enc = InferBatch::new(&gs);
             let t = Instant::now();
-            let mut sel = frozen_sel.infer_encoded_with(&enc, precision);
-            for (bi, &s) in items.iter().enumerate() {
+            let mut sel = frozen_sel.infer_encoded(&enc);
+            for (bi, &s) in batch.iter().enumerate() {
                 out[s].sel_probs = std::mem::take(&mut sel.probs[bi]);
                 out[s].graph_emb = std::mem::take(&mut sel.graph_embeddings[bi]);
                 out[s].node_emb = std::mem::take(&mut sel.node_embeddings[bi]);
             }
             timing.selection += t.elapsed();
             let t = Instant::now();
-            let mut red = frozen_red.predict_encoded_with(&enc, precision);
-            for (bi, &s) in items.iter().enumerate() {
+            let mut red = frozen_red.predict_encoded(&enc);
+            for (bi, &s) in batch.iter().enumerate() {
                 out[s].red_probs = std::mem::take(&mut red.probs[bi]);
             }
             timing.redundancy += t.elapsed();
-        };
-        for batch in &f32_plan.batches {
-            infer_lane(batch, Precision::F32, &mut timing, &mut out);
-        }
-        for batch in &quant_plan.batches {
-            infer_lane(batch, self.precision, &mut timing, &mut out);
         }
 
-        // Trust gate: a quantized routing score that lands within its
-        // precision's margin of a decision threshold cannot be trusted to
-        // fall on the same side as the f32 score — re-infer those
-        // representatives in one f32 union batch. Far from the
-        // thresholds, quantization drift (bounded well below the margin)
-        // cannot flip a decision, so suite routing stays identical.
-        let mut fallback_items: Vec<usize> = Vec::new();
-        for &s in &quant_items {
-            let near_sel = (out[s].sel_probs[1] - self.ec_threshold).abs() <= margin;
-            let near_red = reps[s].has_stitches()
-                && (out[s].red_probs[0] - self.redundancy_bar).abs() <= margin;
-            #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
-            let mut distrusted = near_sel || near_red;
-            #[cfg(feature = "failpoints")]
-            {
-                distrusted |= mpld_graph::failpoints::fire("route.quant_trust");
-            }
-            if distrusted {
-                fallback_items.push(s);
-            }
-        }
-        if !fallback_items.is_empty() {
-            infer_lane(&fallback_items, Precision::F32, &mut timing, &mut out);
-        }
-
-        // Publish freshly routed representatives for later requests. The
-        // stored entry is the *post-trust-gate* value (an f32 fallback
-        // replaces the distrusted quantized scores first), so a future
-        // hit replays exactly what this request resolved to. Racing
-        // writers are harmless: identical structures produce bitwise
-        // identical entries regardless of which request computed them.
+        // Publish freshly routed representatives for later requests.
+        // Racing writers are harmless: identical structures produce
+        // bitwise identical entries regardless of which request computed
+        // them.
         if let Some(shared) = routing_memo {
-            for s in (0..nr).filter(|&s| cached[s].is_none()) {
+            for &s in &items {
                 shared.insert(reps[s], Arc::new(out[s].clone()));
             }
         }
@@ -772,11 +664,6 @@ impl AdaptiveFramework {
         // with batched nodes times the embedding width (input, aggregate
         // and output rows live concurrently).
         let per_node_bytes = 3 * 4 * frozen_sel.embedding_dim().max(1);
-        let fallback_nodes: usize = fallback_items.iter().map(|&s| sizes[s].0).sum();
-        let peak_after = f32_plan
-            .peak_nodes_after
-            .max(quant_plan.peak_nodes_after)
-            .max(fallback_nodes);
         let inference = InferenceStats {
             memo_hits: memo.hits(),
             shared_memo_hits: shared_hits,
@@ -784,20 +671,9 @@ impl AdaptiveFramework {
             scratch_high_water_bytes: frozen_sel
                 .scratch_high_water_bytes()
                 .max(frozen_red.scratch_high_water_bytes()),
-            precision: self.precision,
-            quantized_units: quant_items.len() - fallback_items.len(),
-            pinned_f32: if quantized {
-                pinned.iter().filter(|&&p| p).count()
-            } else {
-                0
-            },
-            f32_fallbacks: fallback_items.len(),
-            kernel_f32: quant::kernel_name_for(Precision::F32),
-            kernel_quant: quant::kernel_name_for(self.precision),
-            batches_planned: f32_plan.batches.len() + quant_plan.batches.len(),
-            padding_waste_before_bytes: (f32_plan.peak_nodes_before + quant_plan.peak_nodes_before)
-                * per_node_bytes,
-            padding_waste_after_bytes: peak_after * per_node_bytes,
+            batches_planned: plan.batches.len(),
+            padding_waste_before_bytes: plan.peak_nodes_before * per_node_bytes,
+            padding_waste_after_bytes: plan.peak_nodes_after * per_node_bytes,
         };
 
         let mut usage = UsageBreakdown::default();

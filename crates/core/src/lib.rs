@@ -69,7 +69,6 @@ pub use framework::{
 pub use memo::{BatchPlan, EmbeddingMemo, DEFAULT_MAX_BATCH_NODES};
 pub use metrics::ConfusionMatrix;
 pub use mpld_matching::{ShardedGraphMap, ShardedMapStats};
-pub use mpld_tensor::Precision;
 pub use parallel::default_threads;
 pub use pipeline::{
     prepare, run_pipeline, run_pipeline_budgeted, run_pipeline_parallel, PipelineResult,

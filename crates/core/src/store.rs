@@ -79,7 +79,7 @@ pub fn engine_with_store(
 }
 
 /// [`engine_with_store`] with a framework hook: `configure` runs on the
-/// loaded framework (e.g. to set `precision` or `use_colorgnn`) before
+/// loaded framework (e.g. to set `use_colorgnn`) before
 /// it is frozen into the engine. Runtime knobs do not enter the store
 /// key — only the serialized weights and layout params do.
 #[allow(clippy::too_many_arguments)] // plumbing variant of engine_with_store

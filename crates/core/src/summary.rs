@@ -10,7 +10,6 @@
 
 use crate::checkpoint::{field, json_string};
 use crate::framework::AdaptiveResult;
-use mpld_tensor::Precision;
 
 /// Flattened, serializable summary of one adaptive decomposition run
 /// (routing usage, budget outcomes, inference statistics, audit/fault
@@ -49,8 +48,6 @@ pub struct RunSummary {
     /// Tail units answered without a solve: solution-cache hits plus
     /// isomorphism-memo transfers ([`AdaptiveResult::memo_hits`]).
     pub memo_hits: usize,
-    /// Routing-inference precision.
-    pub precision: Precision,
     /// In-request embedding-memo dedup hits.
     pub dedup_hits: usize,
     /// Representatives served from the engine's cross-request routing
@@ -58,12 +55,6 @@ pub struct RunSummary {
     pub routing_memo_hits: usize,
     /// Representatives that ran a fresh routing forward pass.
     pub units_inferred: usize,
-    /// Representatives whose routing ran on the quantized planes.
-    pub quantized_units: usize,
-    /// Library-eligible representatives pinned to the f32 lane.
-    pub pinned_f32: usize,
-    /// Quantized scores re-inferred at f32 by the trust gate.
-    pub f32_fallbacks: usize,
     /// Units with an optimality certificate.
     pub certified: usize,
     /// Units resolved heuristically.
@@ -119,13 +110,9 @@ impl RunSummary {
             ilp: r.usage.ilp,
             colorgnn_fallbacks: r.usage.colorgnn_fallbacks,
             memo_hits: r.memo_hits,
-            precision: r.inference.precision,
             dedup_hits: r.inference.memo_hits,
             routing_memo_hits: r.inference.shared_memo_hits,
             units_inferred: r.inference.units_inferred,
-            quantized_units: r.inference.quantized_units,
-            pinned_f32: r.inference.pinned_f32,
-            f32_fallbacks: r.inference.f32_fallbacks,
             certified: r.budget.certified,
             heuristic: r.budget.heuristic,
             budget_exhausted: r.budget.budget_exhausted,
@@ -157,9 +144,8 @@ impl RunSummary {
                 "\"decompose_ms\":{},",
                 "\"usage\":{{\"matching\":{},\"colorgnn\":{},\"ec\":{},\"ilp\":{},",
                 "\"colorgnn_fallbacks\":{},\"memo_hits\":{}}},",
-                "\"inference\":{{\"precision\":\"{}\",\"dedup_hits\":{},",
-                "\"routing_memo_hits\":{},\"units_inferred\":{},\"quantized_units\":{},",
-                "\"pinned_f32\":{},\"f32_fallbacks\":{}}},",
+                "\"inference\":{{\"dedup_hits\":{},",
+                "\"routing_memo_hits\":{},\"units_inferred\":{}}},",
                 "\"budget\":{{\"certified\":{},\"heuristic\":{},\"budget_exhausted\":{},",
                 "\"budget_fallbacks\":{},\"quarantined\":{},\"audit_rejections\":{}}},",
                 "\"resumed_units\":{}{}}}"
@@ -178,13 +164,9 @@ impl RunSummary {
             self.ilp,
             self.colorgnn_fallbacks,
             self.memo_hits,
-            self.precision,
             self.dedup_hits,
             self.routing_memo_hits,
             self.units_inferred,
-            self.quantized_units,
-            self.pinned_f32,
-            self.f32_fallbacks,
             self.certified,
             self.heuristic,
             self.budget_exhausted,
@@ -219,13 +201,9 @@ impl RunSummary {
             ilp: num(line, "ilp")?,
             colorgnn_fallbacks: num(line, "colorgnn_fallbacks")?,
             memo_hits: num(line, "memo_hits")?,
-            precision: Precision::parse(field(line, "precision")?)?,
             dedup_hits: num(line, "dedup_hits")?,
             routing_memo_hits: num(line, "routing_memo_hits")?,
             units_inferred: num(line, "units_inferred")?,
-            quantized_units: num(line, "quantized_units")?,
-            pinned_f32: num(line, "pinned_f32")?,
-            f32_fallbacks: num(line, "f32_fallbacks")?,
             certified: num(line, "certified")?,
             heuristic: num(line, "heuristic")?,
             budget_exhausted: num(line, "budget_exhausted")?,
@@ -274,13 +252,9 @@ mod tests {
             ilp: 5,
             colorgnn_fallbacks: 1,
             memo_hits: 2,
-            precision: Precision::F32,
             dedup_hits: 11,
             routing_memo_hits: 0,
             units_inferred: 33,
-            quantized_units: 0,
-            pinned_f32: 0,
-            f32_fallbacks: 0,
             certified: 40,
             heuristic: 4,
             budget_exhausted: 0,

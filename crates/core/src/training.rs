@@ -16,7 +16,6 @@ use mpld_gnn::{ColorGnn, ColorGnnTrainConfig, RgcnClassifier, TrainConfig};
 use mpld_graph::{CostBreakdown, DecomposeParams, Decomposer, LayoutGraph};
 use mpld_ilp::IlpDecomposer;
 use mpld_matching::{graph_fingerprint, graphs_identical, GraphLibrary, LibraryConfig};
-use mpld_tensor::Precision;
 use std::collections::HashMap;
 
 /// Labeled training data extracted from prepared layouts.
@@ -297,7 +296,6 @@ pub fn train_framework_with_report(
         redundancy_bar: cfg.redundancy_bar,
         ec_threshold: cfg.ec_threshold,
         use_colorgnn: true,
-        precision: Precision::F32,
     };
     (framework, report)
 }
@@ -400,10 +398,9 @@ impl AdaptiveFramework {
             params: *params,
             redundancy_bar,
             ec_threshold,
-            use_colorgnn: true,
             // Runtime-selectable; the CLI overrides it from
-            // `--precision` / `MPLD_PRECISION` after loading.
-            precision: Precision::F32,
+            // `--colorgnn` after loading.
+            use_colorgnn: true,
         })
     }
 }

@@ -34,8 +34,7 @@ use mpld_tensor::infer::{
     segment_max_into, segment_sum_into, softmax_rows_in_place, spmm_into, Csr, Scratch,
     ScratchPool,
 };
-use mpld_tensor::quant::{f16_from_f32_slice, spmm_f16_into, spmm_f32_wide, QuantGemm};
-use mpld_tensor::{F16Matrix, Matrix, Precision, QuantMatrix};
+use mpld_tensor::{Matrix, Precision};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -63,60 +62,14 @@ pub struct FrozenOutputs {
     pub node_embeddings: Vec<Matrix>,
 }
 
-/// One quantized RGCN layer: the folded per-edge-type and self weights
-/// stored in a reduced-precision plane `W` ([`F16Matrix`] or
-/// [`QuantMatrix`]).
-#[derive(Debug, Clone)]
-struct QuantLayer<W> {
-    w_edge: [W; 2],
-    w_self: W,
-}
-
-/// A full reduced-precision twin of the frozen model: backbone layers
-/// plus the MLP head weights (biases stay f32 — they are added once per
-/// row, so shrinking them buys nothing and costs accuracy).
-#[derive(Debug, Clone)]
-struct QuantPlanes<W> {
-    layers: Vec<QuantLayer<W>>,
-    head: Vec<(W, Matrix)>,
-}
-
-impl<W: QuantGemm> QuantPlanes<W> {
-    fn compile(
-        layers: &[FrozenLayer],
-        head: &[(Matrix, Matrix)],
-        quant: impl Fn(&Matrix) -> W,
-    ) -> Self {
-        QuantPlanes {
-            layers: layers
-                .iter()
-                .map(|l| QuantLayer {
-                    w_edge: [quant(&l.w_edge[0]), quant(&l.w_edge[1])],
-                    w_self: quant(&l.w_self),
-                })
-                .collect(),
-            head: head.iter().map(|(w, b)| (quant(w), b.clone())).collect(),
-        }
-    }
-}
-
 /// A tape-free RGCN classifier compiled by
 /// [`RgcnClassifier::freeze`](crate::RgcnClassifier::freeze).
-///
-/// Besides the bit-exact f32 plane, freezing also compiles an f16 and a
-/// per-row int8 plane of every weight (see [`mpld_tensor::quant`]), so
-/// callers can trade the last bits of the forward pass for throughput
-/// via [`FrozenRgcn::infer_encoded_with`]. The quantized planes promise
-/// tolerance, not identity — routing callers gate their decisions and
-/// fall back to f32 (the trust ladder in `mpld-core`).
 #[derive(Debug)]
 pub struct FrozenRgcn {
     layers: Vec<FrozenLayer>,
     /// MLP head (weight, bias) pairs.
     head: Vec<(Matrix, Matrix)>,
     readout: Readout,
-    f16: QuantPlanes<F16Matrix>,
-    q8: QuantPlanes<QuantMatrix>,
     pool: ScratchPool,
 }
 
@@ -128,14 +81,10 @@ impl FrozenRgcn {
     ) -> Self {
         assert!(!layers.is_empty(), "frozen model needs at least one layer");
         assert!(!head.is_empty(), "frozen model needs a head");
-        let f16 = QuantPlanes::compile(&layers, &head, F16Matrix::from_matrix);
-        let q8 = QuantPlanes::compile(&layers, &head, QuantMatrix::from_matrix);
         FrozenRgcn {
             layers,
             head,
             readout,
-            f16,
-            q8,
             pool: ScratchPool::new(),
         }
     }
@@ -182,116 +131,6 @@ impl FrozenRgcn {
         }
         #[allow(clippy::expect_used)] // at least one layer, checked at construction
         owned.expect("at least one layer")
-    }
-
-    /// The quantized backbone: weights come from the plane `W`;
-    /// activations stay f32 end to end. (An earlier revision converted
-    /// the activations to f16 per layer to halve SpMM bandwidth, but at
-    /// routing shapes — hidden dims ≤ 64, L1-resident — the forward is
-    /// compute-bound and the conversion was pure overhead.) Accumulation
-    /// stays f32 throughout, so the output differs from
-    /// [`Self::backbone_into`] only by weight-quantization noise, not by
-    /// algorithm.
-    fn backbone_quant_into<W: QuantGemm>(
-        layers: &[QuantLayer<W>],
-        enc: &InferBatch,
-        s: &mut Scratch,
-    ) -> Vec<f32> {
-        let n = enc.num_nodes();
-        let mut owned: Option<Vec<f32>> = None;
-        for layer in layers {
-            let (din, dout) = (layer.w_self.rows(), layer.w_self.cols());
-            let h: &[f32] = owned.as_deref().unwrap_or(&enc.features);
-            let mut agg = s.take_dirty(n * din);
-            let mut sum = s.take_dirty(n * dout);
-            // Same accumulation order as the f32 backbone:
-            // (msg_conflict + msg_stitch) + own, then ReLU. The SpMMs
-            // are bit-identical to `spmm_into`, just on a wider unit,
-            // and each fused accumulate adds a finished dot product onto
-            // `sum` — per element exactly product-then-add.
-            spmm_f32_wide(&enc.conflict, h, din, &mut agg);
-            layer.w_edge[0].gemm_nn_into(n, &agg, &mut sum);
-            spmm_f32_wide(&enc.stitch, h, din, &mut agg);
-            layer.w_edge[1].gemm_nn_acc_into(n, &agg, &mut sum);
-            layer.w_self.gemm_nn_acc_into(n, h, &mut sum);
-            relu_in_place(&mut sum);
-            s.put(agg);
-            if let Some(prev) = owned.take() {
-                s.put(prev);
-            }
-            owned = Some(sum);
-        }
-        #[allow(clippy::expect_used)] // at least one layer, checked at construction
-        owned.expect("at least one layer")
-    }
-
-    /// The reduced-precision twin of [`Self::run`]: identical readout,
-    /// head and softmax structure, with every GEMM drawn from the plane.
-    fn run_quant<W: QuantGemm>(
-        &self,
-        planes: &QuantPlanes<W>,
-        enc: &InferBatch,
-        want_nodes: bool,
-    ) -> FrozenOutputs {
-        let k = enc.num_graphs();
-        if k == 0 {
-            return FrozenOutputs::default();
-        }
-        let d = self.embedding_dim();
-        self.pool.with(|s| {
-            let nodes = Self::backbone_quant_into(&planes.layers, enc, s);
-            let mut pooled = s.take_dirty(k * d);
-            match self.readout {
-                Readout::Sum => segment_sum_into(&nodes, d, &enc.segment, k, &mut pooled),
-                Readout::Max => segment_max_into(&nodes, d, &enc.segment, k, &mut pooled),
-            }
-            let graph_embeddings: Vec<Vec<f32>> =
-                pooled.chunks_exact(d).map(<[f32]>::to_vec).collect();
-            let node_embeddings = if want_nodes {
-                (0..k)
-                    .map(|i| {
-                        let (lo, hi) = (enc.offsets[i], enc.offsets[i + 1]);
-                        Matrix::from_vec(hi - lo, d, nodes[lo * d..hi * d].to_vec())
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            s.put(nodes);
-
-            let mut x = pooled;
-            let mut cols = d;
-            let n_layers = planes.head.len();
-            for (i, (w, b)) in planes.head.iter().enumerate() {
-                let (din, dout) = (w.rows(), w.cols());
-                debug_assert_eq!(din, cols, "head dims chain");
-                let mut y = s.take_dirty(k * dout);
-                w.gemm_nn_into(k, &x, &mut y);
-                add_row_in_place(&mut y, dout, b.as_slice());
-                if i + 1 < n_layers {
-                    relu_in_place(&mut y);
-                }
-                s.put(x);
-                x = y;
-                cols = dout;
-            }
-            softmax_rows_in_place(&mut x, cols);
-            let probs: Vec<Vec<f32>> = x.chunks_exact(cols).map(<[f32]>::to_vec).collect();
-            s.put(x);
-            FrozenOutputs {
-                probs,
-                graph_embeddings,
-                node_embeddings,
-            }
-        })
-    }
-
-    fn run_with(&self, enc: &InferBatch, want_nodes: bool, precision: Precision) -> FrozenOutputs {
-        match precision {
-            Precision::F32 => self.run(enc, want_nodes),
-            Precision::F16 => self.run_quant(&self.f16, enc, want_nodes),
-            Precision::Int8 => self.run_quant(&self.q8, enc, want_nodes),
-        }
     }
 
     fn run(&self, enc: &InferBatch, want_nodes: bool) -> FrozenOutputs {
@@ -361,18 +200,17 @@ impl FrozenRgcn {
         self.run(enc, false)
     }
 
-    /// [`Self::infer_encoded`] at a chosen arithmetic precision.
-    /// `F32` is bit-identical to the tape; `F16` / `Int8` run the
-    /// quantized planes and promise closeness, not identity — callers
-    /// making threshold decisions must margin-gate them (see the
-    /// trust-ladder fallback in `mpld-core`).
-    pub fn infer_encoded_with(&self, enc: &InferBatch, precision: Precision) -> FrozenOutputs {
-        self.run_with(enc, true, precision)
+    /// [`Self::infer_encoded`]. [`Precision`] has the one value `F32`;
+    /// this entry point stays because `perfbench`'s harness replays
+    /// routing through it.
+    pub fn infer_encoded_with(&self, enc: &InferBatch, _precision: Precision) -> FrozenOutputs {
+        self.infer_encoded(enc)
     }
 
-    /// [`Self::predict_encoded`] at a chosen arithmetic precision.
-    pub fn predict_encoded_with(&self, enc: &InferBatch, precision: Precision) -> FrozenOutputs {
-        self.run_with(enc, false, precision)
+    /// [`Self::predict_encoded`]; kept for the same reason as
+    /// [`Self::infer_encoded_with`].
+    pub fn predict_encoded_with(&self, enc: &InferBatch, _precision: Precision) -> FrozenOutputs {
+        self.predict_encoded(enc)
     }
 
     /// Class probabilities for a batch of graphs — the tape-free twin of
@@ -423,7 +261,8 @@ impl FrozenRgcn {
 /// [`ColorGnn::freeze`](crate::ColorGnn::freeze): the per-layer
 /// `(lambda_C, lambda_A)` scalars read out of the parameter set once.
 ///
-/// All methods take the RNG explicitly so the owning [`ColorGnn`] keeps
+/// All methods take the RNG explicitly so the owning
+/// [`ColorGnn`](crate::ColorGnn) keeps
 /// its documented reseed semantics: the frozen engine draws from the
 /// stream in exactly the same order as the tape path (beliefs first,
 /// then per-layer neighbor sampling), so `reseed(s)` + frozen run
@@ -501,14 +340,6 @@ impl FrozenColorGnn {
 
     /// One full forward from a fresh random initialization; returns the
     /// checked-out `n x k` belief buffer (caller must `put` it back).
-    ///
-    /// With `quant`, the per-layer message aggregation reads the belief
-    /// matrix through an f16 plane (`h16` is the conversion scratch):
-    /// ColorGNN has no weight matrices to quantize — its two lambdas are
-    /// scalars — so its quantized tier is the half-bandwidth belief
-    /// SpMM. The RNG draw order is unchanged, so restarts stay aligned
-    /// with the f32 path.
-    #[allow(clippy::too_many_arguments)]
     fn beliefs_into(
         &self,
         graph: &LayoutGraph,
@@ -517,8 +348,6 @@ impl FrozenColorGnn {
         s: &mut Scratch,
         csr: &mut Csr,
         kept: &mut Vec<u32>,
-        quant: bool,
-        h16: &mut Vec<u16>,
     ) -> Vec<f32> {
         let n = graph.num_nodes();
         let mut x = s.take(n * k);
@@ -526,13 +355,7 @@ impl FrozenColorGnn {
         let mut m = s.take(n * k);
         for &(lc, la) in &self.lambdas {
             self.sampled_csr_into(graph, rng, kept, csr);
-            if quant {
-                h16.resize(n * k, 0);
-                f16_from_f32_slice(&x, h16);
-                spmm_f16_into(csr, h16, k, &mut m);
-            } else {
-                spmm_into(csr, &x, k, &mut m);
-            }
+            spmm_into(csr, &x, k, &mut m);
             // Same three roundings as the tape: own = x*lc, msg = m*la,
             // mixed = own + msg.
             for (mv, &xv) in m.iter_mut().zip(x.iter()) {
@@ -569,28 +392,6 @@ impl FrozenColorGnn {
         budget: &Budget,
         rng: &mut SmallRng,
     ) -> Vec<Decomposition> {
-        self.decompose_batch_with_rng_prec(graphs, params, budget, rng, Precision::F32)
-    }
-
-    /// [`Self::decompose_batch_with_rng`] at a chosen precision: `F16`
-    /// and `Int8` both select the f16 belief plane (ColorGNN has no
-    /// weights to store at int8). Colorings are discrete outputs of an
-    /// iterative process, so quantized runs may legitimately pick
-    /// different restart winners — the adaptive framework keeps its
-    /// ColorGNN stage at f32 for digest stability and exposes this
-    /// entry point for benches and offline use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any graph contains stitch edges.
-    pub fn decompose_batch_with_rng_prec(
-        &self,
-        graphs: &[&LayoutGraph],
-        params: &DecomposeParams,
-        budget: &Budget,
-        rng: &mut SmallRng,
-        precision: Precision,
-    ) -> Vec<Decomposition> {
         assert!(
             graphs.iter().all(|g| !g.has_stitches()),
             "ColorGNN handles non-stitch graphs only"
@@ -598,8 +399,6 @@ impl FrozenColorGnn {
         if graphs.is_empty() {
             return Vec::new();
         }
-        let quant = precision != Precision::F32;
-        let mut h16: Vec<u16> = Vec::new();
         let mut best: Vec<Option<Decomposition>> = vec![None; graphs.len()];
         let mut cut = false;
         let mut active: Vec<usize> = (0..graphs.len()).collect();
@@ -643,7 +442,7 @@ impl FrozenColorGnn {
             let kc = params.k as usize;
             let colorings: Vec<Vec<u8>> = {
                 let s = &mut *arena;
-                let b = self.beliefs_into(&union, kc, rng, s, &mut csr, &mut kept, quant, &mut h16);
+                let b = self.beliefs_into(&union, kc, rng, s, &mut csr, &mut kept);
                 let out = (0..active.len())
                     .map(|ai| {
                         let (lo, hi) = (offsets[ai], offsets[ai + 1]);
@@ -714,11 +513,10 @@ impl FrozenColorGnn {
         }
         let mut cut = false;
         let mut best: Option<Decomposition> = None;
-        // One arena for the whole call (see `decompose_batch_with_rng_prec`).
+        // One arena for the whole call (see `decompose_batch_with_rng`).
         let mut arena = self.pool.lease();
         let mut csr = Csr::default();
         let mut kept: Vec<u32> = Vec::new();
-        let mut h16: Vec<u16> = Vec::new();
         let kc = params.k as usize;
         for round in 0..self.restarts {
             if round > 0 && budget.exhausted() {
@@ -729,7 +527,7 @@ impl FrozenColorGnn {
             mpld_graph::failpoints::tick("colorgnn.restart");
             let coloring = {
                 let s = &mut *arena;
-                let b = self.beliefs_into(graph, kc, rng, s, &mut csr, &mut kept, false, &mut h16);
+                let b = self.beliefs_into(graph, kc, rng, s, &mut csr, &mut kept);
                 let coloring: Vec<u8> = (0..n)
                     .map(|r| Self::argmax_row(&b[r * kc..(r + 1) * kc]))
                     .collect();

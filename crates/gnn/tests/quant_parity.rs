@@ -1,14 +1,12 @@
-//! Property tests for the quantized frozen planes: `F32` precision is
-//! bit-identical to the default path, and the `F16` / `Int8` planes stay
-//! within their analytic tolerance of it — close enough for routing
-//! scores, while the trust ladder in `mpld-core` guards the decisions.
+//! Parity of the precision-taking frozen entry points: `Precision` has
+//! the single value `F32`, and `infer_encoded_with` /
+//! `predict_encoded_with` under it are bit-identical to the default
+//! `infer_encoded` / `predict_encoded` path.
 
-use mpld_gnn::{ColorGnn, InferBatch, RgcnClassifier};
-use mpld_graph::{Budget, DecomposeParams, LayoutGraph};
+use mpld_gnn::{InferBatch, RgcnClassifier};
+use mpld_graph::LayoutGraph;
 use mpld_tensor::Precision;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Random heterogeneous layout graph on 1..=10 nodes (same shape as the
 /// frozen-equivalence generator).
@@ -40,38 +38,16 @@ fn arb_layout() -> impl Strategy<Value = LayoutGraph> {
     })
 }
 
-/// Random homogeneous (no-stitch) graph for ColorGNN.
-fn arb_homogeneous() -> impl Strategy<Value = LayoutGraph> {
-    (1usize..=9).prop_flat_map(|n| {
-        let pairs: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|u| ((u + 1)..n as u32).map(move |v| (u, v)))
-            .collect();
-        prop::collection::vec(proptest::prelude::prop::bool::ANY, pairs.len().max(1)).prop_map(
-            move |mask| {
-                let edges = pairs
-                    .iter()
-                    .zip(&mask)
-                    .filter(|(_, &m)| m)
-                    .map(|(&e, _)| e)
-                    .collect();
-                LayoutGraph::homogeneous(n, edges).expect("valid random graph")
-            },
-        )
-    })
-}
-
-fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `Precision::F32` through the precision-selecting entry points is
-    /// the same code path as the default ones — bitwise equal.
+    /// `Precision::F32` through the precision-taking entry points is the
+    /// same code path as the default ones — bitwise equal probabilities,
+    /// graph embeddings and node embeddings.
     #[test]
     fn f32_precision_is_bit_identical(
         gs in prop::collection::vec(arb_layout(), 1..5),
@@ -83,102 +59,25 @@ proptest! {
             let enc = InferBatch::new(&refs);
             let base = frozen.infer_encoded(&enc);
             let via = frozen.infer_encoded_with(&enc, Precision::F32);
-            for (a, b) in base.probs.iter().zip(&via.probs) {
+            let predicted = frozen.predict_encoded_with(&enc, Precision::F32);
+            prop_assert_eq!(via.probs.len(), base.probs.len());
+            prop_assert_eq!(predicted.probs.len(), base.probs.len());
+            for (i, b) in base.probs.iter().enumerate() {
+                prop_assert_eq!(bits(&via.probs[i]), bits(b));
+                prop_assert_eq!(bits(&predicted.probs[i]), bits(b));
                 prop_assert_eq!(
-                    a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                    bits(&via.graph_embeddings[i]),
+                    bits(&base.graph_embeddings[i])
+                );
+                prop_assert_eq!(
+                    bits(&predicted.graph_embeddings[i]),
+                    bits(&base.graph_embeddings[i])
+                );
+                prop_assert_eq!(
+                    bits(via.node_embeddings[i].as_slice()),
+                    bits(base.node_embeddings[i].as_slice())
                 );
             }
-            for (a, b) in base.graph_embeddings.iter().zip(&via.graph_embeddings) {
-                prop_assert_eq!(
-                    a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                );
-            }
-        }
-    }
-
-    /// The quantized planes track the f32 forward within tolerance:
-    /// binary16 rounding for `F16`, per-row scale/2 dequantization error
-    /// for `Int8` — compounded over two GCN layers plus the head, hence
-    /// the looser bounds.
-    #[test]
-    fn quant_planes_track_f32_within_tolerance(
-        gs in prop::collection::vec(arb_layout(), 1..5),
-        seed in 0u64..500,
-    ) {
-        let refs: Vec<&LayoutGraph> = gs.iter().collect();
-        for model in [RgcnClassifier::selector(seed), RgcnClassifier::redundancy(seed)] {
-            let frozen = model.freeze();
-            let enc = InferBatch::new(&refs);
-            let f32_out = frozen.infer_encoded(&enc);
-            for (precision, prob_tol, emb_tol) in [
-                (Precision::F16, 2e-2f32, 2e-2f32),
-                (Precision::Int8, 1e-1, 1e-1),
-            ] {
-                let q = frozen.infer_encoded_with(&enc, precision);
-                prop_assert_eq!(q.probs.len(), f32_out.probs.len());
-                for (a, b) in q.probs.iter().zip(&f32_out.probs) {
-                    let d = max_abs_diff(a, b);
-                    prop_assert!(
-                        d <= prob_tol,
-                        "{} probs drift {} beyond {}", precision, d, prob_tol
-                    );
-                }
-                for (a, b) in q.graph_embeddings.iter().zip(&f32_out.graph_embeddings) {
-                    let scale = 1.0 + b.iter().fold(0.0f32, |m, x| m.max(x.abs()));
-                    let d = max_abs_diff(a, b);
-                    prop_assert!(
-                        d <= emb_tol * scale,
-                        "{} embedding drift {} beyond {}", precision, d, emb_tol * scale
-                    );
-                }
-                for (a, b) in q.node_embeddings.iter().zip(&f32_out.node_embeddings) {
-                    prop_assert_eq!(a.rows(), b.rows());
-                    let scale =
-                        1.0 + b.as_slice().iter().fold(0.0f32, |m, x| m.max(x.abs()));
-                    let d = max_abs_diff(a.as_slice(), b.as_slice());
-                    prop_assert!(
-                        d <= emb_tol * scale,
-                        "{} node drift {} beyond {}", precision, d, emb_tol * scale
-                    );
-                }
-            }
-        }
-    }
-
-    /// ColorGNN's f16 belief plane: same RNG schedule, structurally
-    /// valid colorings, and (since the graphs here are tiny and the
-    /// restart schedule identical) costs no worse than 1 conflict off
-    /// the f32 run. The F32 precision path is exactly the default one.
-    #[test]
-    fn colorgnn_f16_beliefs_stay_valid(
-        gs in prop::collection::vec(arb_homogeneous(), 1..4),
-        seed in 0u64..500,
-    ) {
-        let refs: Vec<&LayoutGraph> = gs.iter().collect();
-        let gnn = ColorGnn::new(seed);
-        let frozen = gnn.freeze();
-        let params = DecomposeParams::tpl();
-        let budget = Budget::unlimited();
-
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x51);
-        let f32_out = frozen.decompose_batch_with_rng(&refs, &params, &budget, &mut rng);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x51);
-        let f32_via =
-            frozen.decompose_batch_with_rng_prec(&refs, &params, &budget, &mut rng, Precision::F32);
-        for (a, b) in f32_out.iter().zip(&f32_via) {
-            prop_assert_eq!(&a.coloring, &b.coloring);
-            prop_assert_eq!(a.cost, b.cost);
-        }
-
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x51);
-        let f16_out =
-            frozen.decompose_batch_with_rng_prec(&refs, &params, &budget, &mut rng, Precision::F16);
-        prop_assert_eq!(f16_out.len(), refs.len());
-        for (d, g) in f16_out.iter().zip(&refs) {
-            prop_assert_eq!(d.coloring.len(), g.num_nodes());
-            prop_assert!(d.coloring.iter().all(|&c| c < params.k));
         }
     }
 }

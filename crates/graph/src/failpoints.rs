@@ -226,10 +226,10 @@ pub fn inject_error(site: &'static str, engine: &'static str) -> Result<(), Mpld
 }
 
 /// Decision-forcing site: returns `true` when the site fires. Callers use
-/// it to force a conservative fallback decision (e.g. distrust a
-/// quantized routing score and re-infer at f32) so the fallback machinery
-/// is exercised deterministically. Never fires when injection is
-/// unconfigured; injects no panic, error, or delay of its own.
+/// it to force a failure path they take on their own (e.g. the server
+/// drops a response stream mid-write) so its recovery is exercised
+/// deterministically. Never fires when injection is unconfigured;
+/// injects no panic, error, or delay of its own.
 pub fn fire(site: &'static str) -> bool {
     decide(site, &[Fault::Error]).is_some()
 }

@@ -16,7 +16,7 @@
 //!   implements;
 //! - [`audit`] — independent re-verification of any decomposition against
 //!   the raw conflict/stitch edges (and, behind the `failpoints` feature,
-//!   [`failpoints`] — deterministic fault injection for chaos tests);
+//!   `failpoints` — deterministic fault injection for chaos tests);
 //! - [`simplify`] — the OpenMPL-style simplification pipeline (independent
 //!   component computation, hide-small-degree, biconnected decomposition)
 //!   together with sound color recovery.

@@ -220,23 +220,6 @@ impl GraphLibrary {
         self.max_nodes
     }
 
-    /// Whether any stored entry has the same node/conflict/stitch counts
-    /// as `graph` — the structural prefilter of
-    /// [`GraphLibrary::lookup_with_embeddings`] without the embedding
-    /// test. A graph with no size-compatible entry can never match no
-    /// matter what its embeddings are, so a routing tier may safely feed
-    /// such graphs reduced-precision embeddings without risking a changed
-    /// lookup outcome.
-    pub fn has_size_compatible(&self, graph: &LayoutGraph) -> bool {
-        graph.num_nodes() > 0
-            && graph.num_nodes() <= self.max_nodes
-            && self.entries.iter().any(|e| {
-                e.graph.num_nodes() == graph.num_nodes()
-                    && e.graph.conflict_edges().len() == graph.conflict_edges().len()
-                    && e.graph.stitch_edges().len() == graph.stitch_edges().len()
-            })
-    }
-
     /// Attempts to decompose `graph` by matching it against the library.
     ///
     /// Returns the transferred optimal decomposition, or `None` when the

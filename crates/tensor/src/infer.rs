@@ -9,9 +9,10 @@
 //! allocation after warmup.
 //!
 //! Bit-identity contract: each primitive documents the tape op it
-//! mirrors and reproduces its accumulation order exactly (same
-//! microkernel for GEMM via [`crate::matrix::gemm_nn`], same neighbor
-//! iteration order for SpMM, same fold/scan orders for the readouts).
+//! mirrors and reproduces its accumulation order exactly (the GEMM
+//! microkernel of [`Matrix::matmul`](crate::Matrix::matmul), same
+//! neighbor iteration order for SpMM, same fold/scan orders for the
+//! readouts).
 //! The frozen GNN engines built on top therefore produce outputs that
 //! match the tape to the last ulp, which is property-tested in
 //! `mpld-gnn`.
@@ -20,6 +21,15 @@ use crate::graph::Adjacency;
 use std::sync::Mutex;
 
 pub use crate::matrix::kernel_name;
+
+/// Arithmetic precision of a frozen routing forward. F32 is the only
+/// one: its outputs are bit-identical to the autodiff tape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Precision {
+    /// Full f32, bit-identical to the tape.
+    #[default]
+    F32,
+}
 
 /// Compressed-sparse-row adjacency: row `i`'s neighbor column indices are
 /// `cols[row_ptr[i]..row_ptr[i + 1]]`, in the same order as the
@@ -163,8 +173,9 @@ pub fn spmm_into(csr: &Csr, x: &[f32], cols: usize, out: &mut [f32]) {
 }
 
 /// Dense product `out = A * B` (`m x k` times `k x n`, all row-major),
-/// dispatching to the same microkernel as [`Matrix::matmul`]
-/// (`crate::matrix::gemm_nn`) so results are bit-identical to the tape.
+/// dispatching to the same microkernel as
+/// [`Matrix::matmul`](crate::Matrix::matmul) so results are
+/// bit-identical to the tape.
 ///
 /// # Panics
 ///
@@ -177,7 +188,8 @@ pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 }
 
 /// Dense product `out = Aᵀ * B` (A stored `k x m`, B `k x n`, all
-/// row-major), dispatching to the same kernel as [`Matrix::matmul_tn`] so
+/// row-major), dispatching to the same kernel as
+/// [`Matrix::matmul_tn`](crate::Matrix::matmul_tn) so
 /// results are bit-identical to the tape's MatMul backward.
 ///
 /// # Panics
@@ -191,7 +203,8 @@ pub fn gemm_tn_into(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mu
 }
 
 /// Dense product `out = A * Bᵀ` (A stored `m x k`, B `n x k`, all
-/// row-major), dispatching to the same kernel as [`Matrix::matmul_nt`] so
+/// row-major), dispatching to the same kernel as
+/// [`Matrix::matmul_nt`](crate::Matrix::matmul_nt) so
 /// results are bit-identical to the tape's MatMul backward.
 ///
 /// # Panics
@@ -204,7 +217,8 @@ pub fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
     crate::matrix::gemm_nt(m, k, n, a, b, out);
 }
 
-/// Element-wise `out += x` (mirrors [`Matrix::add_assign`]).
+/// Element-wise `out += x` (mirrors
+/// [`Matrix::add_assign`](crate::Matrix::add_assign)).
 ///
 /// # Panics
 ///

@@ -35,10 +35,9 @@ pub mod infer;
 mod matrix;
 mod optim;
 mod pca;
-pub mod quant;
 
 pub use graph::{Adjacency, Graph, VarId};
+pub use infer::Precision;
 pub use matrix::Matrix;
 pub use optim::{Optimizer, ParamId, ParamSet};
 pub use pca::pca2;
-pub use quant::{F16Matrix, Precision, QuantMatrix};

@@ -6,71 +6,20 @@ Usage: check_perf_digest.py <fresh.json> <committed.json>
 Fails (exit 1) if any circuit's routing decisions (per-engine unit
 counts) or final costs (conflicts/stitches) differ from the committed
 BENCH_pipeline.json, or if the training digest (final per-head losses,
-labeled/deduped unit counts) drifts. Timing fields are ignored — they
-vary by host; the digest fields are deterministic given the model seed
-and the GEMM microkernel. When the two runs used different kernels
-(`fp_kernel`), the comparison is skipped: the forward pass's last bits
-differ legitimately, so threshold decisions near the boundary may too.
+labeled/deduped unit counts) drifts. The digest fields are deterministic
+given the model seed and the GEMM microkernel. When the two runs used
+different kernels (`fp_kernel`), the comparison is skipped: the forward
+pass's last bits differ legitimately, so threshold decisions near the
+boundary may too.
+
+perf_baseline records no timings (perfbench measures time). Its
+`budgeted` counts come from a 1 ms wall-clock deadline per unit, so they
+depend on the host and its load: they are informational, not digest
+fields, and are not compared.
 """
 
 import json
 import sys
-
-
-def check_quantized(fresh) -> bool:
-    """Internal consistency of the fresh run's quantized tier.
-
-    The quantized forwards promise closeness, not bit-identity, so the
-    guard is on *decisions*: every f16/int8 suite run must report the
-    same per-circuit routing (unit counts, final conflicts/stitches,
-    per-engine splits) as the f32 adaptive run of the same binary, with
-    the in-binary equality assertion intact, and the batch planner must
-    not have increased padding waste. Throughput numbers are ignored —
-    they vary by host. Returns True when something diverged.
-    """
-    quant = fresh.get("quantized")
-    if quant is None:
-        print("fresh run lacks a quantized section")
-        return True
-    bad = False
-    adaptive_rows = {r["name"]: r for r in fresh["adaptive"]["per_circuit"]}
-    for run in quant.get("precisions", []):
-        label = run.get("label")
-        if not run.get("decisions_equal_f32"):
-            print(f"quantized[{label}]: decisions_equal_f32 is not true")
-            bad = True
-        if not run.get("kernel"):
-            print(f"quantized[{label}]: no kernel label recorded")
-            bad = True
-        before = run.get("padding_waste_before_bytes", 0)
-        after = run.get("padding_waste_after_bytes", 0)
-        if after > before:
-            print(
-                f"quantized[{label}]: planner increased padding waste "
-                f"({before} -> {after} bytes)"
-            )
-            bad = True
-        for row in run.get("per_circuit", []):
-            ref = adaptive_rows.get(row["name"])
-            if ref is None:
-                print(
-                    f"quantized[{label}]: circuit {row['name']} missing "
-                    "from the adaptive section"
-                )
-                bad = True
-                continue
-            for key in ("units", "conflicts", "stitches", "engines"):
-                if row.get(key) != ref.get(key):
-                    print(
-                        f"quantized[{label}] {row['name']}: {key} = "
-                        f"{row.get(key)} differs from the f32 adaptive "
-                        f"run's {ref.get(key)}"
-                    )
-                    bad = True
-    if not bad:
-        n = len(quant.get("precisions", []))
-        print(f"quantized tier consistent with the f32 run ({n} precisions)")
-    return bad
 
 
 def check_serving(fresh) -> bool:
@@ -79,8 +28,8 @@ def check_serving(fresh) -> bool:
     Served digests are asserted equal to the serial adaptive run inside
     the harness binary (cost, engine usage, warm-request inference
     counts); here the guard re-checks the recorded flags and that the
-    warm pass actually exercised the cross-request caches. Throughput is
-    ignored — it varies by host. Returns True when something diverged.
+    warm pass actually exercised the cross-request caches. Returns True
+    when something diverged.
     """
     serving = fresh.get("serving")
     if serving is None:
@@ -115,8 +64,7 @@ def check_serving_resume(fresh) -> bool:
     same job id to a fresh serve loop. The guard requires that the
     resumed run actually reused surviving records and stayed
     bit-identical to the cold run (asserted in-binary, recorded as
-    digest_equal_cold). Timings are ignored — they vary by host.
-    Returns True when something diverged.
+    digest_equal_cold). Returns True when something diverged.
     """
     resume = fresh.get("serving_resume")
     if resume is None:
@@ -156,8 +104,8 @@ def check_library(fresh) -> bool:
     run's digests bit-for-bit; the guard re-checks the recorded flags
     and the flywheel's effectiveness: the warm pass must re-solve at
     least 80% fewer tail units than the cold pass, and the store load
-    must have contributed actual records. Timings are ignored — they
-    vary by host. Returns True when something diverged.
+    must have contributed actual records. Returns True when something
+    diverged.
     """
     lib = fresh.get("library")
     if lib is None:
@@ -187,7 +135,7 @@ def check_library(fresh) -> bool:
     if not bad:
         print(
             f"library store consistent: {cold} -> {warm} fresh tail solves "
-            f"({lib.get('loaded_solves')} loaded in {lib.get('load_ms')} ms)"
+            f"({lib.get('loaded_solves')} loaded)"
         )
     return bad
 
@@ -201,9 +149,8 @@ def check_chip_scale(fresh, committed) -> bool:
     clean; the guard re-checks the recorded flags. When the committed
     artifact ran the same target size and seed, the deterministic
     geometry/graph/cost fields must match exactly — the generator, the
-    tiler, and the solve are all seed-keyed. Timings, throughput, and
-    peak RSS are ignored — they vary by host. Returns True when
-    something diverged.
+    tiler, and the solve are all seed-keyed. Returns True when something
+    diverged.
     """
     chip = fresh.get("chip_scale")
     if chip is None:
@@ -266,12 +213,9 @@ def main() -> int:
     with open(committed_path) as f:
         committed = json.load(f)
 
-    # Quantized tier first: decision parity and planner waste are
-    # checked within the fresh run itself (host- and knob-independent),
-    # so this gate applies even when cross-run comparison is skipped.
-    quant_bad = committed.get("quantized") is not None and check_quantized(fresh)
-    if quant_bad:
-        print("quantized tier DIVERGED from the fresh run's own f32 routing")
+    # Internal consistency first: each section is checked within the
+    # fresh run itself (host- and knob-independent), so these gates apply
+    # even when cross-run comparison is skipped.
     serving_bad = committed.get("serving") is not None and check_serving(fresh)
     if serving_bad:
         print("serving tier DIVERGED from the fresh run's own serial digests")
@@ -292,20 +236,20 @@ def main() -> int:
     )
     if chip_bad:
         print("chip_scale tier DIVERGED (audit, parity probe, or digest)")
-    quant_bad = quant_bad or serving_bad or resume_bad or library_bad or chip_bad
+    sections_bad = serving_bad or resume_bad or library_bad or chip_bad
 
     if fresh.get("fp_kernel") != committed.get("fp_kernel"):
         print(
             f"fp_kernel mismatch ({fresh.get('fp_kernel')} vs "
             f"{committed.get('fp_kernel')}): skipping digest comparison"
         )
-        return 1 if quant_bad else 0
+        return 1 if sections_bad else 0
     if fresh.get("seed") != committed.get("seed"):
         print(
             f"seed mismatch ({fresh.get('seed')} vs {committed.get('seed')}): "
             "skipping digest comparison"
         )
-        return 1 if quant_bad else 0
+        return 1 if sections_bad else 0
     # Training config determines the model weights and hence routing;
     # quick runs (MPLD_EPOCHS / MPLD_TRAIN_CAP overrides) are not
     # comparable to the committed full run.
@@ -315,7 +259,7 @@ def main() -> int:
                 f"{knob} mismatch ({fresh.get(knob)} vs "
                 f"{committed.get(knob)}): skipping digest comparison"
             )
-            return 1 if quant_bad else 0
+            return 1 if sections_bad else 0
 
     committed_rows = {
         r["name"]: r for r in committed["adaptive"]["per_circuit"]
@@ -369,7 +313,7 @@ def main() -> int:
         print("fresh run lacks a training section")
         bad = True
 
-    if quant_bad:
+    if sections_bad:
         bad = True
 
     if bad:

@@ -157,7 +157,7 @@ pub mod collection {
     use super::{SmallRng, Strategy};
     use rand::Rng;
 
-    /// Length specifications accepted by [`vec`]: an exact length or a
+    /// Length specifications accepted by [`vec()`]: an exact length or a
     /// half-open range of lengths.
     pub trait SizeSpec {
         fn pick(&self, rng: &mut SmallRng) -> usize;
