@@ -134,7 +134,9 @@ fn bench_library_store(c: &mut Criterion) {
                 opened.writer.append_solve(s);
                 opened.writer.append_solve(s);
             }
-            opened.writer.flush();
+            // Closing the writer flushes it and releases the file's
+            // lock, which compaction takes.
+            drop(opened);
             let report =
                 mpld_store::compact_file(&key.path_in(&compact_dir.0)).expect("compact store");
             // At least the literal second copies are superseded (the

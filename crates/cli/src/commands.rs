@@ -3,9 +3,8 @@
 use crate::args::{parse, Parsed};
 use mpld::{
     audit_boundary_units, layout_stats, prepare, prepare_tiled, prepare_tiled_file, run_pipeline,
-    AdaptiveFramework, BudgetPolicy, Checkpoint, CheckpointHeader, Engine, JournalWriter,
-    OfflineConfig, Recovery, RunSummary, Session, TiledPrepared, TiledProgress, TiledRunSummary,
-    TilingConfig, TrainingData,
+    AdaptiveFramework, BudgetPolicy, Engine, Journal, OfflineConfig, Recovery, RunSummary, Session,
+    TiledPrepared, TiledProgress, TiledRunSummary, TilingConfig, TrainingData,
 };
 use mpld_ec::EcDecomposer;
 use mpld_graph::{DecomposeParams, Decomposer, MpldError};
@@ -126,10 +125,11 @@ commands:
                                      its units route to the certified
                                      ILP/EC tail instead (slower, exact,
                                      and journaled under --checkpoint)
-      --checkpoint <file>            append-only JSONL journal of the
-                                     ILP/EC-tail solves; a journal left by
-                                     a killed run is audited and resumed
-                                     instead of re-solved
+      --checkpoint <file>            job journal (a store file) of the
+                                     ILP/EC-tail units; one left by a
+                                     killed run is audited and resumed
+                                     instead of re-solved, one of another
+                                     model or layout is moved aside
       --json true                    print a single-line JSON run summary
                                      instead of the human-readable report
                                      (same object the server's final
@@ -164,10 +164,10 @@ commands:
       --colorgnn false               disable the ColorGNN head (see
                                      adaptive); tail solves are journaled
                                      under --journal-dir
-      --journal-dir <dir>            per-job JSONL journals: a killed
-                                     server restarted over the same dir
-                                     resumes re-submitted jobs instead of
-                                     re-solving them
+      --journal-dir <dir>            per-job journals (store files): a
+                                     killed server restarted over the same
+                                     dir resumes re-submitted jobs instead
+                                     of re-solving them
       --max-body-bytes <n>           request body cap (default 2 MiB)
       --max-line-bytes <n>           upload line-length cap (default 4096)
       --max-rects <n>                upload rect-count cap (default 200k)
@@ -196,7 +196,9 @@ commands:
                                      coloring; exit 1 if anything is
                                      corrupt, audit-stale, or orphaned
       compact                        dedup superseded/orphaned/corrupt
-                                     records, rewrite-and-swap in place
+                                     records, rewrite-and-swap in place;
+                                     exit 1 naming the file if a live
+                                     writer (a running serve) holds it
   submit <layout> [options]          submit a job to a running mpld-server
                                      and stream its NDJSON events; retries
                                      429/disconnects with exponential
@@ -741,8 +743,14 @@ fn cmd_library(parsed: &Parsed) -> Result<(), CliError> {
             Ok(())
         }
         "compact" => {
-            let results = mpld_store::compact_dir(dir)
-                .map_err(|e| format!("compact {}: {e}", dir.display()))?;
+            let results = mpld_store::compact_dir(dir).map_err(|e| match e.kind() {
+                // A live writer holds a store file: a state problem, not
+                // a usage one. The error names the file.
+                std::io::ErrorKind::ResourceBusy => {
+                    CliError::Solver(MpldError::Io(format!("compact refused: {e}")))
+                }
+                _ => CliError::Usage(format!("compact {}: {e}", dir.display())),
+            })?;
             if results.is_empty() {
                 println!("no store files under {}", dir.display());
             }
@@ -772,15 +780,19 @@ fn cmd_library(parsed: &Parsed) -> Result<(), CliError> {
 fn library_stats_json(f: &mpld_store::FileStats) -> String {
     let header = match &f.header {
         Some(h) => format!(
-            "{{\"model\":\"{:016x}\",\"k\":{},\"alpha\":{},\"dim\":{},\"library\":\"{}\"}}",
-            h.model_digest, h.k, h.alpha, h.dim, h.library
+            "{{\"model\":\"{:016x}\",\"k\":{},\"alpha\":{},\"dim\":{},\"library\":{}}}",
+            h.model_digest,
+            h.k,
+            h.alpha,
+            h.dim,
+            mpld::json::string(&h.library)
         ),
         None => "null".to_string(),
     };
     format!(
-        "{{\"path\":{:?},\"header\":{header},\"solves\":{},\"buckets\":{},\
+        "{{\"path\":{},\"header\":{header},\"solves\":{},\"buckets\":{},\
          \"lib_entries\":{},\"lib_complete\":{},\"corrupt\":{},\"bytes\":{}}}",
-        f.path.display().to_string(),
+        mpld::json::string(&f.path.display().to_string()),
         f.solves,
         f.buckets,
         f.lib_entries,
@@ -828,32 +840,22 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
     };
 
     // Crash-safe checkpointing: resume from (and keep appending to) an
-    // on-disk journal of the ILP/EC-tail solves.
-    let mut resume = None;
-    let mut journal = None;
-    if let Some(path) = parsed.option("checkpoint") {
-        let p = std::path::Path::new(path);
-        if let Some(cp) = Checkpoint::load(p)? {
-            if !cp.matches(&prep.name, params.k, params.alpha, prep.units.len()) {
-                return Err(format!(
-                    "--checkpoint {path}: journal belongs to a different run \
-                     (layout {:?}, k {}, {} units)",
-                    cp.header().layout,
-                    cp.header().k,
-                    cp.header().units
-                )
-                .into());
+    // on-disk job journal of the ILP/EC-tail units. A journal of another
+    // run (model, layout or parameters) is moved aside, never replayed.
+    let journal = match parsed.option("checkpoint") {
+        Some(path) => {
+            let j = Journal::open(std::path::Path::new(path), &engine.journal_key(prep))
+                .map_err(|e| MpldError::Io(format!("--checkpoint {path}: {e}")))?;
+            if j.report.rekeyed {
+                eprintln!(
+                    "--checkpoint {path}: journal belongs to a different run; \
+                     moved aside to {path}.stale, starting fresh"
+                );
             }
-            resume = Some(cp);
+            Some(j)
         }
-        let header = CheckpointHeader {
-            layout: prep.name.clone(),
-            k: params.k,
-            alpha: params.alpha,
-            units: prep.units.len(),
-        };
-        journal = Some(JournalWriter::append(p, &header)?);
-    }
+        None => None,
+    };
     // Deterministic fault injection for chaos testing: only compiled in
     // with `--features failpoints`, only active when MPLD_FAILPOINTS is
     // set (e.g. MPLD_FAILPOINTS="seed=7,rate=0.02"), and armed only for
@@ -871,7 +873,6 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
     let mut session = Session::with_policy(seed, policy.clone());
     session.threads = threads;
     session.recovery = Recovery {
-        resume: resume.as_ref(),
         journal: journal.as_ref(),
     };
     let r = engine.decompose(prep, &mut session)?;

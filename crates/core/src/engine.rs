@@ -17,7 +17,8 @@
 //! ColorGNN — [`AdaptiveFramework::route`]), each unit left to the
 //! ILP/EC tail takes the first answer from a fixed chain of sources:
 //!
-//! 1. an audited record of a checkpoint journal ([`Recovery::resume`]);
+//! 1. an audited record of the request's job journal
+//!    ([`Recovery::journal`]);
 //! 2. unless it is the representative (first member in unit order) of
 //!    its request-local isomorphism group, the representative's result
 //!    transferred through the shared canonical labeling and re-verified
@@ -47,7 +48,6 @@
 //! requests — the restart sampler consumes the session's RNG stream, so
 //! its output is a function of that stream, not of the graph alone.
 
-use crate::checkpoint::{unit_fingerprint, Checkpoint, CheckpointEntry, JournalWriter};
 use crate::framework::{
     AdaptiveFramework, AdaptiveResult, BudgetBreakdown, BudgetPolicy, EngineKind, InferenceStats,
     Recovery, TimingBreakdown, UnitOutcome, UnitSolve, UsageBreakdown,
@@ -59,11 +59,14 @@ use mpld_gnn::{FrozenColorGnn, FrozenRgcn};
 use mpld_graph::{
     audit_coloring, Budget, Certainty, DecomposeParams, Decomposition, LayoutGraph, MpldError,
 };
-use mpld_matching::{canonical_form_labeled, CanonicalForm, ShardedGraphMap, ShardedMapStats};
+use mpld_matching::{
+    canonical_form_labeled, graph_fingerprint, CanonicalForm, ShardedGraphMap, ShardedMapStats,
+};
+use mpld_store::{Journal, JournalKey, TailEngine, UnitRecord};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Largest unit eligible for the request-local isomorphism memo: the
@@ -117,6 +120,9 @@ pub struct EngineStoreStats {
     pub rekeyed: bool,
     /// Whether the load ended on a torn final line.
     pub torn_tail: bool,
+    /// Whether another live writer held the store file at open, so this
+    /// engine appends nothing to it.
+    pub read_only: bool,
     /// Whether the graph library was served from the store (vs rebuilt).
     pub lib_loaded: bool,
     /// Store load time in milliseconds.
@@ -169,6 +175,8 @@ pub struct Engine {
     fw: AdaptiveFramework,
     heads: Heads,
     shared: Shared,
+    /// [`AdaptiveFramework::weights_digest`], computed at most once.
+    model_digest: OnceLock<u64>,
 }
 
 /// Snapshot of an [`Engine`]'s cross-request cache counters.
@@ -188,13 +196,13 @@ pub struct EngineStats {
 /// caller pins none.
 pub const DEFAULT_SEED: u64 = 0xBEEF;
 
-/// Per-request mutable state: budget policy, checkpoint recovery, tail
+/// Per-request mutable state: budget policy, job journal, tail
 /// worker count, and the session's ColorGNN RNG stream. Cheap to create
 /// per request; never shared between requests.
 pub struct Session<'a> {
     /// Wall-clock limits for this request.
     pub policy: BudgetPolicy,
-    /// Checkpoint resume/journal hooks for this request.
+    /// The job journal this request resumes from and appends to.
     pub recovery: Recovery<'a>,
     /// ILP/EC-tail worker threads (default 1: the tail runs on the
     /// calling thread). Results do not depend on it.
@@ -255,7 +263,7 @@ pub enum Progress {
         engine: EngineKind,
         /// How much that engine vouches for the result.
         certainty: Certainty,
-        /// No solve ran for this unit: it was restored from a checkpoint
+        /// No solve ran for this unit: it was restored from the job
         /// journal, served from the solution cache, or transferred from
         /// an isomorphic unit of the same request.
         cached: bool,
@@ -283,6 +291,7 @@ impl Engine {
                 solutions: [map(), map()],
                 store: None,
             },
+            model_digest: OnceLock::new(),
         }
     }
 
@@ -299,10 +308,6 @@ impl Engine {
         let mut engine = Self::with_cache_cap(fw, cache_cap);
         let mpld_store::OpenedStore { load, writer } = opened;
         for s in &load.solves {
-            let engine_kind = match s.engine {
-                mpld_store::TailEngine::Ilp => EngineKind::Ilp,
-                mpld_store::TailEngine::Ec => EngineKind::Ec,
-            };
             engine.shared.solutions[usize::from(s.ec_first)].insert(
                 &s.graph,
                 Arc::new(CachedSolve {
@@ -311,7 +316,7 @@ impl Engine {
                         cost: s.cost,
                         certainty: s.certainty,
                     },
-                    engine: engine_kind,
+                    engine: engine_kind(s.engine),
                 }),
             );
         }
@@ -326,6 +331,19 @@ impl Engine {
     /// The wrapped framework (parameters, library, thresholds).
     pub fn framework(&self) -> &AdaptiveFramework {
         &self.fw
+    }
+
+    /// The key of `prep`'s job journal under this engine's model: open
+    /// it with [`Journal::open`] and hand it to [`Session::recovery`].
+    /// The model digest is computed once per engine.
+    pub fn journal_key(&self, prep: &PreparedLayout) -> JournalKey {
+        JournalKey {
+            model_digest: *self.model_digest.get_or_init(|| self.fw.weights_digest()),
+            k: self.fw.params.k,
+            alpha: self.fw.params.alpha,
+            layout: prep.name.clone(),
+            units: prep.units.len(),
+        }
     }
 
     /// Snapshot of the cross-request cache counters.
@@ -345,6 +363,7 @@ impl Engine {
                     orphaned: s.load.orphaned,
                     rekeyed: s.load.rekeyed,
                     torn_tail: s.load.torn_tail,
+                    read_only: w.read_only,
                     lib_loaded: s.lib_loaded,
                     load_ms: s.load.load_ms,
                     appended: w.appended,
@@ -542,14 +561,17 @@ impl Executor<'_> {
             on_event,
             direct: Vec::new(),
         };
-        if let Some(cp) = recovery.resume {
-            tail.resume(cp, &open);
+        if let Some(journal) = recovery.journal {
+            tail.resume(journal, &open);
         }
         // Representatives (and, through them, their groups), then the
         // members no transfer could answer, each as its own group.
         tail.answer(groups.iter().map(Vec::as_slice).collect());
         let direct = std::mem::take(&mut tail.direct);
         tail.answer(direct.iter().map(std::slice::from_ref).collect());
+        if let Some(journal) = recovery.journal {
+            journal.writer.flush();
+        }
         st.finish(prep, &self.fw.params, start)
     }
 
@@ -573,10 +595,7 @@ impl Executor<'_> {
             store.writer.append_solve(&mpld_store::StoredSolve {
                 graph: g.clone(),
                 ec_first,
-                engine: match engine {
-                    EngineKind::Ilp => mpld_store::TailEngine::Ilp,
-                    _ => mpld_store::TailEngine::Ec,
-                },
+                engine: tail_engine(engine),
                 certainty: d.certainty,
                 coloring: d.coloring.clone(),
                 cost: d.cost,
@@ -588,7 +607,7 @@ impl Executor<'_> {
 /// Where a tail unit's answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Source {
-    /// An audited checkpoint record.
+    /// An audited job-journal record.
     Journal,
     /// A solution-cache hit or an isomorphism-memo transfer.
     Reused,
@@ -606,7 +625,7 @@ struct Tail<'a, 'e> {
     policy: &'a BudgetPolicy,
     total: &'a Budget,
     threads: usize,
-    journal: Option<&'a JournalWriter>,
+    journal: Option<&'a Journal>,
     st: &'a mut RunState,
     on_event: &'a mut dyn FnMut(Progress),
     /// Group members no transfer could answer.
@@ -614,13 +633,13 @@ struct Tail<'a, 'e> {
 }
 
 impl Tail<'_, '_> {
-    /// Restores the open units whose checkpoint records survive the
-    /// audit (fingerprint match, valid coloring, recorded cost equal to
-    /// the from-scratch recomputation).
-    fn resume(&mut self, cp: &Checkpoint, open: &[usize]) {
+    /// Restores the open units whose journal records survive the audit
+    /// (fingerprint match, valid coloring, recorded cost equal to the
+    /// from-scratch recomputation).
+    fn resume(&mut self, journal: &Journal, open: &[usize]) {
         for &i in open {
             let g = self.graphs[i];
-            let Some(e) = cp.get(i, unit_fingerprint(g)) else {
+            let Some(e) = journal.get(i, graph_fingerprint(g)) else {
                 continue;
             };
             match audit_coloring(g, &e.coloring, self.exec.fw.params.k) {
@@ -633,7 +652,13 @@ impl Tail<'_, '_> {
                 certainty: e.certainty,
             };
             self.st.resumed_units += 1;
-            self.settle(i, d, e.engine, e.budget_fallback, Source::Journal);
+            self.settle(
+                i,
+                d,
+                engine_kind(e.engine),
+                e.budget_fallback,
+                Source::Journal,
+            );
         }
     }
 
@@ -785,8 +810,18 @@ impl Tail<'_, '_> {
         budget_fallback: bool,
         source: Source,
     ) {
-        if source != Source::Journal {
-            journal_record(self.journal, i, self.graphs[i], &d, engine, budget_fallback);
+        if let Some(journal) = self.journal.filter(|_| source != Source::Journal) {
+            // Best effort: a failed write is a lost checkpoint, never a
+            // failed solve.
+            journal.writer.append_unit(&UnitRecord {
+                unit: i,
+                fingerprint: graph_fingerprint(self.graphs[i]),
+                engine: tail_engine(engine),
+                certainty: d.certainty,
+                budget_fallback,
+                coloring: d.coloring.clone(),
+                cost: d.cost,
+            });
         }
         (self.on_event)(Progress::Unit {
             index: i,
@@ -876,26 +911,20 @@ fn iso_groups(
     (groups, labels)
 }
 
-/// Best-effort append of one answered tail unit to the checkpoint
-/// journal (a failed write is a lost checkpoint, never a failed solve).
-fn journal_record(
-    journal: Option<&JournalWriter>,
-    unit: usize,
-    g: &LayoutGraph,
-    d: &Decomposition,
-    engine: EngineKind,
-    budget_fallback: bool,
-) {
-    let Some(j) = journal else { return };
-    let _ = j.record(&CheckpointEntry {
-        unit,
-        fingerprint: unit_fingerprint(g),
-        engine,
-        certainty: d.certainty,
-        budget_fallback,
-        coloring: d.coloring.clone(),
-        cost: d.cost,
-    });
+/// The persisted name of a tail unit's engine: only the two exact
+/// engines answer the ILP/EC tail.
+fn tail_engine(engine: EngineKind) -> TailEngine {
+    match engine {
+        EngineKind::Ilp => TailEngine::Ilp,
+        _ => TailEngine::Ec,
+    }
+}
+
+fn engine_kind(engine: TailEngine) -> EngineKind {
+    match engine {
+        TailEngine::Ilp => EngineKind::Ilp,
+        TailEngine::Ec => EngineKind::Ec,
+    }
 }
 
 impl std::fmt::Debug for Engine {

@@ -17,7 +17,6 @@
 //! Runtime is accounted per category so Fig. 9 (runtime breakdown) and
 //! Fig. 10 (usage breakdown) can be reproduced.
 
-use crate::checkpoint::{Checkpoint, JournalWriter};
 use crate::engine::{Executor, Heads, RoutingEntry, RunState, SharedRoutingMemo};
 use crate::memo::{BatchPlan, EmbeddingMemo, DEFAULT_MAX_BATCH_NODES};
 use crate::parallel::panic_payload_string;
@@ -277,21 +276,19 @@ pub struct AdaptiveResult {
     pub resumed_units: usize,
 }
 
-/// Checkpoint hookup for
+/// Kill-and-resume hookup for
 /// [`AdaptiveFramework::decompose_prepared_parallel_recoverable`]: an
-/// optional journal of a previous (killed) run to resume from, and an
-/// optional writer recording this run's ILP/EC-tail solves as they
-/// complete.
+/// optional opened job [`Journal`](mpld_store::Journal), holding the
+/// records a previous (killed) run left to resume from and the writer
+/// this run's ILP/EC-tail answers append to as they settle.
 ///
-/// Resumed entries are never trusted blindly: each one is audited against
+/// Resumed records are never trusted blindly: each one is audited against
 /// the present unit graph (structural fingerprint, coloring validity, and
 /// recorded-vs-recomputed cost) and silently re-solved on any mismatch.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Default, Clone, Copy)]
 pub struct Recovery<'a> {
-    /// Journal of a previous run to resume from.
-    pub resume: Option<&'a Checkpoint>,
-    /// Journal writer for this run's tail solves.
-    pub journal: Option<&'a JournalWriter>,
+    /// This run's job journal.
+    pub journal: Option<&'a mpld_store::Journal>,
 }
 
 /// One guarded ILP/EC-tail solve: the kept decomposition plus the fault
@@ -870,11 +867,11 @@ impl AdaptiveFramework {
 
     /// Crash-safe variant of
     /// [`AdaptiveFramework::decompose_prepared_parallel_with`]: with
-    /// `recovery.journal` set, every ILP/EC-tail unit is appended to a
-    /// truncation-tolerant JSONL journal as it completes; with
-    /// `recovery.resume` set, units recorded in a previous run's journal
-    /// are restored instead of re-solved (after each record passes the
-    /// independent audit against the present unit graph).
+    /// `recovery.journal` set, units recorded in the journal by a
+    /// previous run are restored instead of re-solved (after each record
+    /// passes the independent audit against the present unit graph), and
+    /// every other ILP/EC-tail unit is appended to it as it settles; the
+    /// journal is flushed before this returns.
     ///
     /// Every framework entry point lands here: the RGCN heads are frozen
     /// for this call, ColorGNN samples from the model's own RNG stream

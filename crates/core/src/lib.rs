@@ -43,7 +43,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod checkpoint;
 mod density;
 mod engine;
 mod framework;
@@ -57,9 +56,6 @@ mod summary;
 mod tiled;
 mod training;
 
-pub use checkpoint::{
-    unit_fingerprint, Checkpoint, CheckpointEntry, CheckpointHeader, JournalWriter,
-};
 pub use density::{density_imbalance, mask_densities};
 pub use engine::{Engine, EngineStats, EngineStoreStats, Progress, Session, DEFAULT_SEED};
 pub use framework::{
@@ -69,6 +65,7 @@ pub use framework::{
 pub use memo::{BatchPlan, EmbeddingMemo, DEFAULT_MAX_BATCH_NODES};
 pub use metrics::ConfusionMatrix;
 pub use mpld_matching::{ShardedGraphMap, ShardedMapStats};
+pub use mpld_store::{json, Journal, JournalKey};
 pub use parallel::default_threads;
 pub use pipeline::{
     prepare, run_pipeline, run_pipeline_budgeted, run_pipeline_parallel, PipelineResult,

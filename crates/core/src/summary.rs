@@ -2,14 +2,15 @@
 //! CLI's `--json` output and the server's final response line, so a
 //! replayed CLI run and a served request can be compared field by field.
 //!
-//! The format is a single-line JSON object with globally unique keys
-//! (nested sections never reuse a key name), written and parsed by the
-//! same hand-rolled helpers as the checkpoint journal — no JSON
-//! dependency, and `parse(to_json(s)) == s` round-trips exactly
-//! (floats are emitted with enough precision to survive the trip).
+//! The format is a single-line JSON object with nested sections
+//! (`cost`, `usage`, `inference`, `budget`), written with `format!` and
+//! the [`json`] codec's string escaper and read back through the codec by
+//! key path; `parse(to_json(s)) == s` round-trips exactly (floats are
+//! emitted in Rust's shortest round-trip form, which the codec keeps as
+//! text).
 
-use crate::checkpoint::{field, json_string};
 use crate::framework::AdaptiveResult;
+use mpld_store::json::{self, Value};
 
 /// Flattened, serializable summary of one adaptive decomposition run
 /// (routing usage, budget outcomes, inference statistics, audit/fault
@@ -150,7 +151,7 @@ impl RunSummary {
                 "\"budget_fallbacks\":{},\"quarantined\":{},\"audit_rejections\":{}}},",
                 "\"resumed_units\":{}{}}}"
             ),
-            json_string(&self.layout),
+            json::string(&self.layout),
             self.units,
             self.threads,
             seed,
@@ -178,44 +179,48 @@ impl RunSummary {
         )
     }
 
-    /// Parses a line produced by [`RunSummary::to_json`]. Key lookup is
-    /// global (every key is unique across the nested sections), so the
-    /// parser tolerates reordered or additional fields.
+    /// Parses a line produced by [`RunSummary::to_json`], or a server
+    /// `done` event line carrying one under `summary`. Keys are read by
+    /// path (`cost.conflicts`, …), so reordered or additional fields are
+    /// tolerated.
     pub fn parse(line: &str) -> Option<Self> {
-        let seed = match field(line, "seed")? {
-            "null" => None,
-            s => Some(s.parse().ok()?),
-        };
+        let root = json::parse(line)?;
+        let v = root.get("summary").unwrap_or(&root);
+        let seed = v.get("seed")?;
         Some(Self {
-            layout: field(line, "layout")?.to_string(),
-            units: num(line, "units")?,
-            threads: num(line, "threads")?,
-            seed,
-            conflicts: num(line, "conflicts")?,
-            stitches: num(line, "stitches")?,
-            objective: field(line, "objective")?.parse().ok()?,
-            decompose_ms: field(line, "decompose_ms")?.parse().ok()?,
-            matching: num(line, "matching")?,
-            colorgnn: num(line, "colorgnn")?,
-            ec: num(line, "ec")?,
-            ilp: num(line, "ilp")?,
-            colorgnn_fallbacks: num(line, "colorgnn_fallbacks")?,
-            memo_hits: num(line, "memo_hits")?,
-            dedup_hits: num(line, "dedup_hits")?,
-            routing_memo_hits: num(line, "routing_memo_hits")?,
-            units_inferred: num(line, "units_inferred")?,
-            certified: num(line, "certified")?,
-            heuristic: num(line, "heuristic")?,
-            budget_exhausted: num(line, "budget_exhausted")?,
-            budget_fallbacks: num(line, "budget_fallbacks")?,
-            quarantined: num(line, "quarantined")?,
-            audit_rejections: num(line, "audit_rejections")?,
-            resumed_units: num(line, "resumed_units")?,
+            layout: v.get("layout")?.as_str()?.to_string(),
+            units: num(v, &["units"])?,
+            threads: num(v, &["threads"])?,
+            seed: if *seed == Value::Null {
+                None
+            } else {
+                Some(seed.num()?)
+            },
+            conflicts: num(v, &["cost", "conflicts"])?,
+            stitches: num(v, &["cost", "stitches"])?,
+            objective: v.path(&["cost", "objective"])?.num()?,
+            decompose_ms: v.get("decompose_ms")?.num()?,
+            matching: num(v, &["usage", "matching"])?,
+            colorgnn: num(v, &["usage", "colorgnn"])?,
+            ec: num(v, &["usage", "ec"])?,
+            ilp: num(v, &["usage", "ilp"])?,
+            colorgnn_fallbacks: num(v, &["usage", "colorgnn_fallbacks"])?,
+            memo_hits: num(v, &["usage", "memo_hits"])?,
+            dedup_hits: num(v, &["inference", "dedup_hits"])?,
+            routing_memo_hits: num(v, &["inference", "routing_memo_hits"])?,
+            units_inferred: num(v, &["inference", "units_inferred"])?,
+            certified: num(v, &["budget", "certified"])?,
+            heuristic: num(v, &["budget", "heuristic"])?,
+            budget_exhausted: num(v, &["budget", "budget_exhausted"])?,
+            budget_fallbacks: num(v, &["budget", "budget_fallbacks"])?,
+            quarantined: num(v, &["budget", "quarantined"])?,
+            audit_rejections: num(v, &["budget", "audit_rejections"])?,
+            resumed_units: num(v, &["resumed_units"])?,
             // Optional tiled section: absent on monolithic runs (and on
             // lines written before tiled mode existed).
-            tiled: num(line, "tiles").map(|tiles| TiledRunSummary {
+            tiled: num(v, &["tiles"]).map(|tiles| TiledRunSummary {
                 tiles,
-                boundary_resolves: num(line, "boundary_resolves").unwrap_or(0),
+                boundary_resolves: num(v, &["boundary_resolves"]).unwrap_or(0),
             }),
         })
     }
@@ -228,8 +233,8 @@ fn float(v: f64) -> String {
     format!("{v:?}")
 }
 
-fn num<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
-    field(line, key)?.parse().ok()
+fn num<T: std::str::FromStr>(v: &Value, path: &[&str]) -> Option<T> {
+    v.path(path)?.num()
 }
 
 #[cfg(test)]
@@ -304,15 +309,27 @@ mod tests {
 
     #[test]
     fn layout_names_are_escaped() {
-        let mut s = sample();
-        s.layout = "we\"ird\\name".into();
+        for name in ["we\"ird\\name", "tab\there\n\u{1}", "é😀", "\\\""] {
+            let mut s = sample();
+            s.layout = name.into();
+            let json = s.to_json();
+            assert!(json::parse(&json).is_some(), "{json}");
+            assert_eq!(RunSummary::parse(&json).expect("parses"), s, "{json}");
+        }
+    }
+
+    #[test]
+    fn reordered_extra_and_done_wrapped_keys_are_tolerated() {
+        let s = sample();
         let json = s.to_json();
-        // The escaped name must not break the object structure…
-        assert!(json.ends_with('}'));
-        // …and the simple scan-based parser recovers the prefix up to the
-        // first quote (full unescaping is out of scope for names that the
-        // benchmark suite never produces).
-        assert!(RunSummary::parse(&json).is_some());
+        let done = format!("{{\"event\":\"done\",\"job\":\"j1\",\"summary\":{json}}}");
+        assert_eq!(RunSummary::parse(&done).expect("done line"), s);
+        let mut v = json::parse(&json).expect("own output parses");
+        if let Value::Obj(fields) = &mut v {
+            fields.reverse();
+            fields.push(("stages".into(), json::parse("{\"conflicts\":99}").unwrap()));
+        }
+        assert_eq!(RunSummary::parse(&v.to_string()).expect("reordered"), s);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
-use crate::MpldError;
+use crate::{fnv64, splitmix64, MpldError};
 
 /// The faults a site can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,21 +156,6 @@ pub fn total_hits() -> u64 {
         .unwrap_or(0)
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Decides whether this evaluation of `site` fires, and which of
 /// `allowed` faults it injects. Deterministic in `(seed, site, counter)`.
 fn decide(site: &'static str, allowed: &[Fault]) -> Option<(Fault, u64)> {
@@ -183,7 +168,7 @@ fn decide(site: &'static str, allowed: &[Fault]) -> Option<(Fault, u64)> {
             return None;
         }
     }
-    let h = splitmix64(s.seed ^ fnv1a(site) ^ entry.evaluations.wrapping_mul(0x9E37));
+    let h = splitmix64(s.seed ^ fnv64(site.as_bytes()) ^ entry.evaluations.wrapping_mul(0x9E37));
     // Top 53 bits -> uniform in [0, 1).
     let u = (h >> 11) as f64 / (1u64 << 53) as f64;
     if u >= s.rate || allowed.is_empty() {

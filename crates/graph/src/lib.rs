@@ -17,6 +17,9 @@
 //! - [`audit`] — independent re-verification of any decomposition against
 //!   the raw conflict/stitch edges (and, behind the `failpoints` feature,
 //!   `failpoints` — deterministic fault injection for chaos tests);
+//! - [`fnv64`], [`Fnv64`] and [`splitmix64`] — the workspace's one copy of
+//!   the hashes whose values are on disk (store names, job ids, journal
+//!   fingerprints);
 //! - [`simplify`] — the OpenMPL-style simplification pipeline (independent
 //!   component computation, hide-small-degree, biconnected decomposition)
 //!   together with sound color recovery.
@@ -44,6 +47,7 @@ mod decomposer;
 mod error;
 #[cfg(feature = "failpoints")]
 pub mod failpoints;
+mod hash;
 mod hetero;
 mod precolor;
 pub mod simplify;
@@ -54,6 +58,7 @@ pub use budget::{Budget, BudgetGauge, CancelToken, Clock, MockClock, SystemClock
 pub use coloring::{Coloring, CostBreakdown};
 pub use decomposer::{greedy_coloring, Certainty, DecomposeParams, Decomposer, Decomposition};
 pub use error::MpldError;
+pub use hash::{fnv64, splitmix64, Fnv64};
 pub use hetero::{EdgeKind, GraphError, LayoutGraph, NodeId};
 pub use precolor::{apply_precoloring, Precoloring, PrecoloringMap};
 

@@ -9,30 +9,27 @@
 //! permutation-invariant, so only exact structural equality licenses
 //! reuse).
 
-use mpld_graph::LayoutGraph;
+use mpld_graph::{Fnv64, LayoutGraph};
 
 /// FNV-1a structural fingerprint of a layout graph.
 ///
 /// Identical graphs (same node order, features and edge lists) hash
-/// equally; the checkpoint journal and the framework's embedding memo
-/// both key on this.
+/// equally; job journals and the framework's embedding memo both key on
+/// this, so its values are on disk and must never change.
 pub fn graph_fingerprint(g: &LayoutGraph) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |x: u64| {
-        h = (h ^ x).wrapping_mul(0x100000001b3);
-    };
-    mix(g.num_nodes() as u64);
+    let mut h = Fnv64::new();
+    h.word(g.num_nodes() as u64);
     for v in 0..g.num_nodes() as u32 {
-        mix(u64::from(g.feature_of(v)) + 1);
+        h.word(u64::from(g.feature_of(v)) + 1);
     }
     for &(u, v) in g.conflict_edges() {
-        mix((u64::from(u) << 32) | u64::from(v));
+        h.word((u64::from(u) << 32) | u64::from(v));
     }
-    mix(0x5711);
+    h.word(0x5711);
     for &(u, v) in g.stitch_edges() {
-        mix((u64::from(u) << 32) | u64::from(v));
+        h.word((u64::from(u) << 32) | u64::from(v));
     }
-    h
+    h.finish()
 }
 
 /// Exact structural equality: same node count, same feature labels in

@@ -6,23 +6,21 @@
 //! that alters, drops, adds or reorders an entry fails here.
 
 use mpld_gnn::RgcnClassifier;
-use mpld_graph::DecomposeParams;
+use mpld_graph::{DecomposeParams, Fnv64};
 use mpld_matching::{GraphLibrary, LibraryConfig};
 
-struct Fnv(u64);
+struct Fnv(Fnv64);
 
 impl Fnv {
     fn mix(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
-        }
+        self.0.bytes(&x.to_le_bytes());
     }
 }
 
 /// Digest of every entry's graph (node count, features, conflict and
 /// stitch edges), solution and cost, in entry order.
 fn library_digest(lib: &GraphLibrary) -> (usize, u64) {
-    let mut h = Fnv(0xcbf29ce484222325);
+    let mut h = Fnv(Fnv64::new());
     for e in lib.entries() {
         let g = &e.graph;
         h.mix(g.num_nodes() as u64);
@@ -43,7 +41,7 @@ fn library_digest(lib: &GraphLibrary) -> (usize, u64) {
         }
         h.mix(u64::from(e.cost.conflicts) << 32 | u64::from(e.cost.stitches));
     }
-    (lib.len(), h.0)
+    (lib.len(), h.0.finish())
 }
 
 fn config(

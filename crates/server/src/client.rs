@@ -12,6 +12,8 @@
 //! start on every reattach; the caller sees every line via `on_event`
 //! and the final `done` line exactly once, as the return value.
 
+use mpld::json::{self, Value};
+use mpld_graph::splitmix64;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -129,13 +131,6 @@ impl std::fmt::Display for ClientError {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 /// Exponential backoff with deterministic jitter: doubles from
 /// `backoff_base` up to `backoff_cap`, scaled by a factor in
 /// `[0.5, 1.0)` hashed from `(jitter_seed, attempt)` — reproducible
@@ -165,17 +160,20 @@ fn post_request(req: &SubmitRequest, job_id: Option<&str>) -> Vec<u8> {
     }
     match &req.body {
         SubmitBody::Circuit(name) => {
-            let mut fields = vec![format!("\"circuit\":{name:?}")];
-            if let Some(s) = req.seed {
-                fields.push(format!("\"seed\":{s}"));
-            }
-            if let Some(t) = req.time_limit_ms {
-                fields.push(format!("\"time_limit_ms\":{t}"));
-            }
-            if let Some(id) = job_id {
-                fields.push(format!("\"job_id\":{id:?}"));
-            }
-            let body = format!("{{{}}}", fields.join(","));
+            let fields = [
+                Some(("circuit", Value::from(name.as_str()))),
+                req.seed.map(|s| ("seed", Value::from(s))),
+                req.time_limit_ms.map(|t| ("time_limit_ms", Value::from(t))),
+                job_id.map(|id| ("job_id", Value::from(id))),
+            ];
+            let body = Value::Obj(
+                fields
+                    .into_iter()
+                    .flatten()
+                    .map(|(k, v)| (k.into(), v))
+                    .collect(),
+            )
+            .to_string();
             format!(
                 "POST /decompose HTTP/1.1\r\nHost: mpld\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()
@@ -244,12 +242,15 @@ fn read_body_capped(reader: &mut BufReader<TcpStream>) -> String {
     body
 }
 
-/// Extracts the string value of `"id"` from a `{"event":"job",...}` line.
-fn job_event_id(line: &str) -> Option<&str> {
-    let rest = &line[line.find("\"id\"")? + 4..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    rest.find('"').map(|end| &rest[..end])
+/// A streamed line's `event` name and top-level `id`, if it is a JSON
+/// event at all.
+fn event_and_id(line: &str) -> Option<(String, Option<String>)> {
+    let v = json::parse(line)?;
+    let event = v.get("event")?.as_str()?.to_string();
+    Some((
+        event,
+        v.get("id").and_then(Value::as_str).map(str::to_string),
+    ))
 }
 
 /// What one connection attempt produced.
@@ -283,14 +284,11 @@ fn stream_events(
         }
         *events += 1;
         on_event(line);
-        if line.starts_with("{\"event\":\"job\"") {
-            if let Some(id) = job_event_id(line) {
-                *job_id = Some(id.to_string());
-            }
-        } else if line.starts_with("{\"event\":\"done\"") {
-            return Attempt::Done(line.to_string());
-        } else if line.starts_with("{\"event\":\"error\"") {
-            return Attempt::JobFailed(line.to_string());
+        match event_and_id(line) {
+            Some((event, Some(id))) if event == "job" => *job_id = Some(id),
+            Some((event, _)) if event == "done" => return Attempt::Done(line.to_string()),
+            Some((event, _)) if event == "error" => return Attempt::JobFailed(line.to_string()),
+            _ => {}
         }
     }
 }
@@ -436,14 +434,43 @@ mod tests {
         let raw = String::from_utf8(post_request(&req, Some("u1"))).expect("utf8");
         assert!(raw.starts_with("POST /decompose?seed=7&job_id=u1 "));
         assert!(raw.ends_with("layout demo 100\n"));
+
+        // Any circuit name survives the trip: the body is codec-built
+        // JSON, not Rust debug formatting.
+        let name = "we\"ird\\\u{1}é\u{7f}";
+        let req = SubmitRequest {
+            body: SubmitBody::Circuit(name.to_string()),
+            seed: None,
+            time_limit_ms: None,
+            job_id: None,
+        };
+        let raw = String::from_utf8(post_request(&req, None)).expect("utf8");
+        let body = raw.split_once("\r\n\r\n").expect("head").1;
+        let v = json::parse(body).expect("body is JSON");
+        assert_eq!(v.get("circuit").and_then(Value::as_str), Some(name));
     }
 
     #[test]
     fn job_event_id_extracts() {
+        let job = |id: Option<&str>| Some(("job".to_string(), id.map(str::to_string)));
         assert_eq!(
-            job_event_id("{\"event\":\"job\",\"id\":\"j01\",\"journal\":true}"),
-            Some("j01")
+            event_and_id("{\"event\":\"job\",\"id\":\"j01\",\"journal\":true}"),
+            job(Some("j01"))
         );
-        assert_eq!(job_event_id("{\"event\":\"job\"}"), None);
+        assert_eq!(event_and_id("{\"event\":\"job\"}"), job(None));
+        // Escapes decode; a nested "id" is not the job's.
+        assert_eq!(
+            event_and_id(r#"{"event":"job","meta":{"id":"x"},"id":"a\"b"}"#),
+            job(Some("a\"b"))
+        );
+        assert_eq!(
+            event_and_id(r#"{"meta":{"id":"x"},"event":"job"}"#),
+            job(None)
+        );
+        assert_eq!(
+            event_and_id(r#"{"job":"j","event":"done"}"#),
+            Some(("done".to_string(), None))
+        );
+        assert_eq!(event_and_id("{\"event\":\"job\""), None);
     }
 }

@@ -9,6 +9,7 @@
 //! oversized requests get a fast typed status (400/411/413/431) and the
 //! connection is closed.
 
+use crate::error_json;
 use std::io::BufRead;
 
 /// Hard caps applied while parsing one request.
@@ -70,15 +71,13 @@ impl HttpError {
     /// One-line JSON error body describing the rejection.
     pub fn body(&self) -> String {
         match self {
-            HttpError::Malformed(m) => format!("{{\"error\":\"bad request\",\"reason\":{m:?}}}"),
-            HttpError::LengthRequired => "{\"error\":\"content-length required\"}".to_string(),
+            HttpError::Malformed(m) => error_json("bad request", &[("reason", m)]),
+            HttpError::LengthRequired => error_json("content-length required", &[]),
             HttpError::BodyTooLarge { declared, limit } => format!(
                 "{{\"error\":\"body too large\",\"declared\":{declared},\"limit\":{limit}}}"
             ),
-            HttpError::TooLarge(what) => {
-                format!("{{\"error\":\"request too large\",\"what\":{what:?}}}")
-            }
-            HttpError::Io(e) => format!("{{\"error\":\"i/o\",\"reason\":{:?}}}", e.to_string()),
+            HttpError::TooLarge(what) => error_json("request too large", &[("what", what)]),
+            HttpError::Io(e) => error_json("i/o", &[("reason", &e.to_string())]),
         }
     }
 }

@@ -12,6 +12,7 @@
 //! the journal's problem: re-claiming an id resumes from its JSONL
 //! journal on disk.
 
+use mpld_graph::Fnv64;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -176,18 +177,14 @@ pub fn valid_job_id(id: &str) -> bool {
 /// submissions (same circuit or byte-identical upload, same seed and
 /// budget) land on the same job without the client naming one.
 pub fn derive_job_id(kind: &str, content: &[u8], seed: u64, time_limit_ms: Option<u64>) -> String {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(kind.as_bytes());
-    eat(&[0]);
-    eat(content);
-    eat(&[0]);
-    eat(&seed.to_le_bytes());
-    eat(&time_limit_ms.unwrap_or(u64::MAX).to_le_bytes());
+    let h = Fnv64::new()
+        .bytes(kind.as_bytes())
+        .bytes(&[0])
+        .bytes(content)
+        .bytes(&[0])
+        .bytes(&seed.to_le_bytes())
+        .bytes(&time_limit_ms.unwrap_or(u64::MAX).to_le_bytes())
+        .finish();
     format!("j{h:016x}")
 }
 

@@ -35,17 +35,20 @@
 //! scopes. In-process, the [`jobs::JobRegistry`] maps a re-submitted id
 //! to the already-running (or finished) job and replays its event log
 //! instead of re-solving. On disk, when [`ServerConfig::journal_dir`] is
-//! set, each job's ILP/EC-tail solves stream into an append-only JSONL
-//! journal (`<dir>/<job id>.jsonl`, the same format `mpld adaptive
-//! --checkpoint` writes); a server killed mid-job and restarted over the
-//! same directory resumes the re-submitted job from the journal — each
-//! restored record is audited against the present unit graph, torn final
-//! lines are tolerated, and a header mismatch (different layout, k,
-//! alpha, or unit count) discards the journal and restarts from scratch
-//! rather than silently reusing foreign records. The resumed run's
+//! set, each job's settled ILP/EC-tail units stream into a job journal
+//! (`<dir>/<job id>.jsonl`, an `mpld-store` file in the same format
+//! `mpld adaptive --checkpoint` writes), flushed in batches and once
+//! more before the `done` event; a server killed mid-job and restarted
+//! over the same directory resumes the re-submitted job from the journal
+//! — each restored record is audited against the present unit graph,
+//! torn final lines are tolerated, a kill loses at most one unflushed
+//! batch, and a header mismatch (different model, layout, k, alpha, or
+//! unit count) moves the journal aside as `.stale` and restarts from
+//! scratch rather than reusing foreign records. The resumed run's
 //! digests are bit-identical to an uninterrupted run. Uploads are capped
 //! ([`ServerConfig::upload`]) and parse failures answer with typed 400s
-//! carrying the offending line number.
+//! carrying the offending line number. Every response body, error or
+//! not, is JSON built through the [`mpld::json`] codec's escaper.
 //!
 //! Admission control is a bounded queue: when every worker is busy and
 //! the backlog is full, new connections are rejected immediately with
@@ -70,17 +73,18 @@ pub use jobs::{derive_job_id, valid_job_id};
 
 use http::HttpError;
 use jobs::{Claim, Job, JobRegistry};
+use mpld::json::{self, Value};
 use mpld::{
-    audit_boundary_units, prepare, prepare_tiled, BudgetPolicy, Checkpoint, CheckpointHeader,
-    Engine, JournalWriter, PreparedLayout, Progress, Recovery, RunSummary, Session, TiledProgress,
-    TiledRunSummary, TiledStats, TilingConfig,
+    audit_boundary_units, prepare, prepare_tiled, BudgetPolicy, Engine, Journal, PreparedLayout,
+    Progress, Recovery, RunSummary, Session, TiledProgress, TiledRunSummary, TiledStats,
+    TilingConfig,
 };
-use mpld_graph::MpldError;
+use mpld_graph::{fnv64, MpldError};
 use mpld_layout::{circuit_by_name, read_layout_limited, Layout, ReadLimits};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -335,14 +339,6 @@ fn tiled_progress_json(p: &TiledProgress) -> String {
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Runs the accept/drain loop until `shutdown` turns true, serving
 /// requests from `workers` threads that share `engine`. Returns once
 /// every queued request has finished and all workers have joined.
@@ -524,7 +520,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) -> std::io::Re
                 None => respond_json(
                     stream,
                     "404 Not Found",
-                    &format!("{{\"error\":\"unknown job\",\"id\":{id:?}}}"),
+                    &error_json("unknown job", &[("id", id)]),
                 ),
             }
         }
@@ -545,22 +541,11 @@ fn respond_json(mut stream: TcpStream, status: &str, body: &str) -> std::io::Res
     stream.flush()
 }
 
-/// Extracts the token following `"key":` from a flat JSON object —
-/// enough for the four-field request body this server accepts. Only an
-/// occurrence followed by `:` is the key; the same text as a value
-/// (`"job_id":"circuit"`) is skipped.
-fn body_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    let rest = body
-        .match_indices(&pat)
-        .find_map(|(i, _)| body[i + pat.len()..].trim_start().strip_prefix(':'))?
-        .trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.find('"').map(|end| &stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
+/// An error body: `{"error":<error>, <key>:<value>…}`, every string
+/// escaped.
+pub(crate) fn error_json(error: &str, details: &[(&str, &str)]) -> String {
+    let fields = std::iter::once(("error", error)).chain(details.iter().copied());
+    Value::Obj(fields.map(|(k, v)| (k.into(), v.into())).collect()).to_string()
 }
 
 fn health_json(state: &ServerState) -> String {
@@ -630,7 +615,10 @@ fn respond_parse_error(stream: TcpStream, e: &MpldError) -> std::io::Result<()> 
     respond_json(
         stream,
         "400 Bad Request",
-        &format!("{{\"error\":\"parse\",\"line\":{line},\"reason\":{reason:?}}}"),
+        &format!(
+            "{{\"error\":\"parse\",\"line\":{line},\"reason\":{}}}",
+            json::string(&reason)
+        ),
     )
 }
 
@@ -652,27 +640,39 @@ fn handle_decompose(
     let mut tile_events = Vec::new();
     match first {
         Some(b'{') => {
-            let body = String::from_utf8_lossy(&req.body).into_owned();
-            let Some(circuit) = body_field(&body, "circuit").map(str::to_string) else {
+            // Only the body's top-level keys count.
+            let text = String::from_utf8_lossy(&req.body);
+            let Some(body) = json::parse(&text) else {
                 return respond_json(
                     stream,
                     "400 Bad Request",
-                    "{\"error\":\"missing \\\"circuit\\\"\"}",
+                    &error_json("malformed JSON body", &[]),
                 );
             };
-            let Some(p) = state.prep_circuit(&circuit, &mut tile_events) else {
+            let Some(circuit) = body.get("circuit").and_then(Value::as_str) else {
+                return respond_json(
+                    stream,
+                    "400 Bad Request",
+                    &error_json("missing \"circuit\"", &[]),
+                );
+            };
+            let Some(p) = state.prep_circuit(circuit, &mut tile_events) else {
                 return respond_json(
                     stream,
                     "404 Not Found",
-                    &format!("{{\"error\":\"unknown circuit {circuit:?}\"}}"),
+                    &error_json("unknown circuit", &[("circuit", circuit)]),
                 );
             };
             prep = p;
-            seed = body_field(&body, "seed")
-                .and_then(|v| v.parse().ok())
+            seed = body
+                .get("seed")
+                .and_then(Value::num)
                 .unwrap_or(DEFAULT_SEED);
-            time_limit_ms = body_field(&body, "time_limit_ms").and_then(|v| v.parse().ok());
-            explicit_id = body_field(&body, "job_id").map(str::to_string);
+            time_limit_ms = body.get("time_limit_ms").and_then(Value::num);
+            explicit_id = body
+                .get("job_id")
+                .and_then(Value::as_str)
+                .map(str::to_string);
             kind = "circuit";
         }
         Some(_) => {
@@ -700,9 +700,9 @@ fn handle_decompose(
             return respond_json(
                 stream,
                 "400 Bad Request",
-                &format!(
-                    "{{\"error\":\"invalid job_id {id:?}: want 1-64 chars of [A-Za-z0-9._-], \
-                     not starting with a dot\"}}"
+                &error_json(
+                    "invalid job_id: want 1-64 chars of [A-Za-z0-9._-], not starting with a dot",
+                    &[("job_id", &id)],
                 ),
             );
         }
@@ -750,31 +750,6 @@ impl Drop for JobGuard<'_> {
     }
 }
 
-/// Loads a resumable checkpoint for `job_id`, discarding (and counting)
-/// journals whose header does not match the present request.
-fn load_resume(
-    state: &ServerState,
-    path: &Path,
-    prep: &PreparedLayout,
-    k: u8,
-    alpha: f64,
-) -> (Option<Checkpoint>, bool) {
-    match Checkpoint::load(path) {
-        Ok(Some(cp)) if cp.matches(&prep.name, k, alpha, prep.units.len()) => (Some(cp), false),
-        Ok(None) => (None, false),
-        Ok(Some(_)) | Err(_) => {
-            // Foreign or unreadable journal: never silently reuse it —
-            // delete and restart this job from scratch.
-            let _ = std::fs::remove_file(path);
-            state
-                .counters
-                .journal_restarts
-                .fetch_add(1, Ordering::Relaxed);
-            (None, true)
-        }
-    }
-}
-
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn run_job(
     mut stream: TcpStream,
@@ -796,29 +771,21 @@ fn run_job(
         completed: false,
     };
 
-    let journal_path = state.journal_path(job_id);
-    let (resume, restarted) = match &journal_path {
-        Some(path) => load_resume(state, path, prep, params.k, params.alpha),
-        None => (None, false),
-    };
-    let journal = match &journal_path {
-        Some(path) => {
-            let header = CheckpointHeader {
-                layout: prep.name.clone(),
-                k: params.k,
-                alpha: params.alpha,
-                units: prep.units.len(),
-            };
-            match JournalWriter::append(path, &header) {
-                Ok(w) => Some(w),
-                Err(e) => {
-                    eprintln!("mpld-server: journal {} disabled: {e}", path.display());
-                    None
-                }
-            }
-        }
-        None => None,
-    };
+    // The job's journal: resumed from when a previous process left one
+    // for this job, moved aside (and the restart counted) when it belongs
+    // to another model, layout or parameters.
+    let journal = state.journal_path(job_id).and_then(|path| {
+        Journal::open(&path, &state.engine.journal_key(prep))
+            .map_err(|e| eprintln!("mpld-server: journal {} disabled: {e}", path.display()))
+            .ok()
+    });
+    let restarted = journal.as_ref().is_some_and(|j| j.report.rekeyed);
+    if restarted {
+        state
+            .counters
+            .journal_restarts
+            .fetch_add(1, Ordering::Relaxed);
+    }
 
     // Streaming NDJSON: no Content-Length, the body ends when the
     // connection closes (Connection: close).
@@ -849,7 +816,8 @@ fn run_job(
     };
 
     emit(&format!(
-        "{{\"event\":\"job\",\"id\":\"{job_id}\",\"journal\":{},\"restarted\":{restarted}}}",
+        "{{\"event\":\"job\",\"id\":{},\"journal\":{},\"restarted\":{restarted}}}",
+        json::string(job_id),
         journal.is_some()
     ));
     for line in tile_events {
@@ -862,7 +830,6 @@ fn run_job(
     };
     let mut session = Session::with_policy(seed, policy);
     session.recovery = Recovery {
-        resume: resume.as_ref(),
         journal: journal.as_ref(),
     };
 
@@ -911,7 +878,8 @@ fn run_job(
                 });
             }
             emit(&format!(
-                "{{\"event\":\"done\",\"job\":\"{job_id}\",\"summary\":{}}}",
+                "{{\"event\":\"done\",\"job\":{},\"summary\":{}}}",
+                json::string(job_id),
                 summary.to_json()
             ));
             guard.completed = true;
@@ -920,21 +888,15 @@ fn run_job(
             c.jobs_completed.fetch_add(1, Ordering::Relaxed);
             c.resumed_units
                 .fetch_add(r.resumed_units as u64, Ordering::Relaxed);
-            if journal.is_some() {
-                if let Some(path) = &journal_path {
-                    // New records this run = journaled units minus the
-                    // ones that were restored rather than re-solved.
-                    if let Ok(Some(cp)) = Checkpoint::load(path) {
-                        let new = cp.len().saturating_sub(r.resumed_units) as u64;
-                        c.journal_records.fetch_add(new, Ordering::Relaxed);
-                    }
-                }
+            if let Some(j) = &journal {
+                c.journal_records
+                    .fetch_add(j.writer.stats().appended, Ordering::Relaxed);
             }
         }
         Err(e) => {
             emit(&format!(
-                "{{\"event\":\"error\",\"message\":{:?}}}",
-                e.to_string()
+                "{{\"event\":\"error\",\"message\":{}}}",
+                json::string(&e.to_string())
             ));
             guard.completed = true;
             job.finish(true);
@@ -989,8 +951,8 @@ fn store_stats_json(s: Option<&mpld::EngineStoreStats>) -> String {
     format!(
         "{{\"loaded_solves\":{},\"skipped_corrupt\":{},\"skipped_audit\":{},\
          \"superseded\":{},\"orphaned\":{},\"rekeyed\":{},\"torn_tail\":{},\
-         \"lib_loaded\":{},\"load_ms\":{},\"appended\":{},\"dropped\":{},\
-         \"flushes\":{},\"io_errors\":{},\"entries\":{}}}",
+         \"read_only\":{},\"lib_loaded\":{},\"load_ms\":{},\"appended\":{},\
+         \"dropped\":{},\"flushes\":{},\"io_errors\":{},\"entries\":{}}}",
         s.loaded_solves,
         s.skipped_corrupt,
         s.skipped_audit,
@@ -998,6 +960,7 @@ fn store_stats_json(s: Option<&mpld::EngineStoreStats>) -> String {
         s.orphaned,
         s.rekeyed,
         s.torn_tail,
+        s.read_only,
         s.lib_loaded,
         s.load_ms,
         s.appended,
@@ -1012,22 +975,55 @@ fn store_stats_json(s: Option<&mpld::EngineStoreStats>) -> String {
 mod tests {
     use super::*;
 
+    /// Request bodies are read with the codec, top-level keys only.
     #[test]
     fn body_fields_parse() {
+        let field = |b: &str, key: &str| {
+            json::parse(b).and_then(|v| {
+                v.get(key)
+                    .map(|f| f.to_string().trim_matches('"').to_string())
+            })
+        };
         let b = r#"{"circuit":"C432","seed":7,"time_limit_ms":500,"job_id":"a.b-c"}"#;
-        assert_eq!(body_field(b, "circuit"), Some("C432"));
-        assert_eq!(body_field(b, "seed"), Some("7"));
-        assert_eq!(body_field(b, "time_limit_ms"), Some("500"));
-        assert_eq!(body_field(b, "job_id"), Some("a.b-c"));
-        assert_eq!(body_field(b, "missing"), None);
+        assert_eq!(field(b, "circuit").as_deref(), Some("C432"));
+        assert_eq!(field(b, "seed").as_deref(), Some("7"));
+        assert_eq!(field(b, "time_limit_ms").as_deref(), Some("500"));
+        assert_eq!(field(b, "job_id").as_deref(), Some("a.b-c"));
+        assert_eq!(field(b, "missing"), None);
         // Whitespace-tolerant.
         let b = r#"{ "circuit" : "C499" , "seed" : 12 }"#;
-        assert_eq!(body_field(b, "circuit"), Some("C499"));
-        assert_eq!(body_field(b, "seed"), Some("12"));
+        assert_eq!(field(b, "circuit").as_deref(), Some("C499"));
+        assert_eq!(field(b, "seed").as_deref(), Some("12"));
         // A key's text appearing earlier as a value is not the key.
         let b = r#"{"job_id":"circuit","circuit":"C432"}"#;
-        assert_eq!(body_field(b, "circuit"), Some("C432"));
-        assert_eq!(body_field(b, "job_id"), Some("circuit"));
+        assert_eq!(field(b, "circuit").as_deref(), Some("C432"));
+        assert_eq!(field(b, "job_id").as_deref(), Some("circuit"));
+        // Escapes decode, nested keys do not count, and a body that is
+        // not JSON is rejected whole.
+        let b = r#"{"circuit":"C\u0034\u0033\u0032"}"#;
+        assert_eq!(field(b, "circuit").as_deref(), Some("C432"));
+        let b = r#"{"meta":{"circuit":"C880"},"circuit":"C432"}"#;
+        assert_eq!(field(b, "circuit").as_deref(), Some("C432"));
+        assert_eq!(field(r#"{"circuit":"C432""#, "circuit"), None);
+    }
+
+    #[test]
+    fn error_bodies_are_json() {
+        let odd = "a\"b\\c\u{1}\u{7f}é";
+        let body = error_json("unknown circuit", &[("circuit", odd)]);
+        let v = json::parse(&body).expect("error body parses");
+        assert_eq!(
+            v.get("error").and_then(Value::as_str),
+            Some("unknown circuit")
+        );
+        assert_eq!(v.get("circuit").and_then(Value::as_str), Some(odd));
+        for e in [
+            HttpError::Malformed(odd.to_string()),
+            HttpError::TooLarge("request line"),
+            HttpError::Io(std::io::Error::other(odd)),
+        ] {
+            assert!(json::parse(&e.body()).is_some(), "{}", e.body());
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! `TcpStream` clients. Covers the streaming protocol, cross-request
 //! cache reuse, admission control (429), and graceful drain.
 
+use mpld::json::{self, Value};
 use mpld::{prepare, train_framework, Engine, OfflineConfig, RunSummary, TrainingData};
 use mpld_graph::DecomposeParams;
 use mpld_layout::circuit_by_name;
@@ -289,6 +290,59 @@ fn malformed_and_oversized_requests_get_fast_typed_errors() {
     assert!(health.contains("\"status\":\"ok\""), "{health}");
     let stats = request(s.addr, "GET /stats HTTP/1.1\r\nHost: test\r\n\r\n");
     assert!(stats.contains("\"bad_requests\":"), "{stats}");
+}
+
+/// Request bodies are strict JSON read by top-level key, and every
+/// error body is JSON whatever text it quotes back.
+#[test]
+fn request_bodies_are_json_and_every_error_body_parses() {
+    let s = server();
+    let error_of = |r: &str| {
+        let body = r.split_once("\r\n\r\n").map_or("", |(_, b)| b).trim();
+        let v = json::parse(body).unwrap_or_else(|| panic!("error body is not JSON: {r}"));
+        v.get("error")
+            .and_then(Value::as_str)
+            .map(str::to_string)
+            .unwrap_or_else(|| panic!("no error field: {r}"))
+    };
+    let post = |body: &str| post_decompose(s.addr, body);
+    for (r, status) in [
+        (post(r#"{"circuit":"nope"}"#), "404"),
+        (post(r#"{"circuit":"no\"pe\u0001\u007f\u00e9"}"#), "404"),
+        (post(r#"{"circuit":"C432","job_id":"bad id\u0007"}"#), "400"),
+        (post(r#"{"circuit":"C432""#), "400"),
+        (post(r#"{"meta":{"circuit":"C432"}}"#), "400"),
+        (
+            request(
+                s.addr,
+                "GET /jobs/a\"b\u{7f} HTTP/1.1\r\nHost: test\r\n\r\n",
+            ),
+            "404",
+        ),
+        (send_raw(s.addr, b"\x01\x7f GET\r\n\r\n"), "400"),
+    ] {
+        assert!(r.starts_with(&format!("HTTP/1.1 {status}")), "{r}");
+        error_of(&r);
+    }
+    let unknown = post(r#"{"circuit":"no\"pe"}"#);
+    let body = unknown.split_once("\r\n\r\n").expect("body").1;
+    let v = json::parse(body.trim()).expect("404 body parses");
+    assert_eq!(v.get("circuit").and_then(Value::as_str), Some("no\"pe"));
+
+    // Escapes decode: C\u0034\u0033\u0032 is C432.
+    let r = post(r#"{"circuit":"C\u0034\u0033\u0032","job_id":"escaped-name"}"#);
+    assert!(r.starts_with("HTTP/1.1 200 OK"), "{r}");
+    assert_eq!(
+        RunSummary::parse(done_line(&r)).expect("parses").layout,
+        "C432"
+    );
+    // Only top-level keys count.
+    let r = post(r#"{"meta":{"circuit":"C880"},"circuit":"C432","job_id":"nested-key"}"#);
+    assert!(r.starts_with("HTTP/1.1 200 OK"), "{r}");
+    assert_eq!(
+        RunSummary::parse(done_line(&r)).expect("parses").layout,
+        "C432"
+    );
 }
 
 #[test]

@@ -13,6 +13,7 @@
 mod util;
 
 use mpld::RunSummary;
+use mpld_layout::{circuit_by_name, write_layout};
 use mpld_server::ServerConfig;
 use std::path::Path;
 use std::time::Duration;
@@ -151,6 +152,44 @@ fn header_mismatch_restarts_job_from_scratch() {
         stats.contains("\"journal_restarts\":1"),
         "restart must be counted: {stats}"
     );
+    server_b.stop();
+}
+
+/// A journal's header survives any layout name: an upload named `a"b`
+/// resumes on a restarted server instead of being restarted from
+/// scratch.
+#[test]
+fn uploaded_layout_with_a_quoted_name_resumes() {
+    let dir = scratch_dir("quoted");
+    let mut layout = circuit_by_name("C432").expect("exists").generate();
+    layout.name = "a\"b".to_string();
+    let mut text = Vec::new();
+    write_layout(&layout, &mut text).expect("serialize");
+    let text = String::from_utf8(text).expect("utf8");
+    let raw = format!(
+        "POST /decompose?seed=7&job_id=quoted HTTP/1.1\r\nHost: test\r\n\
+         Content-Length: {}\r\n\r\n{text}",
+        text.len()
+    );
+
+    let server_a = TestServer::start(tiny_engine(false), cfg_with_journal(&dir));
+    let first = send_raw(server_a.addr, raw.as_bytes());
+    assert!(first.starts_with("HTTP/1.1 200 OK"), "{first}");
+    let oracle = RunSummary::parse(done_line(&first)).expect("summary parses");
+    assert_eq!(oracle.layout, "a\"b");
+    server_a.stop();
+
+    let server_b = TestServer::start(tiny_engine(false), cfg_with_journal(&dir));
+    let again = send_raw(server_b.addr, raw.as_bytes());
+    assert!(again.contains("\"restarted\":false"), "{again}");
+    let resumed = RunSummary::parse(done_line(&again)).expect("summary parses");
+    assert!(resumed.ec + resumed.ilp > 0, "{resumed:?}");
+    assert_eq!(
+        resumed.resumed_units,
+        resumed.ec + resumed.ilp,
+        "{resumed:?}"
+    );
+    assert_eq!(digest(&resumed), digest(&oracle));
     server_b.stop();
 }
 

@@ -5,17 +5,11 @@
 
 mod util;
 
+use mpld_graph::splitmix64;
 use mpld_layout::{circuit_by_name, write_layout, ReadLimits};
 use mpld_server::{HttpLimits, ServerConfig};
 use std::time::{Duration, Instant};
 use util::{send_raw, tiny_engine, TestServer};
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
 
 /// Resident set size in bytes, from /proc (0 where unavailable).
 fn rss_bytes() -> u64 {

@@ -1,37 +1,40 @@
-//! On-disk JSONL format: the keyed header and the two record kinds.
+//! On-disk JSONL format: the keyed headers and the record kinds.
 //!
-//! One store file is a sequence of `\n`-terminated single-line JSON
-//! objects following the checkpoint journal's discipline: the first line
-//! is the header, every later line is a record, a record is valid only
-//! if its line is complete (ends in `}`), and a torn final line — the
-//! kill -9 signature — is tolerated and skipped by the loader.
+//! A store file is `\n`-terminated single-line JSON objects, read through
+//! the [`json`](crate::json) codec: a header, then records. Both header
+//! kinds open with the same provenance — format version, **model
+//! fingerprint** (FNV-64 of the serialized weights), `k`, `alpha`
+//! bit-exact. A library store adds the embedding dimension and the
+//! library-config token ([`StoreKey`], whose digest also names the file,
+//! so a retrained model writes a *different* file); a job journal adds
+//! the layout name and unit count ([`JournalKey`]). Records:
 //!
-//! The header carries the format version, the **model fingerprint**
-//! (FNV-64 of the serialized framework weights) and the layout/library
-//! parameters (`k`, `alpha`, embedding dimension `d`, library-config
-//! token). Together these form the [`StoreKey`]; the key's digest also
-//! names the file, so a retrained model writes a *different* file
-//! (re-keying in the Plexus "embedding drift" style) and a header that
-//! disagrees with its expected key is never served.
-//!
-//! Records:
-//!
-//! - `"t":"s"` — one audit-clean tail solve (the online flywheel):
-//!   graph, `ec_first` routing bucket, engine, certainty, coloring,
-//!   claimed cost.
+//! - `"t":"s"` — one audit-clean tail solve: graph, `ec_first` routing
+//!   bucket, engine, certainty, coloring, claimed cost;
 //! - `"t":"l"` — one graph-library entry: graph, bit-exact embeddings
-//!   (f32 bit patterns in hex), optimal solution, claimed cost.
-//! - `"t":"ld"` — library-dump completion marker carrying the entry
-//!   count; a dump without its marker (torn mid-dump) is orphaned and
-//!   rebuilt, never half-trusted.
-//!
-//! Floats that must round-trip bit-exactly (embeddings, `alpha`) are
-//! stored as hex bit patterns, not decimal.
+//!   (f32 bit patterns in hex), optimal solution, claimed cost;
+//! - `"t":"ld"` — library-dump completion marker with the entry count (a
+//!   dump without it is orphaned, never half-trusted);
+//! - `"t":"u"` — one settled tail unit of a journal: unit index, graph
+//!   fingerprint, engine, certainty, budget-fallback flag, coloring,
+//!   claimed cost.
 
-use mpld_graph::{Certainty, CostBreakdown, LayoutGraph};
+use crate::json::{self, Value};
+use mpld_graph::{Certainty, CostBreakdown, Fnv64, LayoutGraph};
 use mpld_matching::LibraryEntry;
 use mpld_tensor::Matrix;
 use std::path::{Path, PathBuf};
+
+/// The multiplier of the store's FNV-1a digests, `0x1_0000_01b3`: one
+/// zero byte short of the FNV prime since the store's first version.
+/// Model digests and store file names are on disk under it, so it stays.
+const STORE_FNV_PRIME: u64 = 0x0000_0001_0000_01b3;
+
+/// FNV-1a over raw bytes with the store's multiplier — the model
+/// fingerprint ([`StoreKey::model_digest`], [`JournalKey::model_digest`]).
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    Fnv64::with_prime(STORE_FNV_PRIME).bytes(bytes).finish()
+}
 
 /// On-disk format version; bumped on any incompatible layout change, and
 /// whenever the solvers may answer a stored graph differently (2: EC
@@ -39,14 +42,13 @@ use std::path::{Path, PathBuf};
 /// differ from a fresh solve of the same graph).
 pub const FORMAT_VERSION: u32 = 2;
 
-/// FNV-1a 64-bit over raw bytes — the store's model-fingerprint hash
-/// (same constants as the matcher's `graph_fingerprint`).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0001_0000_01b3);
-    }
-    h
+/// The provenance every header opens with (no braces).
+fn provenance(model_digest: u64, k: u8, alpha: f64) -> String {
+    format!(
+        "\"v\":{FORMAT_VERSION},\"model\":\"{model_digest:016x}\",\"k\":{k},\
+         \"alpha_bits\":\"{:016x}\",\"alpha\":{alpha}",
+        alpha.to_bits()
+    )
 }
 
 /// Everything a stored entry's validity depends on: the model that
@@ -55,8 +57,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// re-keys the store instead of ever serving a stale match.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreKey {
-    /// [`fnv64`] of the serialized framework weights (the `model.bin`
-    /// bytes).
+    /// [`fnv64`] of the serialized framework weights (the
+    /// `model.bin` bytes).
     pub model_digest: u64,
     /// Mask count `k`.
     pub k: u8,
@@ -71,13 +73,13 @@ pub struct StoreKey {
 impl StoreKey {
     /// Digest over every key component; names the store file.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(64);
-        bytes.extend_from_slice(&self.model_digest.to_le_bytes());
-        bytes.push(self.k);
-        bytes.extend_from_slice(&self.alpha.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&(self.dim as u64).to_le_bytes());
-        bytes.extend_from_slice(self.library.as_bytes());
-        fnv64(&bytes)
+        Fnv64::with_prime(STORE_FNV_PRIME)
+            .bytes(&self.model_digest.to_le_bytes())
+            .bytes(&[self.k])
+            .bytes(&self.alpha.to_bits().to_le_bytes())
+            .bytes(&(self.dim as u64).to_le_bytes())
+            .bytes(self.library.as_bytes())
+            .finish()
     }
 
     /// The file this key loads from / appends to.
@@ -103,14 +105,10 @@ impl StoreKey {
 
     pub(crate) fn header_line(&self) -> String {
         format!(
-            "{{\"v\":{FORMAT_VERSION},\"model\":\"{:016x}\",\"k\":{},\"alpha_bits\":\"{:016x}\",\
-             \"alpha\":{},\"dim\":{},\"lib\":\"{}\"}}",
-            self.model_digest,
-            self.k,
-            self.alpha.to_bits(),
-            self.alpha,
+            "{{{},\"dim\":{},\"lib\":{}}}",
+            provenance(self.model_digest, self.k, self.alpha),
             self.dim,
-            self.library,
+            json::string(&self.library),
         )
     }
 }
@@ -133,46 +131,64 @@ pub struct Header {
 }
 
 pub(crate) fn parse_header(line: &str) -> Option<Header> {
-    if !line.trim_end().ends_with('}') {
-        return None;
-    }
+    let v = json::parse(line)?;
+    let hex = |key| u64::from_str_radix(v.get(key)?.as_str()?, 16).ok();
     Some(Header {
-        version: field(line, "v")?.parse().ok()?,
-        model_digest: u64::from_str_radix(field(line, "model")?, 16).ok()?,
-        k: field(line, "k")?.parse().ok()?,
-        alpha: f64::from_bits(u64::from_str_radix(field(line, "alpha_bits")?, 16).ok()?),
-        dim: field(line, "dim")?.parse().ok()?,
-        library: field(line, "lib")?.to_string(),
+        version: v.get("v")?.num()?,
+        model_digest: hex("model")?,
+        k: v.get("k")?.num()?,
+        alpha: f64::from_bits(hex("alpha_bits")?),
+        dim: v.get("dim")?.num()?,
+        library: v.get("lib")?.as_str()?.to_string(),
     })
 }
 
-/// Which tail engine produced a stored solve. The store deliberately
-/// carries only the two engines that reach the solution cache; matching
-/// and ColorGNN results are never persisted (the former is the library
-/// itself, the latter is RNG-stream-dependent).
+/// What a job journal's header binds: the store header's provenance
+/// (format version, model fingerprint, `k`, `alpha` bit-exact) plus the
+/// layout it decomposes. A journal whose header disagrees is moved aside
+/// and never replayed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JournalKey {
+    /// [`fnv64`] of the serialized framework weights.
+    pub model_digest: u64,
+    /// Mask count `k`.
+    pub k: u8,
+    /// Stitch weight `alpha` (compared bit-exactly).
+    pub alpha: f64,
+    /// Layout name.
+    pub layout: String,
+    /// Unit count of the prepared layout.
+    pub units: usize,
+}
+
+impl JournalKey {
+    pub(crate) fn header_line(&self) -> String {
+        format!(
+            "{{{},\"layout\":{},\"units\":{}}}",
+            provenance(self.model_digest, self.k, self.alpha),
+            json::string(&self.layout),
+            self.units
+        )
+    }
+
+    /// A journal header matches only if it is exactly the line this key
+    /// renders: same format version, model, `k`, `alpha` bits, layout
+    /// and unit count.
+    pub(crate) fn matches(&self, line: &str) -> bool {
+        line == self.header_line()
+    }
+}
+
+/// Which tail engine produced a stored solve or a journaled unit. Only
+/// the two exact engines answer the ILP/EC tail; matching and ColorGNN
+/// results are never persisted (the former is the library itself, the
+/// latter is RNG-stream-dependent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailEngine {
     /// Exact ILP.
     Ilp,
     /// Exact cover.
     Ec,
-}
-
-impl TailEngine {
-    fn as_str(self) -> &'static str {
-        match self {
-            TailEngine::Ilp => "ilp",
-            TailEngine::Ec => "ec",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ilp" => Some(TailEngine::Ilp),
-            "ec" => Some(TailEngine::Ec),
-            _ => None,
-        }
-    }
 }
 
 /// One audit-clean tail solve restored from (or bound for) the store.
@@ -192,69 +208,89 @@ pub struct StoredSolve {
     pub cost: CostBreakdown,
 }
 
+/// One settled ILP/EC-tail unit of a job journal (`"t":"u"`). The graph
+/// is not stored: the record names its unit and the unit graph's
+/// fingerprint, and a resuming run re-audits the coloring against the
+/// present unit before trusting it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UnitRecord {
+    /// Index of the unit within the prepared layout.
+    pub unit: usize,
+    /// `mpld_matching::graph_fingerprint` of the unit graph.
+    pub fingerprint: u64,
+    /// Engine whose coloring was kept.
+    pub engine: TailEngine,
+    /// The recorded certainty (any of the four).
+    pub certainty: Certainty,
+    /// Whether the unit fell back on budget exhaustion.
+    pub budget_fallback: bool,
+    /// Per-node mask assignment.
+    pub coloring: Vec<u8>,
+    /// Claimed cost.
+    pub cost: CostBreakdown,
+}
+
 /// One parsed record line.
 #[derive(Debug)]
 pub(crate) enum Record {
     Solve(StoredSolve),
     Lib(Box<LibraryEntry>),
     LibDone { n: usize },
+    Unit(UnitRecord),
 }
 
-fn certainty_str(c: Certainty) -> Option<&'static str> {
-    match c {
-        Certainty::Certified => Some("certified"),
-        Certainty::Heuristic => Some("heuristic"),
-        // Budget-cut and degraded results are request-dependent and are
-        // never published to the cache, hence never stored.
-        Certainty::BudgetExhausted | Certainty::Degraded => None,
-    }
+/// On-disk names of the tail engines and certainties.
+const ENGINES: [(TailEngine, &str); 2] = [(TailEngine::Ilp, "ilp"), (TailEngine::Ec, "ec")];
+const CERTAINTIES: [(Certainty, &str); 4] = [
+    (Certainty::Certified, "certified"),
+    (Certainty::Heuristic, "heuristic"),
+    (Certainty::BudgetExhausted, "budget_exhausted"),
+    (Certainty::Degraded, "degraded"),
+];
+
+fn name_of<T: PartialEq>(names: &[(T, &'static str)], x: T) -> &'static str {
+    names.iter().find(|(y, _)| *y == x).map_or("", |(_, n)| n)
 }
 
-fn certainty_parse(s: &str) -> Option<Certainty> {
-    match s {
-        "certified" => Some(Certainty::Certified),
-        "heuristic" => Some(Certainty::Heuristic),
-        _ => None,
-    }
+fn named<T: Copy>(names: &[(T, &str)], name: &str) -> Option<T> {
+    names.iter().find(|(_, n)| *n == name).map(|(x, _)| *x)
 }
 
-fn push_u8s(line: &mut String, xs: &[u8]) {
-    for (i, x) in xs.iter().enumerate() {
+/// Budget-cut and degraded results are request-dependent and are never
+/// published to the solution cache, hence never stored as solves.
+fn storable(c: Certainty) -> bool {
+    matches!(c, Certainty::Certified | Certainty::Heuristic)
+}
+
+fn push_list<T: std::fmt::Display>(line: &mut String, xs: impl IntoIterator<Item = T>) {
+    use std::fmt::Write as _;
+    line.push('[');
+    for (i, x) in xs.into_iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
-        line.push_str(&x.to_string());
+        let _ = write!(line, "{x}");
     }
-}
-
-fn push_u32s(line: &mut String, xs: &[u32]) {
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&x.to_string());
-    }
-}
-
-fn push_edges(line: &mut String, edges: &[(u32, u32)]) {
-    for (i, &(u, v)) in edges.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&u.to_string());
-        line.push(',');
-        line.push_str(&v.to_string());
-    }
+    line.push(']');
 }
 
 fn push_graph(line: &mut String, g: &LayoutGraph) {
-    line.push_str("\"nf\":[");
-    push_u32s(line, g.node_features());
-    line.push_str("],\"ce\":[");
-    push_edges(line, g.conflict_edges());
-    line.push_str("],\"se\":[");
-    push_edges(line, g.stitch_edges());
-    line.push(']');
+    let flat = |edges: &[(u32, u32)]| edges.iter().flat_map(|&(u, v)| [u, v]).collect::<Vec<_>>();
+    line.push_str("\"nf\":");
+    push_list(line, g.node_features());
+    line.push_str(",\"ce\":");
+    push_list(line, flat(g.conflict_edges()));
+    line.push_str(",\"se\":");
+    push_list(line, flat(g.stitch_edges()));
+}
+
+fn push_coloring_and_cost(line: &mut String, coloring: &[u8], cost: CostBreakdown) {
+    line.push_str(",\"col\":");
+    push_list(line, coloring);
+    line.push_str(&format!(
+        ",\"cn\":{},\"st\":{}}}",
+        cost.conflicts, cost.stitches
+    ));
 }
 
 fn push_f32s_hex(line: &mut String, xs: &[f32]) {
@@ -267,19 +303,17 @@ fn push_f32s_hex(line: &mut String, xs: &[f32]) {
 /// Renders one solve record. Returns `None` for certainties that must
 /// never be persisted.
 pub(crate) fn render_solve(s: &StoredSolve) -> Option<String> {
-    let cert = certainty_str(s.certainty)?;
+    if !storable(s.certainty) {
+        return None;
+    }
     let mut line = format!(
-        "{{\"t\":\"s\",\"ec\":{},\"eng\":\"{}\",\"cert\":\"{cert}\",",
+        "{{\"t\":\"s\",\"ec\":{},\"eng\":\"{}\",\"cert\":\"{}\",",
         u8::from(s.ec_first),
-        s.engine.as_str(),
+        name_of(&ENGINES, s.engine),
+        name_of(&CERTAINTIES, s.certainty),
     );
     push_graph(&mut line, &s.graph);
-    line.push_str(",\"col\":[");
-    push_u8s(&mut line, &s.coloring);
-    line.push_str(&format!(
-        "],\"cn\":{},\"st\":{}}}",
-        s.cost.conflicts, s.cost.stitches
-    ));
+    push_coloring_and_cost(&mut line, &s.coloring, s.cost);
     Some(line)
 }
 
@@ -295,12 +329,8 @@ pub(crate) fn render_lib(e: &LibraryEntry) -> String {
         e.node_embeddings.cols()
     ));
     push_f32s_hex(&mut line, e.node_embeddings.as_slice());
-    line.push_str("\",\"col\":[");
-    push_u8s(&mut line, &e.solution);
-    line.push_str(&format!(
-        "],\"cn\":{},\"st\":{}}}",
-        e.cost.conflicts, e.cost.stitches
-    ));
+    line.push('"');
+    push_coloring_and_cost(&mut line, &e.solution, e.cost);
     line
 }
 
@@ -308,32 +338,21 @@ pub(crate) fn render_lib_done(n: usize) -> String {
     format!("{{\"t\":\"ld\",\"n\":{n}}}")
 }
 
-fn parse_u32s(body: &str) -> Option<Vec<u32>> {
-    let body = body.trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|t| t.trim().parse().ok()).collect()
-}
-
-fn parse_u8s(body: &str) -> Option<Vec<u8>> {
-    let body = body.trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|t| t.trim().parse().ok()).collect()
-}
-
-fn parse_edges(body: &str) -> Option<Vec<(u32, u32)>> {
-    let flat = parse_u32s(body)?;
-    if !flat.len().is_multiple_of(2) {
-        return None;
-    }
-    Some(flat.chunks_exact(2).map(|p| (p[0], p[1])).collect())
+pub(crate) fn render_unit(u: &UnitRecord) -> String {
+    let mut line = format!(
+        "{{\"t\":\"u\",\"i\":{},\"fp\":{},\"eng\":\"{}\",\"cert\":\"{}\",\"bf\":{}",
+        u.unit,
+        u.fingerprint,
+        name_of(&ENGINES, u.engine),
+        name_of(&CERTAINTIES, u.certainty),
+        u.budget_fallback,
+    );
+    push_coloring_and_cost(&mut line, &u.coloring, u.cost);
+    line
 }
 
 fn parse_f32s_hex(s: &str) -> Option<Vec<f32>> {
-    if !s.len().is_multiple_of(8) || !s.is_char_boundary(0) {
+    if !s.len().is_multiple_of(8) {
         return None;
     }
     s.as_bytes()
@@ -348,85 +367,81 @@ fn parse_f32s_hex(s: &str) -> Option<Vec<f32>> {
 /// Reconstructs the graph of a record through the validating
 /// constructor: a corrupted edge list (self-loop, duplicate, edge
 /// against the feature rules, out-of-range endpoint) is rejected here.
-fn parse_record_graph(line: &str) -> Option<LayoutGraph> {
-    let nf = parse_u32s(field(line, "nf")?)?;
-    let ce = parse_edges(field(line, "ce")?)?;
-    let se = parse_edges(field(line, "se")?)?;
-    LayoutGraph::new(nf, ce, se).ok()
+fn parse_graph(v: &Value) -> Option<LayoutGraph> {
+    let edges = |key| {
+        let flat: Vec<u32> = v.get(key)?.nums()?;
+        let pairs: Vec<(u32, u32)> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        flat.len().is_multiple_of(2).then_some(pairs)
+    };
+    LayoutGraph::new(v.get("nf")?.nums()?, edges("ce")?, edges("se")?).ok()
 }
 
-fn parse_cost(line: &str) -> Option<CostBreakdown> {
-    Some(CostBreakdown {
-        conflicts: field(line, "cn")?.parse().ok()?,
-        stitches: field(line, "st")?.parse().ok()?,
-    })
+/// The coloring and claimed cost every record but `ld` ends with; the
+/// coloring must cover `nodes` nodes when given.
+fn parse_coloring_and_cost(v: &Value, nodes: Option<usize>) -> Option<(Vec<u8>, CostBreakdown)> {
+    let coloring: Vec<u8> = v.get("col")?.nums()?;
+    if nodes.is_some_and(|n| n != coloring.len()) {
+        return None;
+    }
+    let cost = CostBreakdown {
+        conflicts: v.get("cn")?.num()?,
+        stitches: v.get("st")?.num()?,
+    };
+    Some((coloring, cost))
 }
 
 /// Parses one record line; `None` means malformed (the caller counts it
-/// corrupt). A line is considered at all only when complete (`}`-
-/// terminated) — the torn-tail rule is enforced by the caller.
+/// corrupt). The torn-tail rule is enforced by the caller.
 pub(crate) fn parse_record(line: &str) -> Option<Record> {
-    match field(line, "t")? {
+    let v = json::parse(line)?;
+    let str_of = |key| v.get(key).and_then(Value::as_str);
+    match str_of("t")? {
         "s" => {
-            let graph = parse_record_graph(line)?;
-            let coloring = parse_u8s(field(line, "col")?)?;
-            if coloring.len() != graph.num_nodes() {
-                return None;
-            }
+            let graph = parse_graph(&v)?;
+            let (coloring, cost) = parse_coloring_and_cost(&v, Some(graph.num_nodes()))?;
             Some(Record::Solve(StoredSolve {
                 graph,
-                ec_first: field(line, "ec")? == "1",
-                engine: TailEngine::parse(field(line, "eng")?)?,
-                certainty: certainty_parse(field(line, "cert")?)?,
+                ec_first: v.get("ec")?.num::<u8>()? == 1,
+                engine: named(&ENGINES, str_of("eng")?)?,
+                certainty: named(&CERTAINTIES, str_of("cert")?).filter(|&c| storable(c))?,
                 coloring,
-                cost: parse_cost(line)?,
+                cost,
             }))
         }
         "l" => {
-            let graph = parse_record_graph(line)?;
-            let embedding = parse_f32s_hex(field(line, "emb")?)?;
-            let rows: usize = field(line, "ner")?.parse().ok()?;
-            let cols: usize = field(line, "nec")?.parse().ok()?;
-            let ne = parse_f32s_hex(field(line, "ne")?)?;
+            let graph = parse_graph(&v)?;
+            let embedding = parse_f32s_hex(str_of("emb")?)?;
+            let rows: usize = v.get("ner")?.num()?;
+            let cols: usize = v.get("nec")?.num()?;
+            let ne = parse_f32s_hex(str_of("ne")?)?;
             if ne.len() != rows.checked_mul(cols)? || rows != graph.num_nodes() {
                 return None;
             }
-            let solution = parse_u8s(field(line, "col")?)?;
-            if solution.len() != graph.num_nodes() {
-                return None;
-            }
+            let (solution, cost) = parse_coloring_and_cost(&v, Some(rows))?;
             Some(Record::Lib(Box::new(LibraryEntry {
                 graph,
                 embedding,
                 node_embeddings: Matrix::from_vec(rows, cols, ne),
                 solution,
-                cost: parse_cost(line)?,
+                cost,
             })))
         }
         "ld" => Some(Record::LibDone {
-            n: field(line, "n")?.parse().ok()?,
+            n: v.get("n")?.num()?,
         }),
+        "u" => {
+            let (coloring, cost) = parse_coloring_and_cost(&v, None)?;
+            Some(Record::Unit(UnitRecord {
+                unit: v.get("i")?.num()?,
+                fingerprint: v.get("fp")?.num()?,
+                engine: named(&ENGINES, str_of("eng")?)?,
+                certainty: named(&CERTAINTIES, str_of("cert")?)?,
+                budget_fallback: v.get("bf")?.as_bool()?,
+                coloring,
+                cost,
+            }))
+        }
         _ => None,
-    }
-}
-
-/// Extracts the raw token following `"key":` in a single-line JSON
-/// object — same discipline as the checkpoint journal's parser. Strings
-/// return their contents, scalars the bare token, arrays the bracketed
-/// body.
-pub(crate) fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line[start..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
-    } else if let Some(stripped) = rest.strip_prefix('[') {
-        let end = stripped.find(']')?;
-        Some(&stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
     }
 }
 

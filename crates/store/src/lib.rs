@@ -1,63 +1,41 @@
-//! # mpld-store — persistent, versioned graph-library store
+//! # mpld-store — the workspace's durable log
 //!
-//! An append-only, fingerprint-bucketed, disk-backed store for the
-//! adaptive framework's solved-graph library and tail-solve memo, so a
-//! fresh process loads warm state in milliseconds instead of
-//! re-enumerating and re-solving everything (ROADMAP item 4).
+//! An append-only, disk-backed store for the adaptive framework's
+//! solved-graph library and tail-solve memo, so a fresh process loads
+//! warm state in milliseconds instead of re-enumerating and re-solving —
+//! and, in the same format and through the same reader and writer, the
+//! per-job kill-and-resume [`Journal`]. It also owns the workspace's one
+//! JSON codec, [`json`].
 //!
-//! ## On-disk format
-//!
-//! One JSONL file per [`StoreKey`], named `library-<keydigest>.jsonl`.
-//! Line 1 is a header carrying the format version, the **model
-//! fingerprint** (FNV-64 digest of the serialized framework weights),
-//! and the layout parameters (`k`, `alpha` bit-exact, embedding dim,
-//! library config token). Every following line is one record:
-//!
-//! - `{"t":"l",...}` — one graph-library entry (graph + embeddings +
-//!   certified solution), f32s encoded as bit-pattern hex;
-//! - `{"t":"ld","n":N}` — library dump completion marker (a dump
-//!   without its marker is orphaned and ignored);
-//! - `{"t":"s",...}` — one audit-clean tail solve (graph, routing side,
-//!   engine, certainty, coloring, cost).
-//!
-//! ## Provenance and the re-key rule
-//!
-//! Learned embeddings are only trustworthy with model provenance
-//! attached: an entry matched under a retrained model would be silently
-//! wrong. The key digest covers the model fingerprint and every layout
-//! parameter, so retraining or re-parameterising *re-keys* — it selects
-//! a different file — and a header mismatch at the keyed path (version
-//! bump, manual copy, partial key collision) moves the file aside as
-//! `.stale` and starts fresh. A stale match is never served.
-//!
-//! ## Corruption tolerance
-//!
-//! The loader reuses the checkpoint journal's discipline: a torn final
-//! line (the `kill -9` signature) is skipped; any malformed line is
-//! counted and skipped; every surviving record is structurally
-//! re-validated and its coloring re-audited against the independent
-//! Eq. 1 checker before being trusted. Served hits additionally pass
-//! the in-memory maps' structural-equality check, so a corrupt store
-//! degrades to re-solving — never to a wrong answer.
-//!
-//! ## Write path
-//!
-//! [`StoreWriter`] buffers records and flushes in batches with one
-//! `fsync` per batch (write-behind): the solve path never blocks on
-//! durability, and a crash loses at most the buffered tail plus one
-//! torn line. [`StoreCaps`] bounds entries/bytes for long-lived
-//! servers; [`compact_file`] reclaims superseded and orphaned records
-//! by rewrite-and-swap.
+//! - **Format** (`format`): one JSONL file per [`StoreKey`] (or
+//!   [`JournalKey`]); the header binds the model fingerprint and every
+//!   parameter, records are library entries, dump markers, tail solves
+//!   or journaled units.
+//! - **Provenance**: retraining or re-parameterising selects another
+//!   file, and a header mismatch at the keyed path moves the file aside
+//!   as `.stale`. A stale match is never served, a mismatched journal
+//!   never replayed.
+//! - **Corruption** (`reader`): torn tails and malformed lines are
+//!   skipped and counted; every record is re-validated and re-audited
+//!   against the independent Eq. 1 checker before it is trusted.
+//! - **Writes** (`writer`): [`StoreWriter`] batches records with one
+//!   `fsync` per batch and holds its file's exclusive lock for its
+//!   lifetime; [`compact_file`] takes the same lock to rewrite-and-swap.
 
 #![forbid(unsafe_code)]
 
 mod format;
+mod journal;
+pub mod json;
 mod maint;
 mod reader;
 mod writer;
 
-pub use format::{fnv64, Header, StoreKey, StoredSolve, TailEngine, FORMAT_VERSION};
-pub use maint::{compact_and_verify, compact_dir, compact_file, compact_keyed, CompactReport};
+pub use format::{
+    fnv64, Header, JournalKey, StoreKey, StoredSolve, TailEngine, UnitRecord, FORMAT_VERSION,
+};
+pub use journal::Journal;
+pub use maint::{compact_and_verify, compact_dir, compact_file, CompactReport};
 pub use reader::{
     load, scan_dir, verify_dir, verify_file, FileStats, LoadReport, StoreLoad, VerifyReport,
 };
@@ -338,6 +316,52 @@ mod store_tests {
         assert_eq!(reports.len(), 1);
         assert!(reports[0].is_clean());
         assert_eq!(reports[0].clean, 1);
+    }
+
+    /// A live writer's file cannot be compacted out from under it: the
+    /// compaction is refused with a typed error, and the record the
+    /// writer appends afterwards survives the next open.
+    #[test]
+    fn compaction_under_a_live_writer_is_refused_and_loses_nothing() {
+        let dir = TempDir::new("livecompact");
+        let k = key();
+        let opened = open(dir.path(), &k, StoreCaps::default()).unwrap();
+        opened.writer.append_solve(&solve(0));
+        opened.writer.flush();
+        let err = compact_file(&k.path_in(dir.path())).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::ResourceBusy);
+        assert!(err.to_string().contains(&k.file_name()), "{err}");
+        opened.writer.append_solve(&solve(1));
+        drop(opened);
+        let reopened = open(dir.path(), &k, StoreCaps::default()).unwrap();
+        assert_eq!(reopened.load.report.solves, 2);
+        // Once the writer is gone, compaction proceeds.
+        drop(reopened);
+        compact_file(&k.path_in(dir.path())).unwrap();
+    }
+
+    /// A second open of a live store — here in the same process — loads
+    /// it but appends nothing: its appends count as dropped.
+    #[test]
+    fn second_open_of_a_live_store_is_read_only() {
+        let dir = TempDir::new("readonly");
+        let k = key();
+        let first = open(dir.path(), &k, StoreCaps::default()).unwrap();
+        first.writer.append_solve(&solve(0));
+        first.writer.flush();
+        let second = open(dir.path(), &k, StoreCaps::default()).unwrap();
+        assert_eq!(second.load.report.solves, 1);
+        assert!(second.writer.stats().read_only);
+        assert!(!first.writer.stats().read_only);
+        second.writer.append_solve(&solve(1));
+        second.writer.append_lib(&[]);
+        second.writer.flush();
+        let stats = second.writer.stats();
+        assert_eq!((stats.appended, stats.dropped), (0, 1));
+        drop((first, second));
+        let reopened = open(dir.path(), &k, StoreCaps::default()).unwrap();
+        assert_eq!(reopened.load.report.solves, 1);
+        assert!(!reopened.writer.stats().read_only);
     }
 
     /// Property test: single-byte corruption anywhere in the file never

@@ -4,10 +4,14 @@
 //! the server uses, writes only the surviving records to a sibling
 //! `.tmp`, fsyncs, and atomically renames over the original. A crash at
 //! any point leaves either the old file or the new file — never a mix.
+//! Compaction holds the file's single-writer lock throughout, and
+//! refuses a file a live writer holds: renaming over an open append
+//! handle would send that writer's later appends to the unlinked file.
 
-use crate::format::{parse_header, render_lib, render_lib_done, render_solve, StoreKey};
-use crate::reader::{accumulate, verify_file};
-use std::io::{BufRead, BufReader, Write};
+use crate::format::{parse_header, render_lib, render_lib_done, render_solve};
+use crate::reader::{verify_file, walk, Accumulated};
+use std::fs::{File, TryLockError};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// What one [`compact_file`] run dropped and kept.
@@ -31,61 +35,58 @@ pub struct CompactReport {
     pub bytes_after: u64,
 }
 
-/// Compacts one store file in place (rewrite-and-swap).
+/// Compacts one store file in place (rewrite-and-swap) while holding its
+/// single-writer lock, so no live [`StoreWriter`](crate::StoreWriter)
+/// can append to the file being replaced.
 ///
 /// # Errors
 ///
+/// [`ErrorKind::ResourceBusy`](std::io::ErrorKind::ResourceBusy) naming
+/// the file when a live writer holds its lock (nothing is rewritten);
 /// `InvalidData` when the header is unreadable (the file cannot be
 /// keyed, so rewriting it would forge provenance); otherwise real I/O
 /// failures only.
 pub fn compact_file(path: &Path) -> std::io::Result<CompactReport> {
-    let bytes_before = std::fs::metadata(path)?.len();
-    let file = std::fs::File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut raw: Vec<u8> = Vec::new();
-    reader.read_until(b'\n', &mut raw)?;
-    let header_text = String::from_utf8_lossy(&raw).into_owned();
-    let Some(header) = parse_header(&header_text) else {
+    let lock = File::open(path)?;
+    match lock.try_lock() {
+        Ok(()) => {}
+        Err(TryLockError::WouldBlock) => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::ResourceBusy,
+                format!("{}: locked by a live store writer", path.display()),
+            ))
+        }
+        Err(TryLockError::Error(e)) => return Err(e),
+    }
+    let opened = |h: &str| parse_header(h).map(|hd| (h.to_string(), Accumulated::new(hd.k)));
+    let walked = walk(path, opened, |(_, acc), line| acc.push(line))?;
+    let bytes_before = walked.as_ref().map_or(0, |w| w.bytes);
+    let Some((header_line, acc)) = walked.and_then(|w| w.state) else {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("{}: unreadable store header", path.display()),
         ));
     };
-    let header_line = header_text.trim_end().to_string();
-    let mut lines: Vec<String> = Vec::new();
-    loop {
-        raw.clear();
-        if reader.read_until(b'\n', &mut raw)? == 0 {
-            break;
-        }
-        let line = String::from_utf8_lossy(&raw);
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if !trimmed.is_empty() && trimmed.ends_with('}') && line.ends_with('\n') {
-            lines.push(trimmed.to_string());
-        }
-    }
-    let acc = accumulate(&lines, header.k);
+    let acc = acc.finish();
 
     let tmp = tmp_path(path);
-    let mut out = std::fs::File::create(&tmp)?;
+    let mut out = File::create(&tmp)?;
     let mut buf = Vec::new();
-    buf.extend_from_slice(header_line.as_bytes());
-    buf.push(b'\n');
+    let mut push = |line: &str| {
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+    };
+    push(&header_line);
     if let Some(lib) = &acc.lib {
         for e in lib {
-            buf.extend_from_slice(render_lib(e).as_bytes());
-            buf.push(b'\n');
+            push(&render_lib(e));
         }
-        buf.extend_from_slice(render_lib_done(lib.len()).as_bytes());
-        buf.push(b'\n');
+        push(&render_lib_done(lib.len()));
     }
     let mut kept_solves = 0usize;
-    for s in &acc.solves {
-        if let Some(line) = render_solve(s) {
-            buf.extend_from_slice(line.as_bytes());
-            buf.push(b'\n');
-            kept_solves += 1;
-        }
+    for line in acc.solves.iter().filter_map(render_solve) {
+        push(&line);
+        kept_solves += 1;
     }
     out.write_all(&buf)?;
     out.sync_all()?;
@@ -124,19 +125,6 @@ pub fn compact_dir(dir: &Path) -> std::io::Result<Vec<(PathBuf, CompactReport)>>
         out.push((fs.path, report));
     }
     Ok(out)
-}
-
-/// Compacts the single file keyed by `key` under `dir` if it exists.
-///
-/// # Errors
-///
-/// Same as [`compact_file`]; a missing file yields `None`.
-pub fn compact_keyed(dir: &Path, key: &StoreKey) -> std::io::Result<Option<CompactReport>> {
-    let path = key.path_in(dir);
-    if !path.exists() {
-        return Ok(None);
-    }
-    compact_file(&path).map(Some)
 }
 
 /// Sanity helper for tests and the CLI: compact then verify the result

@@ -18,7 +18,7 @@
 use crate::format::{parse_header, parse_record, Header, Record, StoreKey, StoredSolve};
 use mpld_graph::audit_coloring;
 use mpld_matching::{graph_fingerprint, graphs_identical, LibraryEntry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -26,7 +26,8 @@ use std::time::Instant;
 /// What one [`load`] observed (all counters cumulative for the file).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadReport {
-    /// Clean, deduplicated solve records loaded.
+    /// Clean, deduplicated solve records loaded (for a
+    /// [`Journal`](crate::Journal): unit records).
     pub solves: usize,
     /// Older duplicates dropped by last-record-wins.
     pub superseded: usize,
@@ -71,13 +72,29 @@ impl StoreLoad {
     }
 }
 
-/// Iterates complete record lines of a store file (header excluded),
-/// reporting each line to `on_line` and whether the final line was torn.
-/// Returns `Ok(None)` when the file is missing or empty.
-fn walk_records(
+/// One walked store file: the state its header line opened (`None` when
+/// the header was rejected and no record was read), whether the final
+/// line was torn, and the file size.
+pub(crate) struct Walked<S> {
+    pub(crate) state: Option<S>,
+    pub(crate) torn_tail: bool,
+    pub(crate) bytes: u64,
+}
+
+/// Streams a store file: `open` sees the header line and returns the
+/// state to walk the records with (or `None` to read no further); every
+/// complete record line then goes to `on_line`. Returns `Ok(None)` when
+/// the file is missing or empty.
+///
+/// Corrupted bytes must degrade, not error, so lines are read as bytes
+/// and converted lossily (a mangled line simply fails to parse). A line
+/// without its closing `}` and newline is only legitimate as the torn
+/// final write of a killed process: it is skipped and reported.
+pub(crate) fn walk<S>(
     path: &Path,
-    mut on_line: impl FnMut(&str),
-) -> std::io::Result<Option<(Header, bool, u64)>> {
+    open: impl FnOnce(&str) -> Option<S>,
+    mut on_line: impl FnMut(&mut S, &str),
+) -> std::io::Result<Option<Walked<S>>> {
     let file = match std::fs::File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -86,131 +103,132 @@ fn walk_records(
     let bytes = file.metadata()?.len();
     let mut reader = BufReader::new(file);
     let mut raw: Vec<u8> = Vec::new();
-    // Header line. Corrupted bytes must degrade, not error, so lines are
-    // read as bytes and converted lossily (a mangled line simply fails
-    // to parse and is counted).
     if reader.read_until(b'\n', &mut raw)? == 0 {
         return Ok(None);
     }
-    let line = String::from_utf8_lossy(&raw).into_owned();
-    let Some(header) = parse_header(&line) else {
-        return Ok(Some((
-            Header {
-                version: 0,
-                model_digest: 0,
-                k: 0,
-                alpha: 0.0,
-                dim: 0,
-                library: String::new(),
-            },
-            false,
-            bytes,
-        )));
-    };
+    let mut state = open(String::from_utf8_lossy(&raw).trim_end_matches(['\n', '\r']));
     let mut torn_tail = false;
-    loop {
-        raw.clear();
-        if reader.read_until(b'\n', &mut raw)? == 0 {
-            break;
+    if let Some(state) = &mut state {
+        loop {
+            raw.clear();
+            if reader.read_until(b'\n', &mut raw)? == 0 {
+                break;
+            }
+            let line = String::from_utf8_lossy(&raw);
+            let trimmed = line.trim_end_matches(['\n', '\r']);
+            if trimmed.is_empty() {
+                continue;
+            }
+            if !trimmed.ends_with('}') || !line.ends_with('\n') {
+                torn_tail = true;
+                continue;
+            }
+            on_line(state, trimmed);
         }
-        let line = String::from_utf8_lossy(&raw);
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if trimmed.is_empty() {
-            continue;
-        }
-        if !trimmed.ends_with('}') || !line.ends_with('\n') {
-            // Incomplete line: only legitimate as the torn final write of
-            // a killed process. Anything after it is treated as part of
-            // the tear by construction (reads stop at EOF anyway).
-            torn_tail = true;
-            continue;
-        }
-        on_line(trimmed);
     }
-    Ok(Some((header, torn_tail, bytes)))
+    Ok(Some(Walked {
+        state,
+        torn_tail,
+        bytes,
+    }))
 }
 
-/// Internal accumulation shared by [`load`] and compaction: dedups
-/// solves last-wins, audits everything, and resolves the latest complete
-/// library dump.
+/// Library-store accumulation shared by [`load`], verification and
+/// compaction: dedups solves last-wins, audits everything, and resolves
+/// the latest complete library dump.
 pub(crate) struct Accumulated {
+    k: u8,
+    pub(crate) records: usize,
     pub(crate) solves: Vec<StoredSolve>,
     pub(crate) lib: Option<Vec<LibraryEntry>>,
     pub(crate) superseded: usize,
     pub(crate) skipped_corrupt: usize,
     pub(crate) skipped_audit: usize,
     pub(crate) orphaned: usize,
+    /// (fingerprint, ec_first) buckets into `solves`, equality-verified.
+    index: HashMap<(u64, bool), Vec<usize>>,
+    cur_lib: Vec<LibraryEntry>,
 }
 
-pub(crate) fn accumulate(lines: &[String], k: u8) -> Accumulated {
-    let mut acc = Accumulated {
-        solves: Vec::new(),
-        lib: None,
-        superseded: 0,
-        skipped_corrupt: 0,
-        skipped_audit: 0,
-        orphaned: 0,
-    };
-    // (fingerprint, ec_first) buckets into `solves`, equality-verified.
-    let mut index: HashMap<(u64, bool), Vec<usize>> = HashMap::new();
-    let mut cur_lib: Vec<LibraryEntry> = Vec::new();
-    for line in lines {
+impl Accumulated {
+    pub(crate) fn new(k: u8) -> Self {
+        Self {
+            k,
+            records: 0,
+            solves: Vec::new(),
+            lib: None,
+            superseded: 0,
+            skipped_corrupt: 0,
+            skipped_audit: 0,
+            orphaned: 0,
+            index: HashMap::new(),
+            cur_lib: Vec::new(),
+        }
+    }
+
+    pub(crate) fn push(&mut self, line: &str) {
+        self.records += 1;
         match parse_record(line) {
-            None => acc.skipped_corrupt += 1,
+            None | Some(Record::Unit(_)) => self.skipped_corrupt += 1,
             Some(Record::Solve(s)) => {
-                match audit_coloring(&s.graph, &s.coloring, k) {
+                match audit_coloring(&s.graph, &s.coloring, self.k) {
                     Ok(cost) if cost == s.cost => {}
                     _ => {
-                        acc.skipped_audit += 1;
-                        continue;
+                        self.skipped_audit += 1;
+                        return;
                     }
                 }
                 let fp = graph_fingerprint(&s.graph);
-                let bucket = index.entry((fp, s.ec_first)).or_default();
+                let bucket = self.index.entry((fp, s.ec_first)).or_default();
+                let solves = &mut self.solves;
                 match bucket
                     .iter()
                     .copied()
-                    .find(|&i| graphs_identical(&acc.solves[i].graph, &s.graph))
+                    .find(|&i| graphs_identical(&solves[i].graph, &s.graph))
                 {
                     Some(i) => {
-                        // Last record wins, mirroring the checkpoint
-                        // journal's replay rule.
-                        acc.solves[i] = s;
-                        acc.superseded += 1;
+                        // Last record wins, the journal's replay rule too.
+                        solves[i] = s;
+                        self.superseded += 1;
                     }
                     None => {
-                        bucket.push(acc.solves.len());
-                        acc.solves.push(s);
+                        bucket.push(solves.len());
+                        solves.push(s);
                     }
                 }
             }
-            Some(Record::Lib(e)) => match audit_coloring(&e.graph, &e.solution, k) {
-                Ok(cost) if cost == e.cost => cur_lib.push(*e),
-                _ => acc.skipped_audit += 1,
+            Some(Record::Lib(e)) => match audit_coloring(&e.graph, &e.solution, self.k) {
+                Ok(cost) if cost == e.cost => self.cur_lib.push(*e),
+                _ => self.skipped_audit += 1,
             },
             Some(Record::LibDone { n }) => {
-                if cur_lib.len() == n && n > 0 {
-                    if let Some(old) = acc.lib.replace(std::mem::take(&mut cur_lib)) {
-                        acc.superseded += old.len();
+                if self.cur_lib.len() == n && n > 0 {
+                    if let Some(old) = self.lib.replace(std::mem::take(&mut self.cur_lib)) {
+                        self.superseded += old.len();
                     }
                 } else {
                     // Dump whose marker disagrees (a record inside it was
                     // corrupt or the dump itself was torn): orphaned,
                     // rebuilt from scratch rather than half-trusted.
-                    acc.orphaned += cur_lib.len() + 1;
-                    cur_lib.clear();
+                    self.orphaned += self.cur_lib.len() + 1;
+                    self.cur_lib.clear();
                 }
             }
         }
     }
-    acc.orphaned += cur_lib.len();
-    acc
+
+    /// Closes the walk: library records after the last marker are
+    /// orphaned.
+    pub(crate) fn finish(mut self) -> Self {
+        self.orphaned += std::mem::take(&mut self.cur_lib).len();
+        self
+    }
 }
 
 /// Moves a mismatched keyed file aside (never deletes data) so the key's
 /// path starts fresh. Best-effort: a failed rename still returns an
 /// empty load — a mismatched file is never served either way.
-fn move_aside(path: &Path) {
+pub(crate) fn move_aside(path: &Path) {
     let mut stale = path.as_os_str().to_os_string();
     stale.push(".stale");
     let _ = std::fs::rename(path, PathBuf::from(stale));
@@ -228,19 +246,22 @@ fn move_aside(path: &Path) {
 pub fn load(dir: &Path, key: &StoreKey) -> std::io::Result<StoreLoad> {
     let start = Instant::now();
     let path = key.path_in(dir);
-    let mut lines: Vec<String> = Vec::new();
-    let Some((header, torn_tail, bytes)) = walk_records(&path, |l| lines.push(l.to_string()))?
-    else {
+    let opened = |h: &str| {
+        parse_header(h)
+            .filter(|h| key.matches(h))
+            .map(|_| Accumulated::new(key.k))
+    };
+    let Some(walked) = walk(&path, opened, Accumulated::push)? else {
         return Ok(StoreLoad::empty());
     };
-    if !key.matches(&header) {
+    let Some(acc) = walked.state else {
         move_aside(&path);
         let mut out = StoreLoad::empty();
         out.report.rekeyed = true;
         out.report.load_ms = elapsed_ms(start);
         return Ok(out);
-    }
-    let acc = accumulate(&lines, key.k);
+    };
+    let acc = acc.finish();
     let report = LoadReport {
         solves: acc.solves.len(),
         superseded: acc.superseded,
@@ -249,9 +270,9 @@ pub fn load(dir: &Path, key: &StoreKey) -> std::io::Result<StoreLoad> {
         skipped_corrupt: acc.skipped_corrupt,
         skipped_audit: acc.skipped_audit,
         orphaned: acc.orphaned,
-        torn_tail,
+        torn_tail: walked.torn_tail,
         rekeyed: false,
-        bytes,
+        bytes: walked.bytes,
         load_ms: elapsed_ms(start),
     };
     Ok(StoreLoad {
@@ -261,7 +282,7 @@ pub fn load(dir: &Path, key: &StoreKey) -> std::io::Result<StoreLoad> {
     })
 }
 
-fn elapsed_ms(start: Instant) -> u64 {
+pub(crate) fn elapsed_ms(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
@@ -320,31 +341,27 @@ pub fn scan_dir(dir: &Path) -> std::io::Result<Vec<FileStats>> {
             corrupt: 0,
             bytes: 0,
         };
-        let mut fps: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut fps: HashSet<u64> = HashSet::new();
         let mut pending_lib = 0usize;
-        if let Some((header, _torn, bytes)) =
-            walk_records(&path, |line| match parse_record(line) {
-                None => stats.corrupt += 1,
-                Some(Record::Solve(s)) => {
-                    stats.solves += 1;
-                    fps.insert(graph_fingerprint(&s.graph));
-                }
-                Some(Record::Lib(_)) => {
-                    stats.lib_entries += 1;
-                    pending_lib += 1;
-                }
-                Some(Record::LibDone { n }) => {
-                    if pending_lib == n && n > 0 {
-                        stats.lib_complete = true;
-                    }
-                    pending_lib = 0;
-                }
-            })?
-        {
-            stats.bytes = bytes;
-            if header.version != 0 {
-                stats.header = Some(header);
+        if let Some(walked) = walk(&path, parse_header, |_, line| match parse_record(line) {
+            None | Some(Record::Unit(_)) => stats.corrupt += 1,
+            Some(Record::Solve(s)) => {
+                stats.solves += 1;
+                fps.insert(graph_fingerprint(&s.graph));
             }
+            Some(Record::Lib(_)) => {
+                stats.lib_entries += 1;
+                pending_lib += 1;
+            }
+            Some(Record::LibDone { n }) => {
+                if pending_lib == n && n > 0 {
+                    stats.lib_complete = true;
+                }
+                pending_lib = 0;
+            }
+        })? {
+            stats.bytes = walked.bytes;
+            stats.header = walked.state;
         }
         stats.buckets = fps.len();
         out.push(stats);
@@ -393,12 +410,12 @@ impl VerifyReport {
 /// I/O failures only; a missing file reports zero records with
 /// `header_ok: false`.
 pub fn verify_file(path: &Path) -> std::io::Result<VerifyReport> {
-    let mut lines: Vec<String> = Vec::new();
-    let walked = walk_records(path, |l| lines.push(l.to_string()))?;
+    let opened = |h: &str| parse_header(h).map(|h| Accumulated::new(h.k));
+    let walked = walk(path, opened, Accumulated::push)?;
     let mut report = VerifyReport {
         path: path.to_path_buf(),
         header_ok: false,
-        records: lines.len(),
+        records: 0,
         clean: 0,
         corrupt: 0,
         audit_failed: 0,
@@ -407,22 +424,22 @@ pub fn verify_file(path: &Path) -> std::io::Result<VerifyReport> {
         lib_complete: false,
         bytes: 0,
     };
-    let Some((header, torn_tail, bytes)) = walked else {
+    let Some(walked) = walked else {
         return Ok(report);
     };
-    report.torn_tail = torn_tail;
-    report.bytes = bytes;
-    if header.version == 0 {
-        report.corrupt += report.records;
+    report.torn_tail = walked.torn_tail;
+    report.bytes = walked.bytes;
+    let Some(acc) = walked.state else {
         return Ok(report);
-    }
+    };
+    let acc = acc.finish();
     report.header_ok = true;
-    let acc = accumulate(&lines, header.k);
+    report.records = acc.records;
     report.corrupt = acc.skipped_corrupt;
     report.audit_failed = acc.skipped_audit;
     report.orphaned = acc.orphaned;
     report.lib_complete = acc.lib.is_some();
-    report.clean = report
+    report.clean = acc
         .records
         .saturating_sub(acc.skipped_corrupt + acc.skipped_audit + acc.orphaned);
     Ok(report)

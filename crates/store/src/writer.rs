@@ -3,13 +3,21 @@
 //! blocks on durability. A `kill -9` between batches loses at most the
 //! buffered tail plus one torn line — exactly what the loader's
 //! torn-tail rule skips.
+//!
+//! One writer per file: a [`StoreWriter`] holds an exclusive
+//! [`File::try_lock`] on its file for its whole lifetime. A second
+//! writer — another process, or a second open in this one, since the
+//! lock belongs to the open file description — still loads the file but
+//! is read-only: its appends are counted as dropped.
 
-use crate::format::{render_lib, render_lib_done, render_solve, StoreKey, StoredSolve};
-use crate::reader::{load, LoadReport, StoreLoad};
+use crate::format::{
+    render_lib, render_lib_done, render_solve, render_unit, StoreKey, StoredSolve, UnitRecord,
+};
+use crate::reader::{load, StoreLoad};
 use mpld_matching::LibraryEntry;
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -32,16 +40,20 @@ pub struct StoreCaps {
 pub struct WriterStats {
     /// Records accepted for append.
     pub appended: u64,
-    /// Records dropped by the size/entry caps.
+    /// Records dropped by the size/entry caps, or by a read-only writer.
     pub dropped: u64,
     /// Batched write+fsync cycles completed.
     pub flushes: u64,
     /// Append batches lost to I/O errors (best-effort persistence).
     pub io_errors: u64,
-    /// Solve records the file holds (loaded + appended).
+    /// Solve (or journal unit) records the file holds (loaded +
+    /// appended).
     pub entries: u64,
     /// Approximate file size in bytes.
     pub bytes: u64,
+    /// Whether another live writer held the file's lock at open, so this
+    /// one appends nothing.
+    pub read_only: bool,
 }
 
 struct Inner {
@@ -52,7 +64,7 @@ struct Inner {
     bytes: u64,
 }
 
-/// Thread-safe append handle for one store file.
+/// Thread-safe append handle for one store file (see module docs).
 ///
 /// Persistence is best-effort by design: an I/O failure drops the
 /// pending batch and bumps `io_errors` — correctness never depends on a
@@ -60,16 +72,46 @@ struct Inner {
 pub struct StoreWriter {
     inner: Mutex<Inner>,
     caps: StoreCaps,
+    read_only: bool,
     appended: AtomicU64,
     dropped: AtomicU64,
     flushes: AtomicU64,
     io_errors: AtomicU64,
-    path: PathBuf,
 }
 
 impl StoreWriter {
-    fn new(file: File, caps: StoreCaps, path: PathBuf, entries: u64, bytes: u64) -> Self {
-        StoreWriter {
+    /// Opens `path` for appending (creating it) and takes its lock. The
+    /// lock holder writes `header` into an empty file and terminates a
+    /// torn final line, so fresh appends start on their own line instead
+    /// of concatenating into the tear; a writer that finds the lock taken
+    /// is read-only and writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Open or write failures, and lock failures other than contention.
+    pub(crate) fn open(
+        path: &Path,
+        header: &str,
+        caps: StoreCaps,
+        entries: u64,
+    ) -> std::io::Result<Self> {
+        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+        let read_only = match file.try_lock() {
+            Ok(()) => false,
+            Err(TryLockError::WouldBlock) => true,
+            Err(TryLockError::Error(e)) => return Err(e),
+        };
+        if !read_only {
+            if file.metadata()?.len() == 0 {
+                file.write_all(format!("{header}\n").as_bytes())?;
+                file.sync_data()?;
+            } else if !ends_with_newline(path)? {
+                file.write_all(b"\n")?;
+                file.sync_data()?;
+            }
+        }
+        let bytes = file.metadata()?.len();
+        Ok(StoreWriter {
             inner: Mutex::new(Inner {
                 file,
                 pending: Vec::new(),
@@ -78,17 +120,16 @@ impl StoreWriter {
                 bytes,
             }),
             caps,
+            read_only,
             appended: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
-            path,
-        }
+        })
     }
 
-    /// The file this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn flush_locked(&self, inner: &mut Inner) {
@@ -97,18 +138,14 @@ impl StoreWriter {
         }
         let batch = std::mem::take(&mut inner.pending);
         inner.pending_records = 0;
-        let ok = inner
+        match inner
             .file
             .write_all(&batch)
-            .and_then(|()| inner.file.sync_data());
-        match ok {
-            Ok(()) => {
-                self.flushes.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+            .and_then(|()| inner.file.sync_data())
+        {
+            Ok(()) => self.flushes.fetch_add(1, Ordering::Relaxed),
+            Err(_) => self.io_errors.fetch_add(1, Ordering::Relaxed),
+        };
     }
 
     fn push_locked(&self, inner: &mut Inner, line: &str) {
@@ -121,14 +158,14 @@ impl StoreWriter {
         }
     }
 
-    /// Queues one solve record. Uncacheable certainties and cap
-    /// overflows are dropped (counted), never errors.
-    pub fn append_solve(&self, solve: &StoredSolve) {
-        let Some(line) = render_solve(solve) else {
+    /// Queues one capped record; `None` (an unstorable certainty), cap
+    /// overflows and a read-only writer drop it (counted), never errors.
+    fn append_entry(&self, line: Option<String>) {
+        let Some(line) = line.filter(|_| !self.read_only) else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         let over_entries = self
             .caps
             .max_entries
@@ -146,32 +183,46 @@ impl StoreWriter {
         self.push_locked(&mut inner, &line);
     }
 
+    /// Queues one solve record. Uncacheable certainties and cap
+    /// overflows are dropped (counted), never errors.
+    pub fn append_solve(&self, solve: &StoredSolve) {
+        self.append_entry(render_solve(solve));
+    }
+
+    /// Queues one settled tail unit of a job journal.
+    pub fn append_unit(&self, unit: &UnitRecord) {
+        self.append_entry(Some(render_unit(unit)));
+    }
+
     /// Writes a complete library dump (entries + completion marker) and
     /// flushes immediately: the dump is the store's foundation and must
     /// be durable before solves start referencing warm state.
     pub fn append_lib(&self, entries: &[LibraryEntry]) {
+        if self.read_only {
+            self.dropped
+                .fetch_add(entries.len() as u64, Ordering::Relaxed);
+            return;
+        }
         if entries.is_empty() {
             return;
         }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         for e in entries {
-            let line = render_lib(e);
-            self.push_locked(&mut inner, &line);
+            self.push_locked(&mut inner, &render_lib(e));
         }
-        let done = render_lib_done(entries.len());
-        self.push_locked(&mut inner, &done);
+        self.push_locked(&mut inner, &render_lib_done(entries.len()));
         self.flush_locked(&mut inner);
     }
 
     /// Forces the pending batch to disk.
     pub fn flush(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         self.flush_locked(&mut inner);
     }
 
     /// Current counters.
     pub fn stats(&self) -> WriterStats {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.lock();
         WriterStats {
             appended: self.appended.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
@@ -179,6 +230,7 @@ impl StoreWriter {
             io_errors: self.io_errors.load(Ordering::Relaxed),
             entries: inner.entries,
             bytes: inner.bytes,
+            read_only: self.read_only,
         }
     }
 }
@@ -186,16 +238,15 @@ impl StoreWriter {
 impl Drop for StoreWriter {
     fn drop(&mut self) {
         let inner = self.inner.get_mut().unwrap_or_else(|e| e.into_inner());
-        if !inner.pending.is_empty() {
-            let batch = std::mem::take(&mut inner.pending);
-            if inner
+        let batch = std::mem::take(&mut inner.pending);
+        if !batch.is_empty()
+            && inner
                 .file
                 .write_all(&batch)
                 .and_then(|()| inner.file.sync_data())
                 .is_err()
-            {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        {
+            self.io_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -207,13 +258,6 @@ pub struct OpenedStore {
     pub load: StoreLoad,
     /// Append handle for new tail solves.
     pub writer: StoreWriter,
-}
-
-impl OpenedStore {
-    /// The load-time report (convenience).
-    pub fn report(&self) -> &LoadReport {
-        &self.load.report
-    }
 }
 
 fn ends_with_newline(path: &Path) -> std::io::Result<bool> {
@@ -229,33 +273,22 @@ fn ends_with_newline(path: &Path) -> std::io::Result<bool> {
 }
 
 /// Opens (creating as needed) the store for `key` under `dir`: loads and
-/// verifies existing records, moves aside a key-mismatched file, writes
-/// the header into a fresh file, and returns an append handle seeded
-/// with the file's current entry/byte counts.
+/// verifies existing records, moves aside a key-mismatched file, and
+/// returns an append handle seeded with the file's current entry/byte
+/// counts (read-only when another live writer holds the file).
 ///
 /// # Errors
 ///
-/// Real I/O failures only (directory creation, open, header write).
+/// Real I/O failures only (directory creation, open, lock, header
+/// write).
 pub fn open(dir: &Path, key: &StoreKey, caps: StoreCaps) -> std::io::Result<OpenedStore> {
     std::fs::create_dir_all(dir)?;
-    let loaded = load(dir, key)?;
-    let path = key.path_in(dir);
-    let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-    if file.metadata()?.len() == 0 {
-        let mut header = key.header_line();
-        header.push('\n');
-        file.write_all(header.as_bytes())?;
-        file.sync_data()?;
-    } else if !ends_with_newline(&path)? {
-        // Terminate a torn final line so fresh appends start on their
-        // own line instead of concatenating into the tear.
-        file.write_all(b"\n")?;
-        file.sync_data()?;
-    }
-    let bytes = file.metadata()?.len();
-    let writer = StoreWriter::new(file, caps, path, loaded.report.solves as u64, bytes);
-    Ok(OpenedStore {
-        load: loaded,
-        writer,
-    })
+    let load = load(dir, key)?;
+    let writer = StoreWriter::open(
+        &key.path_in(dir),
+        &key.header_line(),
+        caps,
+        load.report.solves as u64,
+    )?;
+    Ok(OpenedStore { load, writer })
 }

@@ -11,10 +11,13 @@
 #    then flip a bit inside a surviving record.
 # 4. `mpld library verify` must detect the corruption (exit 1, typed),
 #    `mpld library compact` must reclaim it, verify must then pass.
-# 5. Warm store-backed run over the degraded-then-compacted store: the
+# 5. One writer per store file: `mpld library compact` under a live
+#    `mpld serve --store-dir` must be refused (exit 1, naming the file);
+#    after the server drains on SIGTERM, compaction succeeds.
+# 6. Warm store-backed run over the degraded-then-compacted store: the
 #    digest must still equal the oracle bit-for-bit and the run must be
 #    served from the store (zero fresh tail solves).
-# 6. Compare the written mask files byte for byte: the oracle at
+# 7. Compare the written mask files byte for byte: the oracle at
 #    --threads 1 vs --threads 2, and the cold vs the warm store-backed
 #    run (a coloring is a pure function of model, layout and seed).
 #
@@ -77,6 +80,30 @@ set -e
 test "$rc" -eq 1 || { echo "verify exit $rc, wanted 1" >&2; exit 1; }
 
 echo "== compact reclaims, verify passes =="
+"$BIN" library compact --store-dir "$STORE"
+"$BIN" library verify --store-dir "$STORE"
+
+echo "== compaction under a live server is refused (exit 1) =="
+LOG=/tmp/ci-library-serve.log
+"$BIN" serve --model "$MODEL" --addr 127.0.0.1:0 --colorgnn false \
+  --store-dir "$STORE" > "$LOG" &
+SERVER_PID=$!
+trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
+for _ in $(seq 1 100); do
+  grep -q "listening on" "$LOG" 2>/dev/null && break
+  sleep 0.1
+done
+grep -q "listening on" "$LOG"
+set +e
+"$BIN" library compact --store-dir "$STORE" 2> /tmp/ci-library-compact.err
+rc=$?
+set -e
+cat /tmp/ci-library-compact.err
+test "$rc" -eq 1 || { echo "live compact exit $rc, wanted 1" >&2; exit 1; }
+grep -q "$(basename "$STORE_FILE")" /tmp/ci-library-compact.err
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID"
+trap - EXIT
 "$BIN" library compact --store-dir "$STORE"
 "$BIN" library verify --store-dir "$STORE"
 

@@ -92,6 +92,25 @@ assert repeat["inference"]["units_inferred"] == 0, (
 print("served digests match the CLI run; repeat hit the cross-request memo")
 EOF
 
+# Error bodies are JSON too: the unknown-circuit 404 must parse.
+python3 - "$PORT" <<'EOF'
+import json, socket, sys
+body = '{"circuit":"no\\"such"}'
+req = ("POST /decompose HTTP/1.1\r\nHost: smoke\r\n"
+       f"Content-Length: {len(body)}\r\n\r\n{body}")
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=30)
+s.sendall(req.encode())
+out = b""
+while True:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    out += chunk
+head, _, payload = out.decode().partition("\r\n\r\n")
+assert head.startswith("HTTP/1.1 404"), head
+print(f"unknown-circuit 404 body parses: {json.loads(payload)}")
+EOF
+
 # Graceful drain: SIGTERM must finish queued work and exit 0.
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
