@@ -107,7 +107,7 @@ commands:
       --cap <n> --epochs <n>         limits (default 150, 12)
       -o <file>                      model output (default model.bin)
   adaptive <layout> --model <file>   adaptive decomposition with a model
-      --threads <n>                  ILP/EC tail worker threads (default:
+      --threads <n>                  ColorGNN and ILP/EC tail workers (default:
                                      MPLD_THREADS env or the machine's
                                      available parallelism)
       --time-limit <dur>             wall-clock budget for the whole run

@@ -5,16 +5,21 @@
 //!
 //! [`Engine`] compiles the frozen inference heads **once** at
 //! construction (the weight fold is deterministic, so freeze-once output
-//! equals freeze-per-call bit for bit) and keeps the ColorGNN restart
-//! sampler's RNG in the caller's [`Session`], leaving the engine itself
-//! `Send + Sync` — one warm instance serves any number of concurrent
-//! requests behind an `Arc`. The framework wrappers freeze the heads per
-//! call and lend the model's own ColorGNN stream instead.
+//! equals freeze-per-call bit for bit) and keeps the ColorGNN RNG in the
+//! caller's [`Session`], leaving the engine itself `Send + Sync` — one
+//! warm instance serves any number of concurrent requests behind an
+//! `Arc`. Each decomposition takes one `u64` draw from that stream before
+//! routing; ColorGNN samples every graph on a stream derived from the
+//! draw and the graph (see `mpld_gnn::FrozenColorGnn::decompose_seeded`).
+//! The framework wrappers freeze the heads per call and take the draw
+//! from the model's own ColorGNN stream instead.
 //!
 //! # The tail executor
 //!
 //! After the batched routing prefix (matching, redundancy prediction,
-//! ColorGNN — [`AdaptiveFramework::route`]), each unit left to the
+//! ColorGNN — [`AdaptiveFramework::route`], which does each distinct
+//! graph's work once and samples distinct ColorGNN parents on
+//! [`Session::threads`] workers), each unit left to the
 //! ILP/EC tail takes the first answer from a fixed chain of sources:
 //!
 //! 1. an audited record of the request's job journal
@@ -41,12 +46,15 @@
 //!
 //! Cross-request state lives in sharded, equality-verified maps
 //! ([`ShardedGraphMap`]): the **routing memo** caches per-representative
-//! selector/redundancy probabilities and embeddings (bit-safe because
-//! per-graph frozen outputs are independent of batch composition,
-//! property-tested in `mpld-gnn`), and the **solution caches** hold the
-//! published tail solves. ColorGNN results are never cached across
-//! requests — the restart sampler consumes the session's RNG stream, so
-//! its output is a function of that stream, not of the graph alone.
+//! selector/redundancy probabilities and embeddings, and the **solution
+//! caches** hold the published tail solves. A memo entry is not always
+//! bitwise what this request's own forward would compute — a graph's
+//! frozen outputs depend on its row offset in the batch, by a few ulps —
+//! but no routing decision sits that close to a bar, so a hit routes
+//! every unit exactly as a fresh forward would (`tests/routing_bars.rs`
+//! checks this on the suite circuits). ColorGNN results are not cached
+//! across requests: a coloring is a function of (graph, draw), and the
+//! draw comes from the session's seed.
 
 use crate::framework::{
     AdaptiveFramework, AdaptiveResult, BudgetBreakdown, BudgetPolicy, EngineKind, InferenceStats,
@@ -64,7 +72,7 @@ use mpld_matching::{
 };
 use mpld_store::{Journal, JournalKey, TailEngine, UnitRecord};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -77,7 +85,6 @@ const MEMO_MAX_NODES: usize = 12;
 /// One routed representative's inference outputs: everything
 /// [`AdaptiveFramework::route`] scatters per representative, and what the
 /// cross-request routing memo keeps (see module docs).
-#[derive(Clone, Default)]
 pub(crate) struct RoutingEntry {
     pub(crate) sel_probs: Vec<f32>,
     pub(crate) red_probs: Vec<f32>,
@@ -196,16 +203,16 @@ pub struct EngineStats {
 /// caller pins none.
 pub const DEFAULT_SEED: u64 = 0xBEEF;
 
-/// Per-request mutable state: budget policy, job journal, tail
-/// worker count, and the session's ColorGNN RNG stream. Cheap to create
-/// per request; never shared between requests.
+/// Per-request mutable state: budget policy, job journal, worker count,
+/// and the session's ColorGNN RNG stream (one draw per decomposition).
+/// Cheap to create per request; never shared between requests.
 pub struct Session<'a> {
     /// Wall-clock limits for this request.
     pub policy: BudgetPolicy,
     /// The job journal this request resumes from and appends to.
     pub recovery: Recovery<'a>,
-    /// ILP/EC-tail worker threads (default 1: the tail runs on the
-    /// calling thread). Results do not depend on it.
+    /// ColorGNN and ILP/EC-tail worker threads (default 1: everything
+    /// runs on the calling thread). Results do not depend on it.
     pub threads: usize,
     seed: u64,
     rng: SmallRng,
@@ -249,7 +256,7 @@ pub enum Progress {
         units: usize,
         /// Units resolved by audited library matching.
         matched: usize,
-        /// Units resolved by the batched ColorGNN.
+        /// Units resolved by ColorGNN.
         colorgnn: usize,
         /// Representatives served from the cross-request routing memo.
         routing_memo_hits: usize,
@@ -422,12 +429,13 @@ impl Engine {
             heads: &self.heads,
             shared: Some(&self.shared),
         };
+        let draw = session.rng.next_u64();
         let r = executor.run(
             prep,
             &session.policy,
             session.recovery,
             session.threads,
-            &mut session.rng,
+            draw,
             on_event,
         );
         // Batch-flush the store appends once per request: one fsync per
@@ -520,7 +528,7 @@ pub(crate) struct Executor<'e> {
 }
 
 impl Executor<'_> {
-    /// Routes `prep` (ColorGNN sampling from `rng`), then resolves its
+    /// Routes `prep` (ColorGNN sampling under `draw`), then resolves its
     /// ILP/EC tail through the source chain (see module docs).
     pub(crate) fn run(
         &self,
@@ -528,7 +536,7 @@ impl Executor<'_> {
         policy: &BudgetPolicy,
         recovery: Recovery<'_>,
         threads: usize,
-        rng: &mut SmallRng,
+        draw: u64,
         on_event: &mut dyn FnMut(Progress),
     ) -> AdaptiveResult {
         let start = Instant::now();
@@ -538,7 +546,9 @@ impl Executor<'_> {
         }
         let total = policy.total_budget();
         let routing = self.shared.map(|s| &s.routing);
-        let mut st = self.fw.route(&graphs, &total, self.heads, routing, rng);
+        let mut st = self
+            .fw
+            .route(&graphs, &total, self.heads, routing, draw, threads);
         on_event(Progress::Routed {
             units: graphs.len(),
             matched: st.usage.matching,

@@ -19,7 +19,7 @@
 
 use crate::engine::{Executor, Heads, RoutingEntry, RunState, SharedRoutingMemo};
 use crate::memo::{BatchPlan, EmbeddingMemo, DEFAULT_MAX_BATCH_NODES};
-use crate::parallel::panic_payload_string;
+use crate::parallel::{panic_payload_string, run_largest_first_streaming};
 use crate::pipeline::{PipelineResult, PreparedLayout};
 use mpld_ec::EcDecomposer;
 use mpld_gnn::{ColorGnn, InferBatch, RgcnClassifier};
@@ -29,7 +29,6 @@ use mpld_graph::{
 };
 use mpld_ilp::encode::BipDecomposer;
 use mpld_matching::GraphLibrary;
-use rand::rngs::SmallRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -110,7 +109,7 @@ pub struct UnitOutcome {
     /// engine's (or unverified) result was used instead.
     pub budget_fallback: bool,
     /// Exact-solver (ILP + EC) time spent on this unit. Zero exactly for
-    /// the units no solve ran for: matching, batched ColorGNN (accounted
+    /// the units no solve ran for: matching, ColorGNN (accounted
     /// in [`TimingBreakdown`] only), checkpoint resume, solution-cache
     /// hit, or isomorphism-memo transfer.
     pub time: Duration,
@@ -542,11 +541,13 @@ impl AdaptiveFramework {
 
     /// The batched routing prefix of every decomposition: one selector
     /// pass (embeddings + ILP/EC probabilities) and one redundancy pass
-    /// over the structurally distinct units, audited library matching
-    /// with the precomputed embeddings, and one ColorGNN batch over the
-    /// predicted-redundant units, sampled from `rng`. Returns the run
-    /// state with the ILP/EC tail still unsolved (`results[i] == None`)
-    /// and every unit's tail routing flag set.
+    /// over the structurally distinct units, one audited library lookup
+    /// per distinct unit with the precomputed embeddings, and one
+    /// ColorGNN sample per distinct merged parent of the
+    /// predicted-redundant units, all under `draw` and split over
+    /// `threads` workers. Returns the run state with the ILP/EC tail
+    /// still unsolved (`results[i] == None`) and every unit's tail
+    /// routing flag set.
     ///
     /// `heads` may be frozen once (an [`Engine`](crate::Engine)) or per
     /// call: the weight fold is deterministic, so outputs are bitwise
@@ -557,7 +558,8 @@ impl AdaptiveFramework {
         budget: &Budget,
         heads: &Heads,
         routing_memo: Option<&SharedRoutingMemo>,
-        rng: &mut SmallRng,
+        draw: u64,
+        threads: usize,
     ) -> RunState {
         let n = graphs.len();
         let mut timing = TimingBreakdown::default();
@@ -566,11 +568,11 @@ impl AdaptiveFramework {
 
         // Tape-free routing inference: dedup structurally identical units
         // through the embedding memo and run bucketed block-diagonal
-        // frozen passes per head over the representatives only. Frozen
-        // f32 forwards are bit-identical to the tape (property-tested in
-        // `mpld-gnn`), and a verified memo hit means the *same graph*, so
-        // every probability and embedding a duplicate receives is exactly
-        // what its own forward pass would have produced.
+        // frozen passes per head over the representatives only. A
+        // verified memo hit means the *same graph*, so a duplicate
+        // receives exactly its representative's probabilities and
+        // embeddings, and every per-graph stage below runs once per
+        // representative.
         let t = Instant::now();
         let mut memo = EmbeddingMemo::new();
         let mut rep_slot = Vec::with_capacity(n);
@@ -589,19 +591,22 @@ impl AdaptiveFramework {
 
         // Cross-request routing memo (engine path only): a representative
         // whose exact structure was routed by an earlier request reuses
-        // that request's probabilities and embeddings verbatim. This is
-        // bit-safe because per-graph frozen outputs are independent of
-        // batch composition (property-tested in `mpld-gnn`), so the
-        // cached entry is bitwise what this request's own forward pass
-        // would have produced.
-        let cached: Vec<Option<Arc<RoutingEntry>>> = match routing_memo {
+        // that request's probabilities and embeddings. The bits are not
+        // always the ones this request's own forward would compute: a
+        // graph's frozen outputs depend on its row offset in the batch
+        // (see `mpld_gnn::frozen`), which differs by at most a few ulps.
+        // Reuse is safe because no routing decision sits that close to a
+        // bar: `tests/routing_bars.rs` routes every representative of the
+        // suite circuits in its planned batch and alone, and asserts the
+        // same selector, redundancy and library-match decisions.
+        let mut out: Vec<Option<Arc<RoutingEntry>>> = match routing_memo {
             Some(shared) => reps.iter().map(|g| shared.get(g)).collect(),
             None => vec![None; nr],
         };
-        let shared_hits = cached.iter().filter(|c| c.is_some()).count();
+        let shared_hits = out.iter().filter(|c| c.is_some()).count();
 
         // Memo-served representatives skip inference entirely.
-        let items: Vec<usize> = (0..nr).filter(|&s| cached[s].is_none()).collect();
+        let items: Vec<usize> = (0..nr).filter(|&s| out[s].is_none()).collect();
 
         // Bucketed batch plan: similarly-sized graphs share a batch,
         // several tightly-packed batches replace the old single union
@@ -616,44 +621,42 @@ impl AdaptiveFramework {
             })
             .collect();
         let plan = BatchPlan::new(&items, &sizes, DEFAULT_MAX_BATCH_NODES);
-
-        // Per-representative outputs, scattered batch by batch. One
-        // selector pass yields probabilities plus the graph and node
-        // embeddings the library matcher consumes below (the tape needed
-        // a second traversal for the embeddings); the redundancy pass
-        // yields probabilities only.
-        let mut out: Vec<RoutingEntry> = cached
-            .iter()
-            .map(|c| c.as_deref().cloned().unwrap_or_default())
-            .collect();
         timing.selection += t.elapsed();
 
+        // Per-representative outputs, batch by batch. One selector pass
+        // yields probabilities plus the graph and node embeddings the
+        // library matcher consumes below; the redundancy pass yields
+        // probabilities only.
         for batch in &plan.batches {
             let gs: Vec<&LayoutGraph> = batch.iter().map(|&s| reps[s]).collect();
             let enc = InferBatch::new(&gs);
             let t = Instant::now();
             let mut sel = frozen_sel.infer_encoded(&enc);
-            for (bi, &s) in batch.iter().enumerate() {
-                out[s].sel_probs = std::mem::take(&mut sel.probs[bi]);
-                out[s].graph_emb = std::mem::take(&mut sel.graph_embeddings[bi]);
-                out[s].node_emb = std::mem::take(&mut sel.node_embeddings[bi]);
-            }
             timing.selection += t.elapsed();
             let t = Instant::now();
             let mut red = frozen_red.predict_encoded(&enc);
-            for (bi, &s) in batch.iter().enumerate() {
-                out[s].red_probs = std::mem::take(&mut red.probs[bi]);
-            }
             timing.redundancy += t.elapsed();
+            for (bi, &s) in batch.iter().enumerate() {
+                out[s] = Some(Arc::new(RoutingEntry {
+                    sel_probs: std::mem::take(&mut sel.probs[bi]),
+                    red_probs: std::mem::take(&mut red.probs[bi]),
+                    graph_emb: std::mem::take(&mut sel.graph_embeddings[bi]),
+                    node_emb: std::mem::take(&mut sel.node_embeddings[bi]),
+                }));
+            }
         }
+        #[allow(clippy::expect_used)] // memo hit or planned batch, for every slot
+        let out: Vec<Arc<RoutingEntry>> = out
+            .into_iter()
+            .map(|e| e.expect("every representative routed"))
+            .collect();
 
         // Publish freshly routed representatives for later requests.
-        // Racing writers are harmless: identical structures produce
-        // bitwise identical entries regardless of which request computed
-        // them.
+        // Racing writers are harmless: the first writer wins, and any
+        // entry for a graph routes it the same way (see above).
         if let Some(shared) = routing_memo {
             for &s in &items {
-                shared.insert(reps[s], Arc::new(out[s].clone()));
+                shared.insert(reps[s], Arc::clone(&out[s]));
             }
         }
 
@@ -679,92 +682,110 @@ impl AdaptiveFramework {
         let mut guard_failed = vec![false; n];
         let mut audit_rejected = vec![false; n];
 
-        // 1. Library matching with the precomputed embeddings. Every hit
-        // is audited; a stale or corrupted library transfer is rejected
-        // and the unit falls through to the engines below.
+        // 1. Library matching with the precomputed embeddings, once per
+        // representative (a lookup is a pure function of the graph and
+        // its embeddings). Every hit is audited; a stale or corrupted
+        // library transfer is rejected and its units fall through to the
+        // engines below.
+        // Per representative: `None` without a library hit, `Some(None)`
+        // for a hit the audit rejected.
         let t = Instant::now();
-        for (i, g) in graphs.iter().enumerate() {
-            if g.num_nodes() <= self.library.max_nodes() {
-                let e = &out[rep_slot[i]];
-                let hit = self
-                    .library
-                    .lookup_with_embeddings(g, &e.graph_emb, &e.node_emb);
-                if let Some(d) = hit {
-                    if self.audit_ok(g, &d) {
-                        results[i] = Some(d);
-                        engines[i] = Some(EngineKind::Matching);
-                        usage.matching += 1;
-                    } else {
-                        audit_rejected[i] = true;
-                    }
+        let matched: Vec<Option<Option<Decomposition>>> = reps
+            .iter()
+            .zip(&out)
+            .map(|(&g, e)| {
+                (g.num_nodes() <= self.library.max_nodes())
+                    .then(|| {
+                        self.library
+                            .lookup_with_embeddings(g, &e.graph_emb, &e.node_emb)
+                    })
+                    .flatten()
+                    .map(|d| self.audit_ok(g, &d).then_some(d))
+            })
+            .collect();
+        for i in 0..n {
+            match &matched[rep_slot[i]] {
+                Some(Some(d)) => {
+                    results[i] = Some(d.clone());
+                    engines[i] = Some(EngineKind::Matching);
+                    usage.matching += 1;
                 }
+                Some(None) => audit_rejected[i] = true,
+                None => {}
             }
         }
         timing.matching += t.elapsed();
 
-        // 2. Predicted-redundant units: merge stitches, batch ColorGNN.
+        // 2. Predicted-redundant units: merge stitches once per
+        // representative, sample each distinct parent once.
         if self.use_colorgnn {
             let t = Instant::now();
-            let mut idx = Vec::new();
-            let mut parents = Vec::new();
-            let mut maps = Vec::new();
-            for (i, g) in graphs.iter().enumerate() {
-                if results[i].is_some() || g.num_nodes() == 0 {
+            let mut merged: Vec<(LayoutGraph, Vec<u32>)> = Vec::new();
+            let mut merged_of: Vec<Option<usize>> = vec![None; nr];
+            for (s, &g) in reps.iter().enumerate() {
+                if matches!(matched[s], Some(Some(_))) || g.num_nodes() == 0 {
                     continue;
                 }
-                let redundant =
-                    !g.has_stitches() || out[rep_slot[i]].red_probs[0] > self.redundancy_bar;
-                if redundant {
-                    let (parent, map) = g.merge_stitch_edges();
-                    idx.push(i);
-                    parents.push(parent);
-                    maps.push(map);
+                if !g.has_stitches() || out[s].red_probs[0] > self.redundancy_bar {
+                    merged_of[s] = Some(merged.len());
+                    merged.push(g.merge_stitch_edges());
                 }
             }
-            let parent_refs: Vec<&LayoutGraph> = parents.iter().collect();
-            // Guarded: a panicking batch costs a guard fallback for every
-            // batched unit, never the layout.
-            // ColorGNN results are never cached across requests: the
-            // restart sampler consumes an RNG stream, so the output is a
-            // function of the driver's RNG state, not of the graph alone.
-            let batch = catch_unwind(AssertUnwindSafe(|| {
-                heads
-                    .color
-                    .decompose_batch_with_rng(&parent_refs, &self.params, budget, rng)
-            }));
-            match batch {
-                Ok(batch) => {
-                    for ((&i, pd), map) in idx.iter().zip(batch).zip(&maps) {
-                        if pd.cost.conflicts == 0 {
-                            let coloring: Vec<u8> =
-                                map.iter().map(|&p| pd.coloring[p as usize]).collect();
-                            match Decomposition::try_from_coloring(
-                                graphs[i],
-                                coloring,
-                                self.params.alpha,
-                            ) {
-                                // An honest accepted expansion reproduces
-                                // the parent cost bit-for-bit; anything
-                                // else is an audit rejection.
-                                Ok(d) if d.cost == pd.cost => {
-                                    results[i] = Some(d);
-                                    engines[i] = Some(EngineKind::ColorGnn);
-                                    usage.colorgnn += 1;
-                                }
-                                _ => {
-                                    usage.colorgnn_fallbacks += 1;
-                                    guard_failed[i] = true;
-                                    audit_rejected[i] = true;
-                                }
+            let mut parents = EmbeddingMemo::new();
+            let mut job_of = Vec::with_capacity(merged.len());
+            let mut jobs: Vec<&LayoutGraph> = Vec::new();
+            for (parent, _) in &merged {
+                job_of.push(match parents.find(parent) {
+                    Some(j) => j,
+                    None => {
+                        parents.insert(parent, jobs.len());
+                        jobs.push(parent);
+                        jobs.len() - 1
+                    }
+                });
+            }
+            // Each parent samples its own stream, so the jobs run in any
+            // order on any thread. A panicking job costs a guard
+            // fallback for its own units only.
+            let color = &heads.color;
+            let mut sampled: Vec<Option<Decomposition>> = vec![None; jobs.len()];
+            run_largest_first_streaming(
+                jobs.len(),
+                threads,
+                |j| jobs[j].num_nodes(),
+                |j| color.decompose_seeded(jobs[j], &self.params, budget, draw),
+                |j, r| sampled[j] = r.ok().and_then(Result::ok),
+            );
+            for i in 0..n {
+                let Some(m) = merged_of[rep_slot[i]] else {
+                    continue;
+                };
+                let map = &merged[m].1;
+                match &sampled[job_of[m]] {
+                    Some(pd) if pd.cost.conflicts == 0 => {
+                        let coloring: Vec<u8> =
+                            map.iter().map(|&p| pd.coloring[p as usize]).collect();
+                        match Decomposition::try_from_coloring(
+                            graphs[i],
+                            coloring,
+                            self.params.alpha,
+                        ) {
+                            // An honest accepted expansion reproduces the
+                            // parent cost bit-for-bit; anything else is
+                            // an audit rejection.
+                            Ok(d) if d.cost == pd.cost => {
+                                results[i] = Some(d);
+                                engines[i] = Some(EngineKind::ColorGnn);
+                                usage.colorgnn += 1;
                             }
-                        } else {
-                            usage.colorgnn_fallbacks += 1;
-                            guard_failed[i] = true;
+                            _ => {
+                                usage.colorgnn_fallbacks += 1;
+                                guard_failed[i] = true;
+                                audit_rejected[i] = true;
+                            }
                         }
                     }
-                }
-                Err(_) => {
-                    for &i in &idx {
+                    _ => {
                         usage.colorgnn_fallbacks += 1;
                         guard_failed[i] = true;
                     }
@@ -794,10 +815,10 @@ impl AdaptiveFramework {
 
     /// Adaptively decomposes a prepared layout with batched GNN inference
     /// (the paper batches all simplified graphs for efficiency): one RGCN
-    /// pass computes embeddings + selector probabilities for every unit,
-    /// one `RGCN_r` pass the redundancy confidences, one batched ColorGNN
-    /// run decomposes all predicted-redundant parent graphs, and the
-    /// ILP/EC tail runs on the calling thread.
+    /// pass computes embeddings + selector probabilities for every
+    /// distinct unit, one `RGCN_r` pass the redundancy confidences,
+    /// ColorGNN samples each distinct predicted-redundant parent graph
+    /// once, and the ILP/EC tail runs on the calling thread.
     pub fn decompose_prepared(&self, prep: &PreparedLayout) -> AdaptiveResult {
         unwrap_unlimited(self.decompose_prepared_with(prep, &BudgetPolicy::unlimited()))
     }
@@ -825,7 +846,8 @@ impl AdaptiveFramework {
     }
 
     /// Like [`AdaptiveFramework::decompose_prepared`], but fans the
-    /// ILP/EC tail out to `threads` workers scheduled largest-unit-first.
+    /// ColorGNN samples and the ILP/EC tail out to `threads` workers
+    /// scheduled largest-unit-first.
     /// Cost, usage, per-unit engines and colorings are identical for any
     /// thread count (see [`Engine`](crate::Engine) for the tail's source
     /// chain and its pure-function contract).
@@ -874,12 +896,12 @@ impl AdaptiveFramework {
     /// journal is flushed before this returns.
     ///
     /// Every framework entry point lands here: the RGCN heads are frozen
-    /// for this call, ColorGNN samples from the model's own RNG stream
-    /// (so `colorgnn.reseed(s)` before the call equals an engine
-    /// [`Session::new(s)`](crate::Session::new)), and the tail runs the
-    /// engine's executor without a cross-request cache. The routing
-    /// passes always re-run — they are deterministic given the stream —
-    /// so a resumed run is bit-identical to the uninterrupted one.
+    /// for this call, ColorGNN samples under one draw from the model's
+    /// own stream (so `colorgnn.reseed(s)` before the call equals an
+    /// engine [`Session::new(s)`](crate::Session::new)), and the tail runs
+    /// the engine's executor without a cross-request cache. The routing
+    /// passes always re-run — they are deterministic given the draw — so
+    /// a resumed run is bit-identical to the uninterrupted one.
     ///
     /// # Errors
     ///
@@ -896,14 +918,13 @@ impl AdaptiveFramework {
         let t = Instant::now();
         let heads = Heads::freeze(self);
         let frozen = t.elapsed();
-        let mut rng = self.colorgnn.rng();
         let executor = Executor {
             fw: self,
             heads: &heads,
             shared: None,
         };
-        let mut r = executor.run(prep, policy, recovery, threads, &mut rng, &mut |_| {});
-        self.colorgnn.set_rng(rng);
+        let draw = self.colorgnn.next_draw();
+        let mut r = executor.run(prep, policy, recovery, threads, draw, &mut |_| {});
         r.timing.selection += frozen;
         Ok(r)
     }

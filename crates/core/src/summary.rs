@@ -38,7 +38,7 @@ pub struct RunSummary {
     pub decompose_ms: f64,
     /// Units resolved by audited library matching.
     pub matching: usize,
-    /// Units resolved by the batched ColorGNN.
+    /// Units resolved by ColorGNN.
     pub colorgnn: usize,
     /// Units resolved by the EC engine.
     pub ec: usize,

@@ -10,6 +10,14 @@
 //! whole network is executed `iter` times from different random
 //! initializations and the cheapest coloring wins.
 //!
+//! Every decomposition takes one `u64` from the model's RNG stream and
+//! samples each graph's restarts from a stream of its own, derived from
+//! that draw and the graph's structural fingerprint (see
+//! [`FrozenColorGnn::decompose_seeded`](crate::FrozenColorGnn::decompose_seeded)).
+//! A coloring is thus a pure function of (graph, draw): a batch gives
+//! each graph what [`Decomposer::decompose`] would give it alone, and a
+//! batch of one equals `decompose` from the same stream state.
+//!
 //! Training minimizes the unsupervised margin loss of Eq. (14): adjacent
 //! nodes should have belief vectors at squared distance `>= margin`.
 
@@ -18,7 +26,7 @@ use mpld_graph::{
 };
 use mpld_tensor::{Adjacency, Graph, Matrix, Optimizer, ParamId, ParamSet, VarId};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::{Arc, Mutex};
 
 /// Training hyperparameters for ColorGNN.
@@ -57,9 +65,10 @@ pub struct ColorGnn {
     restarts: usize,
     /// Probability of keeping each neighbor during sampled aggregation.
     sample_keep: f64,
-    /// Interior mutability so `Decomposer::decompose(&self)` can drive the
-    /// RNG; a `Mutex` (not `RefCell`) so the model is `Sync` and shareable
-    /// across decomposition worker threads.
+    /// The model's stream: one draw per decomposition, and the training
+    /// RNG. Interior mutability so `Decomposer::decompose(&self)` can
+    /// draw; a `Mutex` (not `RefCell`) so the model is `Sync` and
+    /// shareable across decomposition worker threads.
     state: Mutex<SmallRng>,
 }
 
@@ -116,25 +125,21 @@ impl ColorGnn {
         self.restarts = restarts;
     }
 
-    /// Resets the sampling RNG to a fresh stream. Decomposition results
-    /// depend on the RNG stream, so resetting it before two runs makes
-    /// them reproduce each other exactly (used by the parallel-vs-serial
-    /// equivalence tests and the perf-baseline harness).
+    /// Resets the model's stream. Decomposition results depend on the
+    /// draws taken from it, so resetting it before two runs makes them
+    /// reproduce each other exactly (`reseed(s)` before a framework entry
+    /// point equals an engine session seeded with `s`).
     pub fn reseed(&self, seed: u64) {
-        self.set_rng(SmallRng::seed_from_u64(seed));
+        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = SmallRng::seed_from_u64(seed);
     }
 
-    /// A copy of the sampling RNG's current state. A frozen engine driven
-    /// from it, with the advanced state handed back through
-    /// [`ColorGnn::set_rng`], continues the model's own stream exactly as
-    /// [`ColorGnn::decompose_batch`] would.
-    pub fn rng(&self) -> SmallRng {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Replaces the sampling RNG's state (see [`ColorGnn::rng`]).
-    pub fn set_rng(&self, rng: SmallRng) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = rng;
+    /// Takes the next `u64` from the model's stream: the draw one
+    /// decomposition call samples every graph under (see module docs).
+    pub fn next_draw(&self) -> u64 {
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .next_u64()
     }
 
     /// Serializes the trained per-layer weights.
@@ -165,11 +170,11 @@ impl ColorGnn {
     }
 
     /// Compiles the current weights into a tape-free inference engine
-    /// (the per-layer lambda scalars read out once). The frozen engine
-    /// draws from whatever RNG it is handed in exactly the tape path's
-    /// order, so the public [`ColorGnn::decompose_batch`] /
-    /// [`Decomposer::decompose`] entry points run it against the model's
-    /// own RNG stream and stay bit-identical to the tape oracles.
+    /// (the per-layer lambda scalars read out once). Its per-graph
+    /// streams draw in exactly the tape path's order, so the public
+    /// [`ColorGnn::decompose_batch`] / [`Decomposer::decompose`] entry
+    /// points, which run it under a draw from the model's stream, stay
+    /// bit-identical to the tape oracle [`ColorGnn::decompose_tape`].
     pub fn freeze(&self) -> crate::FrozenColorGnn {
         crate::FrozenColorGnn::from_parts(self.lambda_values(), self.restarts, self.sample_keep)
     }
@@ -242,14 +247,12 @@ impl ColorGnn {
         x
     }
 
-    /// Decomposes many non-stitch graphs in one batched pass over their
-    /// disjoint union: each restart runs the network once for all graphs,
-    /// and the best coloring is kept *per graph* (strictly better than
-    /// per-graph restarts at the same cost).
-    ///
-    /// Runs on the frozen tape-free engine;
-    /// [`ColorGnn::decompose_batch_tape`] is the tape oracle it is
-    /// property-tested against.
+    /// Decomposes many non-stitch graphs under one draw from the model's
+    /// stream: each distinct graph is sampled once on its own stream
+    /// (see
+    /// [`FrozenColorGnn::decompose_batch_with_rng`](crate::FrozenColorGnn::decompose_batch_with_rng)),
+    /// so every result equals what [`Decomposer::decompose`] gives that
+    /// graph from the same stream state.
     ///
     /// # Panics
     ///
@@ -263,116 +266,6 @@ impl ColorGnn {
         let mut rng = self.state.lock().unwrap_or_else(|e| e.into_inner());
         self.freeze()
             .decompose_batch_with_rng(graphs, params, budget, &mut rng)
-    }
-
-    /// The original tape-based batched decomposition, retained as the
-    /// correctness oracle for the frozen engine (identical RNG draws,
-    /// identical restart schedule — `tests/frozen_equivalence.rs` checks
-    /// the outputs match bit for bit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any graph contains stitch edges.
-    pub fn decompose_batch_tape(
-        &self,
-        graphs: &[&LayoutGraph],
-        params: &DecomposeParams,
-        budget: &Budget,
-    ) -> Vec<Decomposition> {
-        assert!(
-            graphs.iter().all(|g| !g.has_stitches()),
-            "ColorGNN handles non-stitch graphs only"
-        );
-        if graphs.is_empty() {
-            return Vec::new();
-        }
-        let mut rng = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut best: Vec<Option<Decomposition>> = vec![None; graphs.len()];
-        // Adaptive restarts: each round only re-runs graphs that still
-        // have conflicts, so the later rounds shrink quickly. The first
-        // round always runs (every graph needs an incumbent); later
-        // rounds stop once the budget expires.
-        let mut cut = false;
-        let mut active: Vec<usize> = (0..graphs.len()).collect();
-        for round in 0..self.restarts {
-            if active.is_empty() {
-                break;
-            }
-            if round > 0 && budget.exhausted() {
-                cut = true;
-                break;
-            }
-            #[cfg(feature = "failpoints")]
-            mpld_graph::failpoints::tick("colorgnn.restart");
-            // Union adjacency over the active graphs (conflict only;
-            // graphs are homogeneous).
-            let mut offsets = Vec::with_capacity(active.len() + 1);
-            let mut union_edges: Vec<(u32, u32)> = Vec::new();
-            let mut base = 0u32;
-            for &gi in &active {
-                offsets.push(base as usize);
-                union_edges.extend(
-                    graphs[gi]
-                        .conflict_edges()
-                        .iter()
-                        .map(|&(a, b)| (a + base, b + base)),
-                );
-                base += graphs[gi].num_nodes() as u32;
-            }
-            offsets.push(base as usize);
-            #[allow(clippy::expect_used)] // structural invariant
-            let union = LayoutGraph::homogeneous(base as usize, union_edges)
-                .expect("disjoint union of valid graphs is valid");
-
-            let mut g = Graph::new();
-            let init = Self::random_beliefs(base as usize, params.k, &mut rng);
-            let x = self.forward(&mut g, &union, init, &mut rng, &mut |g, pid| {
-                self.params.bind_frozen(g, pid)
-            });
-            let beliefs = g.value(x);
-            for (ai, &gi) in active.iter().enumerate() {
-                let (lo, hi) = (offsets[ai], offsets[ai + 1]);
-                let coloring: Vec<u8> = (lo..hi)
-                    .map(|r| {
-                        beliefs
-                            .row(r)
-                            .iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.total_cmp(b.1))
-                            .map_or(0, |(c, _)| c as u8)
-                    })
-                    .collect();
-                let cand = Decomposition::from_coloring(graphs[gi], coloring, params.alpha);
-                let better = match &best[gi] {
-                    None => true,
-                    Some(b) => cand.cost.better_than(&b.cost, params.alpha),
-                };
-                if better {
-                    best[gi] = Some(cand);
-                }
-            }
-            active.retain(|&gi| best[gi].as_ref().map(|d| d.cost.conflicts) != Some(0));
-        }
-        let certainty = if cut {
-            Certainty::BudgetExhausted
-        } else {
-            Certainty::Heuristic
-        };
-        best.into_iter()
-            .map(|b| {
-                #[allow(clippy::expect_used)] // round 0 always populates every slot
-                #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
-                let mut d = b.expect("restarts > 0").with_certainty(certainty);
-                #[cfg(feature = "failpoints")]
-                // Stale-cost corruption, caught downstream by the audit.
-                mpld_graph::failpoints::corrupt_coloring(
-                    "colorgnn.result",
-                    &mut d.coloring,
-                    params.k,
-                );
-                d
-            })
-            .collect()
     }
 
     /// Trains the per-layer combination weights on `graphs` with the
@@ -567,9 +460,10 @@ impl ColorGnn {
 }
 
 impl ColorGnn {
-    /// The original tape-based single-graph decomposition (Algorithm 1
-    /// lines 9–13), retained as the correctness oracle for the frozen
-    /// engine behind [`Decomposer::decompose`].
+    /// The tape-based single-graph decomposition (Algorithm 1 lines
+    /// 9–13), retained as the correctness oracle for the frozen engine
+    /// behind [`Decomposer::decompose`]: the same draw from the model's
+    /// stream, the same per-graph restart stream, the same restarts.
     ///
     /// # Errors
     ///
@@ -581,6 +475,7 @@ impl ColorGnn {
         params: &DecomposeParams,
         budget: &Budget,
     ) -> Result<Decomposition, MpldError> {
+        let draw = self.next_draw();
         if graph.has_stitches() {
             return Err(MpldError::Unsupported {
                 engine: self.name(),
@@ -591,7 +486,7 @@ impl ColorGnn {
         if n == 0 {
             return Decomposition::try_from_coloring(graph, Vec::new(), params.alpha);
         }
-        let mut rng = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rng = crate::frozen::graph_stream(graph, draw);
         let mut cut = false;
         let mut best: Option<Decomposition> = None;
         for round in 0..self.restarts {
@@ -665,9 +560,9 @@ impl Decomposer for ColorGnn {
     /// Algorithm 1 lines 9–13: run the network `iter` times from random
     /// initializations and keep the cheapest argmax coloring.
     ///
-    /// Runs on the frozen tape-free engine against the model's own RNG
-    /// stream — bit-identical to [`ColorGnn::decompose_tape`] from the
-    /// same RNG state.
+    /// Runs on the frozen tape-free engine under one draw from the
+    /// model's stream — bit-identical to [`ColorGnn::decompose_tape`]
+    /// from the same stream state, and to a batch of one.
     ///
     /// Stitch graphs are rejected with [`MpldError::Unsupported`] — merge
     /// them first (the adaptive framework routes only predicted-redundant
@@ -678,9 +573,8 @@ impl Decomposer for ColorGnn {
         params: &DecomposeParams,
         budget: &Budget,
     ) -> Result<Decomposition, MpldError> {
-        let mut rng = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        self.freeze()
-            .decompose_with_rng(graph, params, budget, &mut rng)
+        let draw = self.next_draw();
+        self.freeze().decompose_seeded(graph, params, budget, draw)
     }
 }
 

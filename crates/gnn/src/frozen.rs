@@ -25,10 +25,20 @@
 //! outputs across batches only from single-graph forwards.
 //! The tape path stays as the training engine and correctness oracle —
 //! `tests/frozen_equivalence.rs` property-tests the equivalence.
+//!
+//! ColorGNN has no batch forward: [`FrozenColorGnn::decompose_seeded`]
+//! samples one graph on its own restart stream, derived from a caller's
+//! `u64` draw and the graph's structural fingerprint. A coloring is
+//! therefore a pure function of (graph, draw): identical graphs are
+//! sampled once, distinct graphs can run on any thread in any order, and
+//! a batch returns for each graph what that graph would get alone.
 
 use crate::encoding::InferBatch;
 use crate::rgcn::Readout;
-use mpld_graph::{Budget, Certainty, DecomposeParams, Decomposition, LayoutGraph, MpldError};
+use mpld_graph::{
+    graph_fingerprint, graphs_identical, splitmix64, Budget, Certainty, DecomposeParams,
+    Decomposition, LayoutGraph, MpldError,
+};
 use mpld_tensor::infer::{
     add_assign_slice, add_row_in_place, gemm_into, relu_in_place, row_l2_normalize_in_place,
     segment_max_into, segment_sum_into, softmax_rows_in_place, spmm_into, Csr, Scratch,
@@ -36,7 +46,8 @@ use mpld_tensor::infer::{
 };
 use mpld_tensor::{Matrix, Precision};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore, SeedableRng};
+use std::collections::HashMap;
 
 /// One frozen RGCN layer: per-edge-type weights with the basis
 /// decomposition already folded, plus the self-connection weight.
@@ -261,18 +272,26 @@ impl FrozenRgcn {
 /// [`ColorGnn::freeze`](crate::ColorGnn::freeze): the per-layer
 /// `(lambda_C, lambda_A)` scalars read out of the parameter set once.
 ///
-/// All methods take the RNG explicitly so the owning
-/// [`ColorGnn`](crate::ColorGnn) keeps
-/// its documented reseed semantics: the frozen engine draws from the
-/// stream in exactly the same order as the tape path (beliefs first,
-/// then per-layer neighbor sampling), so `reseed(s)` + frozen run
-/// reproduces `reseed(s)` + tape run bit for bit.
+/// A coloring is a pure function of the graph and one `u64` draw:
+/// [`FrozenColorGnn::decompose_seeded`] gives each graph its own restart
+/// stream, seeded from the draw and the graph's
+/// [`graph_fingerprint`], and draws from it in exactly the tape path's
+/// order (beliefs first, then per-layer neighbor sampling), so it
+/// reproduces [`ColorGnn::decompose_tape`](crate::ColorGnn::decompose_tape)
+/// bit for bit from the same draw.
 #[derive(Debug)]
 pub struct FrozenColorGnn {
     lambdas: Vec<(f32, f32)>,
     restarts: usize,
     sample_keep: f64,
     pool: ScratchPool,
+}
+
+/// The restart stream of `graph` under `draw`: a SplitMix derivation of
+/// the draw and the graph's structural fingerprint, so identical graphs
+/// sample identically and distinct graphs sample independently.
+pub(crate) fn graph_stream(graph: &LayoutGraph, draw: u64) -> SmallRng {
+    SmallRng::seed_from_u64(splitmix64(draw ^ graph_fingerprint(graph)))
 }
 
 impl FrozenColorGnn {
@@ -378,9 +397,11 @@ impl FrozenColorGnn {
             .map_or(0, |(c, _)| c as u8)
     }
 
-    /// Tape-free twin of [`ColorGnn::decompose_batch_tape`](crate::ColorGnn::decompose_batch_tape):
-    /// identical restart schedule, budget checks, failpoints and RNG
-    /// stream, so results are bit-identical given the same RNG state.
+    /// Decomposes every graph of `graphs` with
+    /// [`FrozenColorGnn::decompose_seeded`] under one draw, the next
+    /// `u64` of `rng` (taken once per call, even for an empty batch).
+    /// Each distinct graph is sampled once and its duplicates get copies,
+    /// so a graph's coloring does not depend on the rest of the batch.
     ///
     /// # Panics
     ///
@@ -396,110 +417,43 @@ impl FrozenColorGnn {
             graphs.iter().all(|g| !g.has_stitches()),
             "ColorGNN handles non-stitch graphs only"
         );
-        if graphs.is_empty() {
-            return Vec::new();
+        let draw = rng.next_u64();
+        let mut sampled: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut out: Vec<Decomposition> = Vec::with_capacity(graphs.len());
+        for (i, &g) in graphs.iter().enumerate() {
+            let same = sampled.entry(graph_fingerprint(g)).or_default();
+            if let Some(&j) = same.iter().find(|&&j| graphs_identical(graphs[j], g)) {
+                out.push(out[j].clone());
+                continue;
+            }
+            same.push(i);
+            #[allow(clippy::expect_used)] // no stitches, and restarts > 0
+            out.push(
+                self.decompose_seeded(g, params, budget, draw)
+                    .expect("a non-stitch graph always gets a coloring"),
+            );
         }
-        let mut best: Vec<Option<Decomposition>> = vec![None; graphs.len()];
-        let mut cut = false;
-        let mut active: Vec<usize> = (0..graphs.len()).collect();
-        let mut csr = Csr::default();
-        let mut kept: Vec<u32> = Vec::new();
-        // One arena for the whole call: the restart loop reuses it
-        // without touching the pool mutex, so concurrent sessions never
-        // contend between rounds.
-        let mut arena = self.pool.lease();
-        for round in 0..self.restarts {
-            if active.is_empty() {
-                break;
-            }
-            if round > 0 && budget.exhausted() {
-                cut = true;
-                break;
-            }
-            #[cfg(feature = "failpoints")]
-            mpld_graph::failpoints::tick("colorgnn.restart");
-            // Union graph over the active set, exactly as the tape path
-            // builds it (the sampling order depends on the union's
-            // neighbor lists, so the construction must match).
-            let mut offsets = Vec::with_capacity(active.len() + 1);
-            let mut union_edges: Vec<(u32, u32)> = Vec::new();
-            let mut base = 0u32;
-            for &gi in &active {
-                offsets.push(base as usize);
-                union_edges.extend(
-                    graphs[gi]
-                        .conflict_edges()
-                        .iter()
-                        .map(|&(a, b)| (a + base, b + base)),
-                );
-                base += graphs[gi].num_nodes() as u32;
-            }
-            offsets.push(base as usize);
-            #[allow(clippy::expect_used)] // structural invariant
-            let union = LayoutGraph::homogeneous(base as usize, union_edges)
-                .expect("disjoint union of valid graphs is valid");
-
-            let kc = params.k as usize;
-            let colorings: Vec<Vec<u8>> = {
-                let s = &mut *arena;
-                let b = self.beliefs_into(&union, kc, rng, s, &mut csr, &mut kept);
-                let out = (0..active.len())
-                    .map(|ai| {
-                        let (lo, hi) = (offsets[ai], offsets[ai + 1]);
-                        (lo..hi)
-                            .map(|r| Self::argmax_row(&b[r * kc..(r + 1) * kc]))
-                            .collect()
-                    })
-                    .collect();
-                s.put(b);
-                out
-            };
-            for (&gi, coloring) in active.iter().zip(colorings) {
-                let cand = Decomposition::from_coloring(graphs[gi], coloring, params.alpha);
-                let better = match &best[gi] {
-                    None => true,
-                    Some(b) => cand.cost.better_than(&b.cost, params.alpha),
-                };
-                if better {
-                    best[gi] = Some(cand);
-                }
-            }
-            active.retain(|&gi| best[gi].as_ref().map(|d| d.cost.conflicts) != Some(0));
-        }
-        let certainty = if cut {
-            Certainty::BudgetExhausted
-        } else {
-            Certainty::Heuristic
-        };
-        best.into_iter()
-            .map(|b| {
-                #[allow(clippy::expect_used)] // round 0 always populates every slot
-                #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
-                let mut d = b.expect("restarts > 0").with_certainty(certainty);
-                #[cfg(feature = "failpoints")]
-                mpld_graph::failpoints::corrupt_coloring(
-                    "colorgnn.result",
-                    &mut d.coloring,
-                    params.k,
-                );
-                d
-            })
-            .collect()
+        out
     }
 
-    /// Tape-free twin of [`ColorGnn::decompose_tape`](crate::ColorGnn::decompose_tape)
-    /// (single graph, early exit on a conflict-free coloring).
+    /// Algorithm 1 on one graph: up to `restarts` forwards from random
+    /// initializations on `graph`'s own stream, seeded from
+    /// `splitmix64(draw ^ graph_fingerprint(graph))`, keeping the
+    /// cheapest argmax coloring and stopping at the first conflict-free
+    /// one. The first restart always runs; later ones are skipped once
+    /// `budget` is exhausted, and the result is then tagged
+    /// [`Certainty::BudgetExhausted`].
     ///
     /// # Errors
     ///
     /// [`MpldError::Unsupported`] for stitch graphs; [`MpldError::Infeasible`]
     /// when no restart yields a coloring.
-    pub fn decompose_with_rng(
+    pub fn decompose_seeded(
         &self,
         graph: &LayoutGraph,
         params: &DecomposeParams,
         budget: &Budget,
-        rng: &mut SmallRng,
+        draw: u64,
     ) -> Result<Decomposition, MpldError> {
         if graph.has_stitches() {
             return Err(MpldError::Unsupported {
@@ -511,9 +465,11 @@ impl FrozenColorGnn {
         if n == 0 {
             return Decomposition::try_from_coloring(graph, Vec::new(), params.alpha);
         }
+        let mut rng = graph_stream(graph, draw);
         let mut cut = false;
         let mut best: Option<Decomposition> = None;
-        // One arena for the whole call (see `decompose_batch_with_rng`).
+        // One arena for the whole call: the restart loop reuses it
+        // without touching the pool mutex between restarts.
         let mut arena = self.pool.lease();
         let mut csr = Csr::default();
         let mut kept: Vec<u32> = Vec::new();
@@ -527,7 +483,7 @@ impl FrozenColorGnn {
             mpld_graph::failpoints::tick("colorgnn.restart");
             let coloring = {
                 let s = &mut *arena;
-                let b = self.beliefs_into(graph, kc, rng, s, &mut csr, &mut kept);
+                let b = self.beliefs_into(graph, kc, &mut rng, s, &mut csr, &mut kept);
                 let coloring: Vec<u8> = (0..n)
                     .map(|r| Self::argmax_row(&b[r * kc..(r + 1) * kc]))
                     .collect();

@@ -9,6 +9,9 @@
 use mpld_gnn::{ColorGnn, InferBatch, RgcnClassifier};
 use mpld_graph::{Budget, DecomposeParams, Decomposer, LayoutGraph};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{RngCore, SeedableRng};
 
 /// Random heterogeneous layout graph on 1..=10 nodes: every vertex pair
 /// is independently a conflict edge, a stitch edge, or absent — so
@@ -151,9 +154,11 @@ proptest! {
         }
     }
 
-    /// ColorGNN: from the same reseeded RNG stream, the frozen engine
-    /// (the `Decomposer::decompose` / `decompose_batch` default) and the
-    /// tape oracle produce identical colorings, costs and certainty.
+    /// ColorGNN: from the same reseeded model stream, the frozen engine
+    /// (the `Decomposer::decompose` default) and the tape oracle take
+    /// the same draw and sample the same per-graph stream, so they
+    /// produce identical colorings, costs and certainty; and a batch
+    /// from that stream state is the per-graph map of the tape oracle.
     #[test]
     fn frozen_colorgnn_matches_tape(
         gs in prop::collection::vec(arb_homogeneous(), 1..4),
@@ -164,24 +169,58 @@ proptest! {
         let params = DecomposeParams::tpl();
         let budget = Budget::unlimited();
 
-        gnn.reseed(seed ^ 0xA5);
-        let tape = gnn.decompose_batch_tape(&refs, &params, &budget);
-        gnn.reseed(seed ^ 0xA5);
-        let frozen = gnn.decompose_batch(&refs, &params, &budget);
-        prop_assert_eq!(tape.len(), frozen.len());
-        for (t, f) in tape.iter().zip(&frozen) {
-            prop_assert_eq!(&t.coloring, &f.coloring);
+        for g in &gs {
+            gnn.reseed(seed ^ 0x3C);
+            let t = gnn.decompose_tape(g, &params, &budget).expect("tape decompose");
+            gnn.reseed(seed ^ 0x3C);
+            let f = gnn.decompose(g, &params, &budget).expect("frozen decompose");
+            prop_assert_eq!(t.coloring, f.coloring);
             prop_assert_eq!(t.cost, f.cost);
             prop_assert_eq!(t.certainty, f.certainty);
         }
 
-        // Single-graph path (early exit on conflict-free colorings).
-        gnn.reseed(seed ^ 0x3C);
-        let t = gnn.decompose_tape(&gs[0], &params, &budget).expect("tape decompose");
-        gnn.reseed(seed ^ 0x3C);
-        let f = gnn.decompose(&gs[0], &params, &budget).expect("frozen decompose");
-        prop_assert_eq!(t.coloring, f.coloring);
-        prop_assert_eq!(t.cost, f.cost);
-        prop_assert_eq!(t.certainty, f.certainty);
+        gnn.reseed(seed ^ 0xA5);
+        let batch = gnn.decompose_batch(&refs, &params, &budget);
+        prop_assert_eq!(batch.len(), gs.len());
+        for (g, b) in gs.iter().zip(&batch) {
+            gnn.reseed(seed ^ 0xA5);
+            let t = gnn.decompose_tape(g, &params, &budget).expect("tape decompose");
+            prop_assert_eq!(&t.coloring, &b.coloring);
+            prop_assert_eq!(t.cost, b.cost);
+            prop_assert_eq!(t.certainty, b.certainty);
+        }
+    }
+
+    /// A ColorGNN coloring is a function of (graph, draw) alone: a batch
+    /// takes exactly one draw from its RNG and gives every member what
+    /// `decompose_seeded` gives that graph under the draw, whatever the
+    /// order, the duplicates and the other members of the batch.
+    #[test]
+    fn colorgnn_batch_is_the_per_graph_map(
+        gs in prop::collection::vec(arb_homogeneous(), 1..5),
+        others in prop::collection::vec(arb_homogeneous(), 0..4),
+        seed in 0u64..500,
+    ) {
+        let frozen = ColorGnn::new(seed).freeze();
+        let params = DecomposeParams::tpl();
+        let budget = Budget::unlimited();
+        let stream = || SmallRng::seed_from_u64(seed ^ 0x77);
+        let draw = stream().next_u64();
+
+        // Every graph twice, plus other members, in a shuffled order.
+        let mut batch: Vec<&LayoutGraph> = gs.iter().chain(&gs).chain(&others).collect();
+        batch.shuffle(&mut SmallRng::seed_from_u64(seed));
+        let mut rng = stream();
+        let out = frozen.decompose_batch_with_rng(&batch, &params, &budget, &mut rng);
+        let mut one_draw = stream();
+        one_draw.next_u64();
+        prop_assert_eq!(rng.next_u64(), one_draw.next_u64());
+        prop_assert_eq!(out.len(), batch.len());
+        for (g, d) in batch.iter().zip(&out) {
+            let alone = frozen
+                .decompose_seeded(g, &params, &budget, draw)
+                .expect("non-stitch graph");
+            prop_assert_eq!(d, &alone);
+        }
     }
 }

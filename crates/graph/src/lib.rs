@@ -19,7 +19,8 @@
 //!   `failpoints` — deterministic fault injection for chaos tests);
 //! - [`fnv64`], [`Fnv64`] and [`splitmix64`] — the workspace's one copy of
 //!   the hashes whose values are on disk (store names, job ids, journal
-//!   fingerprints);
+//!   fingerprints), and [`graph_fingerprint`] / [`graphs_identical`], the
+//!   structural identity every graph-keyed memo verifies;
 //! - [`simplify`] — the OpenMPL-style simplification pipeline (independent
 //!   component computation, hide-small-degree, biconnected decomposition)
 //!   together with sound color recovery.
@@ -47,6 +48,7 @@ mod decomposer;
 mod error;
 #[cfg(feature = "failpoints")]
 pub mod failpoints;
+mod fingerprint;
 mod hash;
 mod hetero;
 mod precolor;
@@ -58,6 +60,7 @@ pub use budget::{Budget, BudgetGauge, CancelToken, Clock, MockClock, SystemClock
 pub use coloring::{Coloring, CostBreakdown};
 pub use decomposer::{greedy_coloring, Certainty, DecomposeParams, Decomposer, Decomposition};
 pub use error::MpldError;
+pub use fingerprint::{graph_fingerprint, graphs_identical};
 pub use hash::{fnv64, splitmix64, Fnv64};
 pub use hetero::{EdgeKind, GraphError, LayoutGraph, NodeId};
 pub use precolor::{apply_precoloring, Precoloring, PrecoloringMap};

@@ -36,14 +36,13 @@
 
 mod canon;
 mod enumerate;
-mod fingerprint;
 mod library;
 mod sharded;
 mod vf2;
 
 pub use canon::{are_isomorphic, canonical_form, canonical_form_labeled, CanonicalForm};
 pub use enumerate::{enumerate_parent_graphs, enumerate_stitch_variants, is_valid_parent};
-pub use fingerprint::{graph_fingerprint, graphs_identical};
 pub use library::{GraphLibrary, LibraryConfig, LibraryEntry, LibraryStats};
+pub use mpld_graph::{graph_fingerprint, graphs_identical};
 pub use sharded::{ShardedGraphMap, ShardedMapStats, DEFAULT_SHARDS};
 pub use vf2::{find_isomorphism, full_candidates};

@@ -16,6 +16,16 @@
 //! transfers the stored optimal coloring through the mapping — after
 //! verifying the mapping really is an isomorphism, so a false embedding
 //! match can never produce a wrong decomposition.
+//!
+//! The dot filter alone does not narrow the search: the RGCN embeddings
+//! of the small graphs the library stores sit close together, and with
+//! the default model about a third of the 963 entries pass `dot > 1 −
+//! 1e-4` on an average lookup. What makes the match O(1) is the shape
+//! index:
+//! entries are bucketed by (nodes, conflict edges, stitch edges), which
+//! every isomorphic entry shares, and a lookup runs the dot filter only
+//! inside its graph's bucket, in entry order — the same candidates, in
+//! the same order, as a scan of every entry followed by the shape check.
 
 use crate::canon::{canonical_form, CanonicalForm};
 use crate::enumerate::{parent_graphs, stitch_variants};
@@ -74,12 +84,26 @@ pub struct LibraryStats {
     pub duplicates_skipped: usize,
 }
 
+/// (nodes, conflict edges, stitch edges): the bucket key of the shape
+/// index, shared by all isomorphic graphs.
+type Shape = (usize, usize, usize);
+
+fn shape(g: &LayoutGraph) -> Shape {
+    (
+        g.num_nodes(),
+        g.conflict_edges().len(),
+        g.stitch_edges().len(),
+    )
+}
+
 /// The graph library (see module docs).
 #[derive(Debug)]
 pub struct GraphLibrary {
     entries: Vec<LibraryEntry>,
     /// Exact canonical index (ground truth behind the embedding index).
     canon_index: HashMap<CanonicalForm, usize>,
+    /// Entry indices per [`Shape`], in entry order.
+    shape_index: HashMap<Shape, Vec<usize>>,
     max_nodes: usize,
     stats: LibraryStats,
 }
@@ -95,6 +119,7 @@ impl GraphLibrary {
         let mut lib = GraphLibrary {
             entries: Vec::new(),
             canon_index: HashMap::new(),
+            shape_index: HashMap::new(),
             max_nodes: cfg.max_nodes,
             stats: LibraryStats::default(),
         };
@@ -120,6 +145,7 @@ impl GraphLibrary {
         let mut lib = GraphLibrary {
             entries: Vec::with_capacity(entries.len()),
             canon_index: HashMap::new(),
+            shape_index: HashMap::new(),
             max_nodes,
             stats: LibraryStats::default(),
         };
@@ -129,10 +155,19 @@ impl GraphLibrary {
                 lib.stats.duplicates_skipped += 1;
                 continue;
             }
-            lib.canon_index.insert(canon, lib.entries.len());
-            lib.entries.push(e);
+            lib.push(canon, e);
         }
         lib
+    }
+
+    /// Appends a new entry under both indexes.
+    fn push(&mut self, canon: CanonicalForm, entry: LibraryEntry) {
+        self.canon_index.insert(canon, self.entries.len());
+        self.shape_index
+            .entry(shape(&entry.graph))
+            .or_default()
+            .push(self.entries.len());
+        self.entries.push(entry);
     }
 
     /// Inserts `graph` unless an isomorphic entry exists (Algorithm 2
@@ -173,14 +208,16 @@ impl GraphLibrary {
         let d = IlpDecomposer::new()
             .decompose(&graph, params, &Budget::unlimited())
             .expect("exact ILP on an unlimited budget");
-        self.canon_index.insert(canon, self.entries.len());
-        self.entries.push(LibraryEntry {
-            graph,
-            embedding,
-            node_embeddings,
-            solution: d.coloring,
-            cost: d.cost,
-        });
+        self.push(
+            canon,
+            LibraryEntry {
+                graph,
+                embedding,
+                node_embeddings,
+                solution: d.coloring,
+                cost: d.cost,
+            },
+        );
         true
     }
 
@@ -236,7 +273,8 @@ impl GraphLibrary {
 
     /// Like [`GraphLibrary::lookup`], but with the graph and node
     /// embeddings already computed (e.g. by batched inference). The graph
-    /// embedding need not be normalized.
+    /// embedding need not be normalized. Only entries of the graph's
+    /// shape are compared (see module docs).
     pub fn lookup_with_embeddings(
         &self,
         graph: &LayoutGraph,
@@ -247,22 +285,35 @@ impl GraphLibrary {
             return None;
         }
         let h = normalize(graph_embedding.to_vec());
-        // arg max over stored embeddings (Eq. 10).
-        let mut candidates: Vec<usize> = (0..self.entries.len())
-            .filter(|&i| dot(&self.entries[i].embedding, &h) > 1.0 - 1e-4)
-            .collect();
-        // Cheap structural prefilter.
-        candidates.retain(|&i| {
-            let e = &self.entries[i];
-            e.graph.num_nodes() == graph.num_nodes()
-                && e.graph.conflict_edges().len() == graph.conflict_edges().len()
-                && e.graph.stitch_edges().len() == graph.stitch_edges().len()
-        });
-        if candidates.is_empty() {
-            return None;
-        }
+        self.transfer(graph, node_embeddings, self.candidates(graph, &h))
+    }
+
+    /// The entries Algorithm 2 tries for `graph`, whose normalized
+    /// embedding is `h`: those of its shape at unit dot product (the arg
+    /// max of Eq. 10), in entry order.
+    fn candidates<'a>(
+        &'a self,
+        graph: &LayoutGraph,
+        h: &'a [f32],
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.shape_index
+            .get(&shape(graph))
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(move |&i| dot(&self.entries[i].embedding, h) > 1.0 - 1e-4)
+    }
+
+    /// Transfers the stored solution of the first candidate entry that
+    /// maps onto `graph` and passes re-verification.
+    fn transfer(
+        &self,
+        graph: &LayoutGraph,
+        node_embeddings: &Matrix,
+        candidates: impl Iterator<Item = usize>,
+    ) -> Option<Decomposition> {
         let u = node_embeddings;
-        for &i in &candidates {
+        for i in candidates {
             let entry = &self.entries[i];
             // Candidate images per node by embedding proximity (Eq. 11).
             let mut lists: Vec<Vec<u32>> = Vec::with_capacity(graph.num_nodes());
@@ -357,7 +408,7 @@ mod tests {
     use mpld_ilp::brute_force;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_library() -> (GraphLibrary, RgcnClassifier) {
         let embedder = RgcnClassifier::selector(0xAB);
@@ -506,6 +557,77 @@ mod tests {
             .decompose(&g, &DecomposeParams::tpl(), &Budget::unlimited())
             .expect("fresh solve succeeds");
         assert_eq!(fresh.cost, lib.entries()[0].cost);
+    }
+
+    /// The lookup before the shape index, kept as the reference the
+    /// bucketed one must equal: the dot filter over every entry, then
+    /// the shape check.
+    fn lookup_full_scan(
+        lib: &GraphLibrary,
+        graph: &LayoutGraph,
+        graph_embedding: &[f32],
+        node_embeddings: &Matrix,
+    ) -> (Vec<usize>, Option<Decomposition>) {
+        if graph.num_nodes() == 0 || graph.num_nodes() > lib.max_nodes {
+            return (Vec::new(), None);
+        }
+        let h = normalize(graph_embedding.to_vec());
+        let mut candidates: Vec<usize> = (0..lib.entries.len())
+            .filter(|&i| dot(&lib.entries[i].embedding, &h) > 1.0 - 1e-4)
+            .collect();
+        candidates.retain(|&i| shape(&lib.entries[i].graph) == shape(graph));
+        let d = lib.transfer(graph, node_embeddings, candidates.iter().copied());
+        (candidates, d)
+    }
+
+    #[test]
+    fn shape_bucketed_lookup_equals_the_full_scan() {
+        let (lib, embedder) = default_library();
+        let mut rng = SmallRng::seed_from_u64(0x5A4E);
+        let check = |g: &LayoutGraph| -> bool {
+            let h = embedder.graph_embedding(g);
+            let u = embedder.node_embeddings(g);
+            let (scan_candidates, scanned) = lookup_full_scan(&lib, g, &h, &u);
+            let bucketed = lib.lookup_with_embeddings(g, &h, &u);
+            if g.num_nodes() <= lib.max_nodes() {
+                let h = normalize(h.clone());
+                let bucketed: Vec<usize> = lib.candidates(g, &h).collect();
+                assert_eq!(bucketed, scan_candidates);
+            }
+            assert_eq!(bucketed, scanned);
+            bucketed.is_some()
+        };
+        // Every entry under a random relabeling: always a hit.
+        for e in lib.entries() {
+            let mut relabel: Vec<u32> = (0..e.graph.num_nodes() as u32).collect();
+            relabel.shuffle(&mut rng);
+            assert!(check(&relabeled(&e.graph, &relabel)));
+        }
+        // Random graphs on up to eight nodes, mostly not in the library
+        // (the library holds only graphs without a node of conflict
+        // degree below k).
+        let mut members = 0;
+        for _ in 0..400 {
+            let n = rng.gen_range(1..=8usize);
+            let feats: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n as u32)).collect();
+            let (mut conflict, mut stitch) = (Vec::new(), Vec::new());
+            for u in 0..n as u32 {
+                for v in u + 1..n as u32 {
+                    if rng.gen_bool(0.6) {
+                        if feats[u as usize] == feats[v as usize] {
+                            stitch.push((u, v));
+                        } else {
+                            conflict.push((u, v));
+                        }
+                    }
+                }
+            }
+            let Ok(g) = LayoutGraph::new(feats, conflict, stitch) else {
+                continue;
+            };
+            members += usize::from(check(&g));
+        }
+        assert!(members < 400, "the random graphs must include non-members");
     }
 
     #[test]

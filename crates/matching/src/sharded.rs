@@ -16,8 +16,7 @@
 //! converge on one shared entry and results stay independent of
 //! interleaving.
 
-use crate::fingerprint::{graph_fingerprint, graphs_identical};
-use mpld_graph::LayoutGraph;
+use mpld_graph::{graph_fingerprint, graphs_identical, LayoutGraph};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;

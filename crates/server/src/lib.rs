@@ -143,9 +143,47 @@ extern "C" fn on_signal(_sig: i32) {
     SIGNALED.store(true, Ordering::SeqCst);
 }
 
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
 extern "C" {
     // Provided by libc, which std always links on this platform.
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+}
+
+/// Longest the acceptor waits for a connection before it checks the
+/// shutdown flag again. A signal interrupts the wait at once (`poll(2)`
+/// returns `EINTR` and is never restarted), so this bounds only an
+/// in-process shutdown, or a signal handled on another thread.
+const ACCEPT_WAIT: Duration = Duration::from_millis(50);
+
+/// How often the drain loop checks whether the workers have finished;
+/// connections arriving meanwhile wake it at once.
+const DRAIN_WAIT: Duration = Duration::from_millis(5);
+
+/// Blocks until `listener` has a connection to accept, `timeout` passes,
+/// or a signal arrives — whichever comes first. Errors (including
+/// `EINTR`) return early; the caller's `accept` sorts them out.
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::fd::AsRawFd;
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is one valid `pollfd` that outlives the call, and the
+    // listener's descriptor stays open for its duration.
+    unsafe {
+        poll(&mut fd, 1, ms);
+    }
 }
 
 /// Installs SIGTERM/SIGINT handlers that flip the returned flag; pass it
@@ -343,10 +381,12 @@ fn tiled_progress_json(p: &TiledProgress) -> String {
 /// requests from `workers` threads that share `engine`. Returns once
 /// every queued request has finished and all workers have joined.
 ///
-/// The listener is switched to non-blocking so the acceptor can poll the
-/// shutdown flag; worker sockets themselves stay blocking (with
-/// `read_timeout`). During the drain the acceptor keeps answering:
-/// `/healthz` reports `draining`, everything else gets `503`.
+/// The listener is switched to non-blocking, and the acceptor waits for
+/// connections with `poll(2)`, waking at least every 50 ms to check the
+/// shutdown flag, so a connection is accepted as soon as it arrives.
+/// Worker sockets themselves stay blocking (with `read_timeout`). During
+/// the drain the acceptor keeps answering: `/healthz` reports
+/// `draining`, everything else gets `503`.
 ///
 /// # Errors
 ///
@@ -402,7 +442,7 @@ pub fn serve(
                     Err(TrySendError::Disconnected(_)) => break,
                 },
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                    wait_for_connection(&listener, ACCEPT_WAIT);
                 }
                 Err(e) => eprintln!("mpld-server: accept failed: {e}"),
             }
@@ -417,9 +457,9 @@ pub fn serve(
             match listener.accept() {
                 Ok((stream, _)) => respond_draining(stream, &state),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_for_connection(&listener, DRAIN_WAIT);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                Err(_) => std::thread::sleep(DRAIN_WAIT),
             }
         }
         for h in handles {
@@ -530,14 +570,15 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) -> std::io::Re
 }
 
 fn respond_json(mut stream: TcpStream, status: &str, body: &str) -> std::io::Result<()> {
-    let mut body = body.to_string();
-    body.push('\n');
-    write!(
-        stream,
+    // One write: closing a socket whose client is still sending a
+    // rejected request resets the connection, and a response written in
+    // pieces could lose its tail to that reset.
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
+         Content-Length: {}\r\n\r\n{body}\n",
+        body.len() + 1
+    );
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

@@ -17,10 +17,10 @@ use std::sync::{Mutex, OnceLock};
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
 use mpld::{
-    prepare, train_framework, AdaptiveFramework, AdaptiveResult, Engine, LayoutDecomposition,
-    OfflineConfig, PreparedLayout, Session, TrainingData,
+    prepare, train_framework, AdaptiveFramework, AdaptiveResult, Engine, EngineKind,
+    LayoutDecomposition, OfflineConfig, PreparedLayout, Session, TrainingData,
 };
-use mpld_graph::{audit_coloring, failpoints, DecomposeParams};
+use mpld_graph::{audit_coloring, failpoints, graphs_identical, DecomposeParams, LayoutGraph};
 use mpld_layout::circuit_by_name;
 
 mod oracle;
@@ -172,4 +172,75 @@ fn zero_rate_is_bit_identical_to_disabled() {
     assert_eq!(off.unit_engines, zero.unit_engines);
     assert_eq!(zero.budget.quarantined, 0);
     assert_eq!(zero.budget.audit_rejections, 0);
+}
+
+/// ColorGNN samples each distinct merged parent as its own job, so a job
+/// that panics costs a guard fallback for the units of that parent only:
+/// every other parent's units keep the coloring a fault-free run gives
+/// them.
+#[test]
+fn panicking_colorgnn_job_falls_back_only_its_own_units() {
+    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, prep) = fixture();
+    failpoints::disable();
+    let (clean_fw, faulted_fw) = (framework(), framework());
+    let clean = Engine::new(clean_fw)
+        .decompose(prep, &mut Session::new(31))
+        .expect("decomposes");
+
+    // The units ColorGNN colored, grouped by identical merged parent.
+    let mut groups: Vec<(LayoutGraph, Vec<usize>)> = Vec::new();
+    for (i, u) in prep.units.iter().enumerate() {
+        if clean.unit_engines[i] != EngineKind::ColorGnn {
+            continue;
+        }
+        let (parent, _) = u.hetero.merge_stitch_edges();
+        match groups
+            .iter_mut()
+            .find(|(p, _)| graphs_identical(p, &parent))
+        {
+            Some((_, members)) => members.push(i),
+            None => groups.push((parent, vec![i])),
+        }
+    }
+
+    // Panics (and harmless delays) at ColorGNN's restart site only; one
+    // worker, so the fault schedule is deterministic.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    failpoints::configure_filtered(5, 0.5, &["colorgnn.restart"]);
+    let faulted = Engine::new(faulted_fw).decompose(prep, &mut Session::new(31));
+    failpoints::disable();
+    std::panic::set_hook(hook);
+    let faulted = faulted.expect("a panicking job must not fail the layout");
+    assert_audit_clean(prep, &faulted.pipeline.decomposition);
+
+    let (mut kept, mut fell_back) = (0, 0);
+    for (_, members) in &groups {
+        let colored = |i: &usize| faulted.unit_engines[*i] == EngineKind::ColorGnn;
+        if members.iter().all(colored) {
+            kept += 1;
+            for &i in members {
+                assert!(
+                    oracle::same_up_to_relabeling(
+                        &faulted.pipeline.decomposition.unit_subfeature_colorings[i],
+                        &clean.pipeline.decomposition.unit_subfeature_colorings[i],
+                    ),
+                    "unit {i} of an unfaulted parent"
+                );
+            }
+        } else {
+            assert!(
+                !members.iter().any(colored),
+                "a parent's units fall back together: {members:?}"
+            );
+            fell_back += members.len();
+        }
+    }
+    assert!(kept > 0, "some parent must survive the injection");
+    assert!(fell_back > 0, "some parent's job must panic");
+    assert_eq!(
+        faulted.usage.colorgnn_fallbacks,
+        clean.usage.colorgnn_fallbacks + fell_back
+    );
 }

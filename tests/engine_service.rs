@@ -8,11 +8,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use mpld::{
-    prepare, train_framework, AdaptiveFramework, AdaptiveResult, BudgetPolicy, Engine,
+    prepare, train_framework, AdaptiveFramework, AdaptiveResult, BudgetPolicy, Engine, EngineKind,
     OfflineConfig, PreparedLayout, Progress, Session, TrainingData,
 };
-use mpld_graph::{Certainty, DecomposeParams, MockClock};
+use mpld_graph::{graphs_identical, Budget, Certainty, DecomposeParams, MockClock};
 use mpld_layout::circuit_by_name;
+use rand::rngs::SmallRng;
+use rand::{RngCore, SeedableRng};
 
 mod oracle;
 
@@ -146,8 +148,9 @@ fn concurrent_sessions_share_one_engine_with_serial_digests() {
 
 #[test]
 fn distinct_seeds_stay_cost_equal_and_audited() {
-    // ColorGNN results are session-RNG-dependent and never cached, so a
-    // different seed may color differently — but the guarded flow keeps
+    // ColorGNN results depend on the session's draw and are never
+    // cached, so a different seed may color differently — but the guarded
+    // flow keeps
     // the cost pinned to the oracle (guard failures fall through to the
     // exact tail).
     let (engine, test, serial) = fixture();
@@ -197,4 +200,62 @@ fn expired_deadline_returns_incumbents_never_errors() {
             | Certainty::BudgetExhausted
             | Certainty::Degraded
     )));
+}
+
+#[test]
+fn identical_units_share_one_colorgnn_sample_and_count_per_unit() {
+    let (engine, _, _) = fixture();
+    let fw = engine.framework();
+    let prep = prepare(
+        &circuit_by_name("C6288").expect("exists").generate(),
+        &fw.params,
+    );
+    let r = engine
+        .decompose(&prep, &mut Session::new(SEED))
+        .expect("decomposes");
+    let colored: Vec<usize> = (0..prep.units.len())
+        .filter(|&i| r.unit_engines[i] == EngineKind::ColorGnn)
+        .collect();
+    assert_eq!(colored.len(), r.usage.colorgnn, "usage counts every unit");
+
+    // Every ColorGNN unit carries the expansion of its merged parent's
+    // per-graph sample under the session's one draw.
+    let frozen = fw.colorgnn.freeze();
+    let draw = SmallRng::seed_from_u64(SEED).next_u64();
+    let kept = &r.pipeline.decomposition.unit_subfeature_colorings;
+    for &i in &colored {
+        let (parent, map) = prep.units[i].hetero.merge_stitch_edges();
+        let pd = frozen
+            .decompose_seeded(&parent, &fw.params, &Budget::unlimited(), draw)
+            .expect("non-stitch parent");
+        let expanded: Vec<u8> = map.iter().map(|&p| pd.coloring[p as usize]).collect();
+        assert!(
+            oracle::same_up_to_relabeling(&expanded, &kept[i]),
+            "unit {i}"
+        );
+    }
+
+    // Identical units got identical colorings, and each is counted.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for &i in &colored {
+        let g = &prep.units[i].hetero;
+        match groups
+            .iter_mut()
+            .find(|m| graphs_identical(&prep.units[m[0]].hetero, g))
+        {
+            Some(m) => m.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    let shared: Vec<&Vec<usize>> = groups.iter().filter(|m| m.len() > 1).collect();
+    assert!(!shared.is_empty(), "the layout must repeat a ColorGNN unit");
+    for m in shared {
+        for &i in &m[1..] {
+            assert!(
+                oracle::same_up_to_relabeling(&kept[m[0]], &kept[i]),
+                "{m:?}"
+            );
+        }
+    }
+    assert!(groups.len() < r.usage.colorgnn);
 }

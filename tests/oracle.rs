@@ -10,6 +10,8 @@
 //! [`cold_copy`] serves the tests that compare several engine runs: each
 //! run gets an engine over its own copy of the model, so no run is
 //! answered from another run's solution cache.
+//! [`same_up_to_relabeling`] compares unit colorings across runs, whose
+//! assembly may rename a unit's colors.
 
 // Each test binary that includes this module uses a subset of it.
 #![allow(dead_code)]
@@ -24,19 +26,22 @@ use mpld_graph::{
 };
 use mpld_matching::GraphLibrary;
 
-/// A second copy of `fw`'s model (same weights, same library entries), so
-/// an engine over it starts with empty caches.
+/// A second copy of `fw`'s model (same weights, same library entries,
+/// same ColorGNN switch), so an engine over it starts with empty caches.
 pub fn cold_copy(fw: &AdaptiveFramework) -> AdaptiveFramework {
     let mut bytes = Vec::new();
     fw.save(&mut bytes).expect("serialize to Vec");
     let library = GraphLibrary::from_entries(fw.library.entries().to_vec(), fw.library.max_nodes());
-    AdaptiveFramework::load_with_library(
+    let mut copy = AdaptiveFramework::load_with_library(
         bytes.as_slice(),
         &fw.params,
         &OfflineConfig::default(),
         |_| Some(library),
     )
-    .expect("model copy loads")
+    .expect("model copy loads");
+    // The switch is a run setting, not part of the model file.
+    copy.use_colorgnn = fw.use_colorgnn;
+    copy
 }
 
 /// One oracle run: the assembled result plus the units library matching
@@ -137,4 +142,16 @@ fn exact(
             .filter(|e| e.cost.better_than(&d.cost, p.alpha))
             .unwrap_or(d),
     )
+}
+
+/// Whether `a` and `b` are the same coloring up to a renaming of colors
+/// (assembly permutes each unit's colors to fit its neighbors).
+pub fn same_up_to_relabeling(a: &[u8], b: &[u8]) -> bool {
+    let mut fwd = [None::<u8>; 256];
+    let mut back = [None::<u8>; 256];
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(&x, &y)| {
+            *fwd[usize::from(x)].get_or_insert(y) == y
+                && *back[usize::from(y)].get_or_insert(x) == x
+        })
 }
