@@ -50,10 +50,10 @@ use mpld_graph::simplify::{simplify, SimplifyOptions};
 use mpld_graph::{audit_coloring, DecomposeParams, LayoutGraph, MpldError};
 use mpld_layout::{read_layout_streaming, Layout, ParseLayoutError, ReadLimits};
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Tiling knobs. Zeros mean "derive from the coloring distance".
@@ -229,7 +229,7 @@ impl TileGrid {
 /// the on-disk store the streaming pass spilled (random access by id).
 enum Geometry<'a> {
     Mem(&'a [Feature]),
-    Store(Mutex<FeatureStore>),
+    Store(FeatureStore),
 }
 
 impl Geometry<'_> {
@@ -241,25 +241,26 @@ impl Geometry<'_> {
                 .iter()
                 .map(|&id| features[id as usize].clone())
                 .collect()),
-            Geometry::Store(store) => {
-                let mut store = store.lock().map_err(|_| {
-                    MpldError::Io("tiled feature store poisoned by a worker panic".into())
-                })?;
-                ids.iter().map(|&id| store.read_feature(id)).collect()
-            }
+            Geometry::Store(store) => store.read_features(ids),
         }
     }
 }
 
 /// Append-only binary spill of feature geometry (`u32` rect count, then
 /// `4 x i64` per rect), unlinked on creation so it can never outlive the
-/// process. Offsets live in memory: 8 bytes per feature.
+/// process. Record `i` spans bytes `offsets[i]..offsets[i + 1]`; the
+/// offset table lives in memory, 8 bytes per feature. Reads are
+/// positioned (`pread`), so tile workers share the store without a lock.
 struct FeatureStore {
     file: std::fs::File,
     offsets: Vec<u64>,
 }
 
 static STORE_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes the replication scan reads at a time (whole records; a larger
+/// record is read alone).
+const SCAN_CHUNK: u64 = 1 << 16;
 
 impl FeatureStore {
     fn create() -> Result<FeatureStore, MpldError> {
@@ -279,37 +280,86 @@ impl FeatureStore {
         std::fs::remove_file(&path).map_err(|e| MpldError::Io(e.to_string()))?;
         Ok(FeatureStore {
             file,
-            offsets: Vec::new(),
+            offsets: vec![0],
         })
     }
 
-    fn read_feature(&mut self, id: u32) -> Result<Feature, MpldError> {
-        let offset = self.offsets[id as usize];
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| MpldError::Io(e.to_string()))?;
-        let mut len = [0u8; 4];
-        self.file
-            .read_exact(&mut len)
-            .map_err(|e| MpldError::Io(e.to_string()))?;
-        let n = u32::from_le_bytes(len) as usize;
-        let mut buf = vec![0u8; n * 32];
-        self.file
-            .read_exact(&mut buf)
-            .map_err(|e| MpldError::Io(e.to_string()))?;
-        let rects = buf
-            .chunks_exact(32)
-            .map(|c| {
-                let coord = |i: usize| {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&c[i * 8..i * 8 + 8]);
-                    i64::from_le_bytes(b)
-                };
-                Rect::new(coord(0), coord(1), coord(2), coord(3))
-            })
-            .collect();
-        Ok(Feature::new(id, rects))
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
     }
+
+    /// Reads records `ids` (a half-open id range) into `buf` with one
+    /// positioned read.
+    fn read_run(&self, ids: std::ops::Range<usize>, buf: &mut Vec<u8>) -> Result<(), MpldError> {
+        let start = self.offsets[ids.start];
+        buf.resize((self.offsets[ids.end] - start) as usize, 0);
+        self.file
+            .read_exact_at(buf, start)
+            .map_err(|e| MpldError::Io(format!("tiled feature store: {e}")))
+    }
+
+    /// Loads the features with the given ids, in order: one read per run
+    /// of consecutive ids.
+    fn read_features(&self, ids: &[u32]) -> Result<Vec<Feature>, MpldError> {
+        let mut out = Vec::with_capacity(ids.len());
+        let mut buf = Vec::new();
+        for run in ids.chunk_by(|&a, &b| u64::from(b) == u64::from(a) + 1) {
+            let first = run[0] as usize;
+            self.read_run(first..first + run.len(), &mut buf)?;
+            let mut records = buf.as_slice();
+            for &id in run {
+                let (rects, rest) = decode_record(records)?;
+                out.push(Feature::new(id, rects.collect()));
+                records = rest;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Calls `visit(id, bounding box)` for every feature in id order,
+    /// reading the spill front to back in chunks of whole records and
+    /// decoding only the bounding boxes.
+    fn for_each_bbox(&self, mut visit: impl FnMut(u32, Rect)) -> Result<(), MpldError> {
+        let mut buf = Vec::new();
+        let mut first = 0;
+        while first < self.len() {
+            let limit = self.offsets[first] + SCAN_CHUNK;
+            let end = (self.offsets.partition_point(|&o| o <= limit) - 1).max(first + 1);
+            self.read_run(first..end, &mut buf)?;
+            let mut records = buf.as_slice();
+            for id in first..end {
+                let (rects, rest) = decode_record(records)?;
+                let bbox = rects
+                    .reduce(|acc, r| acc.union(&r))
+                    .ok_or_else(|| MpldError::Io(format!("spilled feature {id} has no rects")))?;
+                visit(id as u32, bbox);
+                records = rest;
+            }
+            first = end;
+        }
+        Ok(())
+    }
+}
+
+/// Splits one spill record off the front of `bytes`: its rects, and the
+/// bytes after it.
+fn decode_record(bytes: &[u8]) -> Result<(impl Iterator<Item = Rect> + '_, &[u8]), MpldError> {
+    let truncated = || MpldError::Io("tiled feature store: truncated record".into());
+    let (len, rest) = bytes.split_first_chunk::<4>().ok_or_else(truncated)?;
+    let n = u32::from_le_bytes(*len) as usize;
+    if rest.len() < n * 32 {
+        return Err(truncated());
+    }
+    let (record, rest) = rest.split_at(n * 32);
+    let rects = record.chunks_exact(32).map(|c| {
+        let coord = |i: usize| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(&c[i * 8..i * 8 + 8]);
+            i64::from_le_bytes(b)
+        };
+        Rect::new(coord(0), coord(1), coord(2), coord(3))
+    });
+    Ok((rects, rest))
 }
 
 /// Serializes one feature into the spill format.
@@ -391,8 +441,8 @@ pub fn prepare_tiled_file(
         writer
             .write_all(&record)
             .map_err(|e| ParseLayoutError::Io(e.to_string()))?;
-        offsets.push(pos);
         pos += record.len() as u64;
+        offsets.push(pos);
         rects += f.rects().len();
         let bb = f.bounding_box();
         bbox = Some(match bbox {
@@ -405,12 +455,12 @@ pub fn prepare_tiled_file(
     let file = writer
         .into_inner()
         .map_err(|e| MpldError::Io(e.to_string()))?;
-    let n = offsets.len();
     let store = FeatureStore { file, offsets };
+    let n = store.len();
     prepare_tiled_inner(
         header.name,
         header.d,
-        &Geometry::Store(Mutex::new(store)),
+        &Geometry::Store(store),
         n,
         rects,
         bbox,
@@ -464,30 +514,22 @@ fn prepare_tiled_inner(
     let mut tile_features: Vec<Vec<u32>> = vec![Vec::new(); tiles];
     let mut home = vec![0u32; num_features];
     {
-        let mut assign = |f: &Feature| {
-            let bb = f.bounding_box();
-            home[f.id() as usize] = grid.home(&bb);
+        let mut assign = |id: u32, bb: Rect| {
+            home[id as usize] = grid.home(&bb);
             let (tx0, tx1, ty0, ty1) = grid.range(&bb, halo);
             for ty in ty0..=ty1 {
                 for tx in tx0..=tx1 {
-                    tile_features[(ty * grid.nx + tx) as usize].push(f.id());
+                    tile_features[(ty * grid.nx + tx) as usize].push(id);
                 }
             }
         };
         match geometry {
             Geometry::Mem(features) => {
                 for f in *features {
-                    assign(f);
+                    assign(f.id(), f.bounding_box());
                 }
             }
-            Geometry::Store(store) => {
-                let mut store = store.lock().map_err(|_| {
-                    MpldError::Io("tiled feature store poisoned by a worker panic".into())
-                })?;
-                for id in 0..num_features as u32 {
-                    assign(&store.read_feature(id)?);
-                }
-            }
+            Geometry::Store(store) => store.for_each_bbox(assign)?,
         }
     }
     let replicated_features = tile_features.iter().map(Vec::len).sum();
@@ -533,7 +575,11 @@ fn prepare_tiled_inner(
         },
     );
     drop(tile_features);
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let total = tile_edges
+        .iter()
+        .map(|r| r.as_ref().map_or(0, Vec::len))
+        .sum();
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(total);
     for per_tile in tile_edges {
         edges.extend(per_tile?);
     }
@@ -717,35 +763,72 @@ mod tests {
         );
     }
 
+    /// `layout` with its features renumbered in a shuffled order, so the
+    /// id lists of tiles and units break into many short runs.
+    fn shuffled(layout: &Layout, seed: u64) -> Layout {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut order: Vec<&Feature> = layout.features.iter().collect();
+        order.shuffle(&mut SmallRng::seed_from_u64(seed));
+        Layout {
+            name: layout.name.clone(),
+            d: layout.d,
+            features: order
+                .iter()
+                .enumerate()
+                .map(|(id, f)| Feature::new(id as u32, f.rects().to_vec()))
+                .collect(),
+        }
+    }
+
     #[test]
     fn file_variant_matches_in_memory() {
-        let layout = circuit_by_name("C432").expect("exists").generate();
         let params = DecomposeParams::tpl();
         let dir = std::env::temp_dir().join(format!("mpld-tiled-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("c432.layout");
-        let mut buf = Vec::new();
-        mpld_layout::write_layout(&layout, &mut buf).expect("write");
-        std::fs::write(&path, &buf).expect("write file");
+        let c432 = circuit_by_name("C432").expect("exists").generate();
+        let small_tiles = TilingConfig {
+            tile_span: 2 * c432.d,
+            threads: 2,
+            ..Default::default()
+        };
+        for (layout, config) in [
+            (c432.clone(), TilingConfig::default()),
+            (c432.clone(), small_tiles),
+            (shuffled(&c432, 7), TilingConfig::default()),
+            (shuffled(&c432, 7), small_tiles),
+        ] {
+            let path = dir.join("layout.mpld");
+            let mut buf = Vec::new();
+            mpld_layout::write_layout(&layout, &mut buf).expect("write");
+            std::fs::write(&path, &buf).expect("write file");
 
-        let mem = prepare_tiled(&layout, &params, &TilingConfig::default(), &quiet());
-        let file = prepare_tiled_file(
-            &path,
-            &ReadLimits::unlimited(),
-            &params,
-            &TilingConfig::default(),
-            &quiet(),
-        )
-        .expect("file prepare");
-        std::fs::remove_dir_all(&dir).ok();
+            let mem = prepare_tiled(&layout, &params, &config, &quiet());
+            let file =
+                prepare_tiled_file(&path, &ReadLimits::unlimited(), &params, &config, &quiet())
+                    .expect("file prepare");
+            let serial = crate::prepare(&layout, &params);
 
-        assert_eq!(file.prep.graph, mem.prep.graph);
-        assert_eq!(file.prep.units.len(), mem.prep.units.len());
-        for (a, b) in file.prep.units.iter().zip(&mem.prep.units) {
-            assert_eq!(a.hetero, b.hetero);
+            assert_eq!(file.prep.graph, mem.prep.graph);
+            assert_eq!(file.prep.graph, serial.graph);
+            assert_eq!(file.prep.units.len(), mem.prep.units.len());
+            assert_eq!(file.prep.units.len(), serial.units.len());
+            for ((a, b), c) in file
+                .prep
+                .units
+                .iter()
+                .zip(&mem.prep.units)
+                .zip(&serial.units)
+            {
+                assert_eq!(a.hetero, b.hetero);
+                assert_eq!(a.hetero, c.hetero);
+                assert_eq!(a.unit_index, c.unit_index);
+            }
+            assert_eq!(file.stats, mem.stats);
+            assert_eq!(file.boundary_units, mem.boundary_units);
         }
-        assert_eq!(file.stats, mem.stats);
-        assert_eq!(file.boundary_units, mem.boundary_units);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! costs; [`Dlx::solve_min_cost`] finds the exact cover minimizing the
 //! total row cost, optionally under a search-node budget (returning the
 //! best cover found so far when the budget runs out).
+//!
+//! [`Dlx::unlink_columns`] takes secondary columns out of the matrix
+//! between searches and [`Dlx::relink`] puts them back — dancing links
+//! applied to columns — so one matrix serves every relaxation of an
+//! instance without a rebuild.
 
 use mpld_graph::Budget;
 
@@ -51,6 +56,11 @@ pub struct Dlx {
     row_cost: Vec<u64>,
     search_nodes: u64,
     exhausted: bool,
+    /// Per column, one plus the last row added through it (`add_row`'s
+    /// duplicate check without a set per row).
+    last_row: Vec<u32>,
+    /// Nodes `unlink_columns` took out of their rows, in unlink order.
+    unlinked: Vec<u32>,
 }
 
 impl Dlx {
@@ -75,6 +85,8 @@ impl Dlx {
             row_cost: Vec::new(),
             search_nodes: 0,
             exhausted: false,
+            last_row: vec![0; num_cols],
+            unlinked: Vec::new(),
         };
         // Link primary headers in a circular list through the root;
         // secondary headers stay self-linked (never branched on).
@@ -123,10 +135,11 @@ impl Dlx {
         self.num_rows += 1;
         self.row_cost.push(cost);
         let mut first: Option<u32> = None;
-        let mut seen = std::collections::HashSet::new();
+        let stamp = row as u32 + 1;
         for &c in cols {
             assert!(c < self.num_cols, "column out of range");
-            assert!(seen.insert(c), "duplicate column in row");
+            assert!(self.last_row[c] != stamp, "duplicate column in row");
+            self.last_row[c] = stamp;
             let node = self.left.len() as u32;
             // Vertical link: insert above the header (end of the column).
             let header = c as u32;
@@ -155,6 +168,44 @@ impl Dlx {
             }
         }
         row
+    }
+
+    /// Takes every node of the secondary columns `cols` out of its row,
+    /// until [`Dlx::relink`]. A search in between visits the same rows in
+    /// the same order, with the same costs, as a search of the matrix
+    /// built without those columns: the columns are never covered, and
+    /// the other nodes of each row keep their relative order. Add no rows
+    /// before relinking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column is primary, out of range, or already unlinked.
+    pub fn unlink_columns(&mut self, cols: impl IntoIterator<Item = usize>) {
+        for c in cols {
+            assert!(
+                (self.num_primary..self.num_cols).contains(&c),
+                "only secondary columns can be unlinked"
+            );
+            let mut i = self.down[c];
+            while i as usize != c {
+                let (l, r) = (self.left[i as usize], self.right[i as usize]);
+                assert_eq!(self.right[l as usize], i, "column {c} is already unlinked");
+                self.right[l as usize] = r;
+                self.left[r as usize] = l;
+                self.unlinked.push(i);
+                i = self.down[i as usize];
+            }
+        }
+    }
+
+    /// Puts back every node [`Dlx::unlink_columns`] took out, in reverse
+    /// order, restoring the matrix exactly.
+    pub fn relink(&mut self) {
+        while let Some(i) = self.unlinked.pop() {
+            let (l, r) = (self.left[i as usize], self.right[i as usize]);
+            self.right[l as usize] = i;
+            self.left[r as usize] = i;
+        }
     }
 
     fn cover(&mut self, c: u32) {
@@ -306,6 +357,7 @@ impl Dlx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn knuth_example() {
@@ -396,5 +448,116 @@ mod tests {
     fn empty_row_panics() {
         let mut m = Dlx::new(1, 0);
         m.add_row(&[], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate column in row")]
+    fn duplicate_column_panics() {
+        let mut m = Dlx::new(2, 1);
+        m.add_row(&[0, 2], 0);
+        m.add_row(&[1, 2, 1], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "column out of range")]
+    fn unknown_column_panics() {
+        let mut m = Dlx::new(2, 1);
+        m.add_row(&[0, 3], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "only secondary columns")]
+    fn unlinking_a_primary_column_panics() {
+        let mut m = Dlx::new(2, 1);
+        m.add_row(&[0, 2], 0);
+        m.unlink_columns([1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already unlinked")]
+    fn unlinking_a_column_twice_panics() {
+        let mut m = Dlx::new(1, 2);
+        m.add_row(&[0, 1, 2], 0);
+        m.unlink_columns([1, 2, 1]);
+    }
+
+    /// A random matrix: primary and secondary column counts, and rows as
+    /// (sorted columns, cost), each covering at least one primary column.
+    #[allow(clippy::type_complexity)]
+    fn random_matrix(rng: &mut impl Rng) -> (usize, usize, Vec<(Vec<usize>, u64)>) {
+        let primary = rng.gen_range(1..6);
+        let secondary = rng.gen_range(0..9);
+        let rows = (0..rng.gen_range(1..24))
+            .map(|_| {
+                let mut cols = vec![rng.gen_range(0..primary)];
+                cols.extend((0..primary + secondary).filter(|_| rng.gen_bool(0.3)));
+                cols.sort_unstable();
+                cols.dedup();
+                (cols, rng.gen_range(0..5))
+            })
+            .collect();
+        (primary, secondary, rows)
+    }
+
+    /// Builds the matrix keeping only the columns `keep` accepts,
+    /// renumbered densely in order.
+    fn build(
+        primary: usize,
+        secondary: usize,
+        rows: &[(Vec<usize>, u64)],
+        keep: impl Fn(usize) -> bool,
+    ) -> Dlx {
+        let new_id: Vec<usize> = (0..primary + secondary)
+            .scan(0, |next, c| {
+                let id = *next;
+                *next += usize::from(keep(c));
+                Some(id)
+            })
+            .collect();
+        let kept_secondary = (primary..primary + secondary).filter(|&c| keep(c)).count();
+        let mut m = Dlx::new(primary, kept_secondary);
+        for (cols, cost) in rows {
+            let cols: Vec<usize> = cols
+                .iter()
+                .filter(|&&c| keep(c))
+                .map(|&c| new_id[c])
+                .collect();
+            m.add_row(&cols, *cost);
+        }
+        m
+    }
+
+    type Outcome = (Option<(Vec<usize>, u64)>, u64, bool);
+
+    fn solve(m: &mut Dlx, budget: Option<u64>) -> Outcome {
+        let got = m.solve_min_cost(budget);
+        (got, m.last_search_nodes(), m.last_search_exhausted())
+    }
+
+    #[test]
+    fn unlinked_columns_search_like_a_matrix_built_without_them() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(0xD1C5);
+        for _ in 0..300 {
+            let (primary, secondary, rows) = random_matrix(&mut rng);
+            let relaxed: Vec<usize> = (primary..primary + secondary)
+                .filter(|_| rng.gen_bool(0.4))
+                .collect();
+            let mut full = build(primary, secondary, &rows, |_| true);
+            let mut reference = full.clone();
+            let mut fresh = build(primary, secondary, &rows, |c| !relaxed.contains(&c));
+            for budget in [None, Some(1), Some(2), Some(5), Some(20)] {
+                full.unlink_columns(relaxed.iter().copied());
+                let unlinked = solve(&mut full, budget);
+                full.relink();
+                assert_eq!(
+                    unlinked,
+                    solve(&mut fresh, budget),
+                    "rows {rows:?}, relaxed {relaxed:?}"
+                );
+                assert_eq!(solve(&mut full, budget), solve(&mut reference, budget));
+            }
+        }
     }
 }

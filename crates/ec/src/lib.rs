@@ -39,7 +39,7 @@ use dlx::Dlx;
 use mpld_graph::{
     Budget, Certainty, DecomposeParams, Decomposer, Decomposition, LayoutGraph, MpldError, NodeId,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// The exact-cover decomposer (see crate docs).
 #[derive(Debug, Clone, Copy)]
@@ -137,14 +137,14 @@ impl EcDecomposer {
         params: &DecomposeParams,
         budget: &Budget,
     ) -> Result<(Decomposition, bool), MpldError> {
-        let instance = Instance::build(graph, params);
+        let mut instance = Instance::build(graph, params);
 
         // Phase 1: conflict-free minimum-stitch cover (skipped outright
         // when the wall budget already expired on arrival).
         let (exact, p1_exhausted) = if budget.exhausted() {
             (None, true)
         } else {
-            instance.solve_tracked(graph, params, &HashSet::new(), self.budget, budget)
+            instance.solve_tracked(graph, params, &[], self.budget, budget)
         };
         let zero_conflict_resolved = !p1_exhausted;
         if let Some(d) = &exact {
@@ -181,11 +181,11 @@ impl EcDecomposer {
         // EC fast. Pairs are tried in sorted order: only a strictly better
         // candidate replaces the incumbent, so the order decides which of
         // several equal-cost optima is kept.
-        let mut pair_edges: BTreeMap<(u32, u32), Vec<(NodeId, NodeId)>> = BTreeMap::new();
-        for &(u, v) in graph.conflict_edges() {
+        let mut pair_edges: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
+        for (e, &(u, v)) in graph.conflict_edges().iter().enumerate() {
             let (a, b) = (graph.feature_of(u), graph.feature_of(v));
             let key = if a < b { (a, b) } else { (b, a) };
-            pair_edges.entry(key).or_default().push((u, v));
+            pair_edges.entry(key).or_default().push(e);
         }
         let needs_enumeration = self.enumeration
             && (best.cost.conflicts >= 1 || best.cost.value(params.alpha) >= 1.0 - 1e-9);
@@ -199,9 +199,8 @@ impl EcDecomposer {
                 }
                 #[cfg(feature = "failpoints")]
                 mpld_graph::failpoints::tick("ec.search");
-                let relaxed: HashSet<(NodeId, NodeId)> = edges.iter().copied().collect();
                 let (cand, exhausted) =
-                    instance.solve_tracked(graph, params, &relaxed, self.budget, budget);
+                    instance.solve_tracked(graph, params, edges, self.budget, budget);
                 if exhausted {
                     enumeration_complete = false;
                 }
@@ -319,12 +318,15 @@ impl Instance {
     }
 }
 
-fn violated_edges(graph: &LayoutGraph, coloring: &[u8]) -> HashSet<(NodeId, NodeId)> {
+/// Indices (into `graph.conflict_edges()`) of the edges `coloring`
+/// violates, ascending.
+fn violated_edges(graph: &LayoutGraph, coloring: &[u8]) -> Vec<usize> {
     graph
         .conflict_edges()
         .iter()
-        .copied()
-        .filter(|&(u, v)| coloring[u as usize] == coloring[v as usize])
+        .enumerate()
+        .filter(|&(_, &(u, v))| coloring[u as usize] == coloring[v as usize])
+        .map(|(e, _)| e)
         .collect()
 }
 
@@ -337,13 +339,21 @@ enum GreedyOrder {
 }
 
 /// Preprocessed instance: per-feature subfeature lists and color
-/// combinations.
+/// combinations, and the unit's exact-cover matrix.
 struct Instance {
     /// Nodes of each feature, sorted.
     feature_nodes: Vec<Vec<NodeId>>,
     /// Per feature, all color combinations with their stitch cost (number
     /// of internal stitch edges whose endpoints differ).
     combos: Vec<Vec<(Vec<u8>, u32)>>,
+    /// The exact cover of the unit with every conflict edge constrained:
+    /// one primary column per feature, then `k` secondary columns per
+    /// conflict edge (edge `e`, mask `c` is column `nf + e * k + c`), one
+    /// row per (feature, combination) in that order. A relaxation unlinks
+    /// its edges' columns for one search (see [`Dlx::unlink_columns`]).
+    matrix: Dlx,
+    /// (feature, combination index) of each matrix row.
+    row_meta: Vec<(usize, usize)>,
 }
 
 impl Instance {
@@ -354,7 +364,7 @@ impl Instance {
         for v in 0..graph.num_nodes() as u32 {
             feature_nodes[graph.feature_of(v) as usize].push(v);
         }
-        let combos = feature_nodes
+        let combos: Vec<Vec<(Vec<u8>, u32)>> = feature_nodes
             .iter()
             .map(|nodes| {
                 let s = nodes.len();
@@ -397,21 +407,57 @@ impl Instance {
                 }
             })
             .collect();
+
+        // Per feature, its conflict edges in ascending index order, each
+        // with the position (within the feature) of its endpoint there.
+        // Conflict edges never join two nodes of one feature, so every
+        // row's columns come out distinct and already sorted.
+        let mut feature_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nf];
+        let position = |u: NodeId| {
+            let f = graph.feature_of(u) as usize;
+            (f, feature_nodes[f].partition_point(|&x| x < u))
+        };
+        for (e, &(u, v)) in graph.conflict_edges().iter().enumerate() {
+            for (f, i) in [position(u), position(v)] {
+                feature_edges[f].push((e, i));
+            }
+        }
+        let k = usize::from(k);
+        let stitch_w = (params.alpha * 1000.0).round() as u64;
+        let mut matrix = Dlx::new(nf, graph.conflict_edges().len() * k);
+        let mut row_meta = Vec::new();
+        let mut cols = Vec::new();
+        for (f, combos) in combos.iter().enumerate() {
+            for (ci, (combo, stitches)) in combos.iter().enumerate() {
+                cols.clear();
+                cols.push(f);
+                cols.extend(
+                    feature_edges[f]
+                        .iter()
+                        .map(|&(e, i)| nf + e * k + usize::from(combo[i])),
+                );
+                row_meta.push((f, ci));
+                matrix.add_row(&cols, u64::from(*stitches) * stitch_w);
+            }
+        }
         Instance {
             feature_nodes,
             combos,
+            matrix,
+            row_meta,
         }
     }
 
-    /// Builds and solves the DLX matrix, treating edges in `relaxed` as
-    /// unconstrained. Returns the decomposition (or `None` when no cover
-    /// was found) plus whether the search budget was exhausted (in which
-    /// case the answer carries no optimality/infeasibility proof).
+    /// Solves the exact cover with the conflict edges `relaxed` (indices
+    /// into `graph.conflict_edges()`, each at most once) unconstrained.
+    /// Returns the decomposition (or `None` when no cover was found) plus
+    /// whether the search budget was exhausted (in which case the answer
+    /// carries no optimality/infeasibility proof).
     fn solve_tracked(
-        &self,
+        &mut self,
         graph: &LayoutGraph,
         params: &DecomposeParams,
-        relaxed: &HashSet<(NodeId, NodeId)>,
+        relaxed: &[usize],
         budget: u64,
         wall: &Budget,
     ) -> (Option<Decomposition>, bool) {
@@ -427,49 +473,17 @@ impl Instance {
                 false,
             );
         }
-        // Secondary columns: (constrained conflict edge, color).
-        let constrained: Vec<(NodeId, NodeId)> = graph
-            .conflict_edges()
-            .iter()
-            .copied()
-            .filter(|e| !relaxed.contains(e))
-            .collect();
-        let mut col_of_edge = std::collections::HashMap::new();
-        for (i, &e) in constrained.iter().enumerate() {
-            col_of_edge.insert(e, nf + i * k);
-        }
-        let num_secondary = constrained.len() * k;
-        let mut m = Dlx::new(nf, num_secondary);
-        let mut row_meta: Vec<(usize, usize)> = Vec::new(); // (feature, combo index)
-
-        let stitch_w = (params.alpha * 1000.0).round() as u64;
-        for (f, combos) in self.combos.iter().enumerate() {
-            for (ci, (combo, stitches)) in combos.iter().enumerate() {
-                let mut cols = vec![f];
-                for (i, &u) in self.feature_nodes[f].iter().enumerate() {
-                    let c = combo[i] as usize;
-                    for &w in graph.conflict_neighbors(u) {
-                        let e = if u < w { (u, w) } else { (w, u) };
-                        if let Some(&base) = col_of_edge.get(&e) {
-                            cols.push(base + c);
-                        }
-                    }
-                }
-                cols.sort_unstable();
-                cols.dedup();
-                row_meta.push((f, ci));
-                m.add_row(&cols, u64::from(*stitches) * stitch_w);
-            }
-        }
-
-        let solved = m.solve_min_cost_within(Some(budget), wall);
-        let exhausted = m.last_search_exhausted();
+        self.matrix
+            .unlink_columns(relaxed.iter().flat_map(|&e| nf + e * k..nf + (e + 1) * k));
+        let solved = self.matrix.solve_min_cost_within(Some(budget), wall);
+        let exhausted = self.matrix.last_search_exhausted();
+        self.matrix.relink();
         let Some((rows, _cost)) = solved else {
             return (None, exhausted);
         };
         let mut coloring = vec![0u8; graph.num_nodes()];
         for r in rows {
-            let (f, ci) = row_meta[r];
+            let (f, ci) = self.row_meta[r];
             let combo = &self.combos[f][ci].0;
             for (i, &u) in self.feature_nodes[f].iter().enumerate() {
                 coloring[u as usize] = combo[i];

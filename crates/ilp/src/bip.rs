@@ -140,17 +140,19 @@ struct Search<'m> {
     best: Option<(Vec<bool>, i64)>,
     /// Only solutions with objective strictly below this count.
     cutoff: Option<i64>,
-    /// Sum over all variables of `min(0, c)`, a constant lower-bound term.
-    neg_obj_total: i64,
     /// Strided budget checker ticked once per search node.
     gauge: BudgetGauge<'m>,
+    /// The one search state, moved down the tree by fixing variables and
+    /// back up by undoing them.
+    state: State,
+    /// Test oracle: propagate by rescanning every constraint.
+    #[cfg(test)]
+    full_rescan: bool,
 }
 
-#[derive(Clone)]
 struct State {
     /// -1 unset, 0, 1.
     fixed: Vec<i8>,
-    num_fixed: usize,
     /// Per-constraint contribution of fixed variables.
     sum_fixed: Vec<i64>,
     /// Per-constraint minimum possible contribution of free variables
@@ -159,6 +161,9 @@ struct State {
     obj_fixed: i64,
     /// Sum of `min(0, c)` over free variables (for the objective bound).
     obj_free_min: i64,
+    /// Fixed variables in the order they were fixed: the undo trail, and
+    /// the queue unit propagation works through.
+    trail: Vec<usize>,
 }
 
 impl<'m> Search<'m> {
@@ -169,14 +174,27 @@ impl<'m> Search<'m> {
                 occurs[v].push((ci, a));
             }
         }
-        let neg_obj_total = model.objective.iter().map(|&c| c.min(0)).sum();
+        let state = State {
+            fixed: vec![-1; model.num_vars],
+            sum_fixed: vec![0; model.constraints.len()],
+            free_min: model
+                .constraints
+                .iter()
+                .map(|c| c.terms.iter().map(|&(_, a)| a.min(0)).sum())
+                .collect(),
+            obj_fixed: 0,
+            obj_free_min: model.objective.iter().map(|&c| c.min(0)).sum(),
+            trail: Vec::with_capacity(model.num_vars),
+        };
         Search {
             model,
             occurs,
             best: None,
             cutoff: None,
-            neg_obj_total,
             gauge: BudgetGauge::new(budget),
+            state,
+            #[cfg(test)]
+            full_rescan: false,
         }
     }
 
@@ -188,114 +206,143 @@ impl<'m> Search<'m> {
         }
     }
 
-    fn initial_state(&self) -> State {
-        let m = self.model;
-        let free_min = m
-            .constraints
-            .iter()
-            .map(|c| c.terms.iter().map(|&(_, a)| a.min(0)).sum())
-            .collect();
-        State {
-            fixed: vec![-1; m.num_vars],
-            num_fixed: 0,
-            sum_fixed: vec![0; m.constraints.len()],
-            free_min,
-            obj_fixed: 0,
-            obj_free_min: self.neg_obj_total,
-        }
-    }
-
     fn run(&mut self) {
-        let mut state = self.initial_state();
-        if self.propagate(&mut state) {
-            self.dfs(state);
+        if self.propagate_root() {
+            self.dfs(0);
         }
     }
 
-    /// Fixes `var := val`; returns false on immediate infeasibility.
-    fn fix(&self, state: &mut State, var: usize, val: bool) -> bool {
+    /// Fixes `var := val`; returns false when a constraint it occurs in
+    /// became infeasible.
+    fn fix(&mut self, var: usize, val: bool) -> bool {
+        let state = &mut self.state;
         debug_assert_eq!(state.fixed[var], -1);
         state.fixed[var] = i8::from(val);
-        state.num_fixed += 1;
+        state.trail.push(var);
         let c = self.model.objective[var];
         if val {
             state.obj_fixed += c;
         }
         state.obj_free_min -= c.min(0);
+        let mut feasible = true;
         for &(ci, a) in &self.occurs[var] {
             state.free_min[ci] -= a.min(0);
             if val {
                 state.sum_fixed[ci] += a;
             }
-            if state.sum_fixed[ci] + state.free_min[ci] > self.model.constraints[ci].bound {
+            feasible &=
+                state.sum_fixed[ci] + state.free_min[ci] <= self.model.constraints[ci].bound;
+        }
+        feasible
+    }
+
+    /// Unfixes the variables fixed since the trail was `mark` long.
+    fn undo(&mut self, mark: usize) {
+        let state = &mut self.state;
+        for var in state.trail.drain(mark..).rev() {
+            let val = state.fixed[var] == 1;
+            state.fixed[var] = -1;
+            let c = self.model.objective[var];
+            if val {
+                state.obj_fixed -= c;
+            }
+            state.obj_free_min += c.min(0);
+            for &(ci, a) in &self.occurs[var] {
+                state.free_min[ci] += a.min(0);
+                if val {
+                    state.sum_fixed[ci] -= a;
+                }
+            }
+        }
+    }
+
+    /// Applies constraint `ci`'s forced assignments: a free term whose
+    /// worst case exceeds the slack must take its other value. Returns
+    /// false on infeasibility. Fixing a variable this way leaves `ci`'s
+    /// own slack unchanged, so one pass over its terms suffices.
+    fn scan(&mut self, ci: usize) -> bool {
+        let model = self.model;
+        let c = &model.constraints[ci];
+        let slack = c.bound - self.state.sum_fixed[ci] - self.state.free_min[ci];
+        if slack < 0 {
+            return false;
+        }
+        for &(v, a) in &c.terms {
+            if self.state.fixed[v] != -1 {
+                continue;
+            }
+            if a > 0 && a > slack {
+                if !self.fix(v, false) {
+                    return false;
+                }
+            } else if a < 0 && -a > slack && !self.fix(v, true) {
                 return false;
             }
         }
         true
     }
 
-    /// Unit propagation to fixpoint; returns false on infeasibility.
-    fn propagate(&self, state: &mut State) -> bool {
-        loop {
-            let mut changed = false;
-            for (ci, c) in self.model.constraints.iter().enumerate() {
-                let slack = c.bound - state.sum_fixed[ci] - state.free_min[ci];
-                if slack < 0 {
+    /// Unit propagation to the fixpoint after the variables on the trail
+    /// from `head` on were fixed: only constraints containing a newly
+    /// fixed variable are rescanned (the trail is the queue). Fixing a
+    /// variable never raises a constraint's slack, so every forced
+    /// assignment stays forced as others are made: the fixpoint, and
+    /// whether it is infeasible, do not depend on the scan order.
+    fn propagate(&mut self, mut head: usize) -> bool {
+        #[cfg(test)]
+        if self.full_rescan {
+            return self.propagate_rescan();
+        }
+        while let Some(&var) = self.state.trail.get(head) {
+            head += 1;
+            for k in 0..self.occurs[var].len() {
+                if !self.scan(self.occurs[var][k].0) {
                     return false;
                 }
-                for &(v, a) in &c.terms {
-                    if state.fixed[v] != -1 {
-                        continue;
-                    }
-                    if a > 0 && a > slack {
-                        if !self.fix(state, v, false) {
-                            return false;
-                        }
-                        changed = true;
-                    } else if a < 0 && -a > slack {
-                        if !self.fix(state, v, true) {
-                            return false;
-                        }
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                return true;
             }
         }
+        true
     }
 
-    fn lower_bound(&self, state: &State) -> i64 {
-        state.obj_fixed + state.obj_free_min
+    /// Propagation at the root: every constraint once, then the queue.
+    fn propagate_root(&mut self) -> bool {
+        #[cfg(test)]
+        if self.full_rescan {
+            return self.propagate_rescan();
+        }
+        (0..self.model.constraints.len()).all(|ci| self.scan(ci)) && self.propagate(0)
     }
 
-    fn dfs(&mut self, state: State) {
+    fn lower_bound(&self) -> i64 {
+        self.state.obj_fixed + self.state.obj_free_min
+    }
+
+    /// Searches below the current state, in which every variable before
+    /// `first_free` is fixed.
+    fn dfs(&mut self, first_free: usize) {
         if self.gauge.tick() {
             return;
         }
         #[cfg(feature = "failpoints")]
         mpld_graph::failpoints::tick("ilp.bip.search");
         if let Some(bar) = self.bar() {
-            if self.lower_bound(&state) >= bar {
+            if self.lower_bound() >= bar {
                 return;
             }
-        }
-        if state.num_fixed == self.model.num_vars {
-            let values: Vec<bool> = state.fixed.iter().map(|&f| f == 1).collect();
-            let objective = state.obj_fixed;
-            debug_assert!(self.check(&values));
-            if self.bar().is_none_or(|bar| objective < bar) {
-                self.best = Some((values, objective));
-            }
-            return;
         }
         // Branch on the lowest-index free variable: in the TPLD encoding
         // the color bits come first, so the search assigns colors and lets
         // propagation set the cost variables (branching on cost variables
         // directly explores an exponential, uninformative space).
-        let Some(var) = (0..self.model.num_vars).find(|&v| state.fixed[v] == -1) else {
-            return; // unreachable: num_fixed < num_vars above
+        let Some(var) = (first_free..self.model.num_vars).find(|&v| self.state.fixed[v] == -1)
+        else {
+            let values: Vec<bool> = self.state.fixed.iter().map(|&f| f == 1).collect();
+            let objective = self.state.obj_fixed;
+            debug_assert!(self.check(&values));
+            if self.bar().is_none_or(|bar| objective < bar) {
+                self.best = Some((values, objective));
+            }
+            return;
         };
         let cheap_first = self.model.objective[var] > 0;
         for &val in if cheap_first {
@@ -303,10 +350,11 @@ impl<'m> Search<'m> {
         } else {
             &[true, false]
         } {
-            let mut child = state.clone();
-            if self.fix(&mut child, var, val) && self.propagate(&mut child) {
-                self.dfs(child);
+            let mark = self.state.trail.len();
+            if self.fix(var, val) && self.propagate(mark) {
+                self.dfs(var + 1);
             }
+            self.undo(mark);
         }
     }
 
@@ -322,9 +370,137 @@ impl<'m> Search<'m> {
     }
 }
 
+/// The propagation the queue replaced, kept as the tests' oracle: rescan
+/// every constraint until a pass fixes nothing.
+#[cfg(test)]
+impl Search<'_> {
+    fn propagate_rescan(&mut self) -> bool {
+        loop {
+            let mark = self.state.trail.len();
+            if !(0..self.model.constraints.len()).all(|ci| self.scan(ci)) {
+                return false;
+            }
+            if self.state.trail.len() == mark {
+                return true;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random model of up to 12 variables and 14 constraints.
+    fn random_model(rng: &mut impl Rng) -> Bip {
+        let n = rng.gen_range(1..13usize);
+        let mut m = Bip::new(n);
+        for v in 0..n {
+            m.set_objective(v, rng.gen_range(-5i64..6));
+        }
+        for _ in 0..rng.gen_range(0..15usize) {
+            let mut terms = Vec::new();
+            for v in 0..n {
+                if rng.gen_bool(0.4) {
+                    terms.push((v, rng.gen_range(-3i64..4)));
+                }
+            }
+            if !terms.is_empty() {
+                m.add_constraint(terms, rng.gen_range(-2i64..5));
+            }
+        }
+        m
+    }
+
+    /// Everything propagation decides: the assignment and every sum,
+    /// not the order the trail recorded it in.
+    fn decided(s: &Search<'_>) -> (Vec<i8>, Vec<i64>, Vec<i64>, i64, i64) {
+        let st = &s.state;
+        (
+            st.fixed.clone(),
+            st.sum_fixed.clone(),
+            st.free_min.clone(),
+            st.obj_fixed,
+            st.obj_free_min,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn queue_propagation_reaches_the_rescan_fixpoint(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let m = random_model(&mut rng);
+            let budget = Budget::unlimited();
+            let mut queue = Search::new(&m, &budget);
+            let mut rescan = Search::new(&m, &budget);
+            rescan.full_rescan = true;
+            // A random partial state that is not a fixpoint: the root
+            // propagation of both must settle it alike.
+            for v in 0..m.num_vars {
+                if rng.gen_bool(0.3) {
+                    let val = rng.gen_bool(0.5);
+                    queue.fix(v, val);
+                    rescan.fix(v, val);
+                }
+            }
+            let ok = queue.propagate_root();
+            prop_assert_eq!(ok, rescan.propagate_root());
+            if !ok {
+                return Ok(());
+            }
+            prop_assert_eq!(decided(&queue), decided(&rescan));
+            // Walk down from that fixpoint as the search does, undoing
+            // now and then; every step must match the rescan and every
+            // undo must restore the state exactly.
+            let mut marks = Vec::new();
+            for _ in 0..3 * m.num_vars {
+                let free: Vec<usize> = (0..m.num_vars).filter(|&v| queue.state.fixed[v] == -1).collect();
+                if free.is_empty() || (!marks.is_empty() && rng.gen_bool(0.25)) {
+                    let Some((mark, before)) = marks.pop() else { break };
+                    queue.undo(mark);
+                    rescan.undo(mark);
+                    prop_assert_eq!(decided(&queue), before);
+                    prop_assert_eq!(decided(&rescan), decided(&queue));
+                    continue;
+                }
+                let (var, val) = (free[rng.gen_range(0..free.len())], rng.gen_bool(0.5));
+                let (mark, before) = (queue.state.trail.len(), decided(&queue));
+                let ok = queue.fix(var, val) && queue.propagate(mark);
+                prop_assert_eq!(ok, rescan.fix(var, val) && rescan.propagate(mark));
+                if ok {
+                    prop_assert_eq!(decided(&queue), decided(&rescan));
+                    marks.push((mark, before));
+                } else {
+                    queue.undo(mark);
+                    rescan.undo(mark);
+                    prop_assert_eq!(decided(&queue), before);
+                }
+            }
+        }
+
+        #[test]
+        fn queue_and_rescan_searches_visit_the_same_nodes(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let m = random_model(&mut rng);
+            let cutoff = rng.gen_bool(0.5).then(|| rng.gen_range(-10i64..10));
+            for limit in [u64::MAX, 1, 3, 10, 40] {
+                let budget = Budget::unlimited().and_node_limit(limit);
+                let run = |full_rescan: bool| {
+                    let mut s = Search::new(&m, &budget);
+                    s.cutoff = cutoff;
+                    s.full_rescan = full_rescan;
+                    s.run();
+                    (s.best, s.gauge.ticks(), s.gauge.is_exhausted())
+                };
+                prop_assert_eq!(run(false), run(true));
+            }
+        }
+    }
 
     #[test]
     fn unconstrained_minimum_is_all_zero_for_positive_costs() {
