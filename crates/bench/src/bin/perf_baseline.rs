@@ -2,30 +2,32 @@
 //! the framework offers (serial and parallel adaptive, the long-lived
 //! serving path over real HTTP, journal resume, the persistent store and
 //! the chip-scale tiled path), asserts in-binary that they all agree, and
-//! writes their routing, cost, cache and training digests to
+//! writes their routing, cost, coloring, cache and training digests to
 //! `BENCH_pipeline.json` (hand-rolled JSON, no serde), so a behaviour
-//! change shows up as an artifact diff. `scripts/check_perf_digest.py`
-//! compares a fresh artifact with the committed one.
+//! change shows up as an artifact diff. With `--check <committed.json>`
+//! it then compares the fresh artifact with the committed one by
+//! [`mpld_bench::check_digest`]'s rule, prints every differing path, and
+//! exits 1 if any differs.
 //!
 //! Nothing here reads a clock except the `budgeted` section, whose 1 ms
 //! per-unit deadline is wall-clock time: its counts depend on the host
 //! and its load, so they are informational, not digest fields. Timing is
 //! the job of the `perfbench/` benchmark and the criterion benches.
 //!
-//! Usage: `cargo run --release -p mpld-bench --bin perf_baseline [out.json]`
+//! Usage: `cargo run --release -p mpld-bench --bin perf_baseline --
+//! [out.json] [--check <committed.json>]`
 //!
 //! Knobs: `MPLD_CIRCUITS`, `MPLD_TRAIN_CAP`, `MPLD_EPOCHS` as usual, plus
 //! `MPLD_THREADS` for the parallel adaptive path (default: available
 //! parallelism), `MPLD_SEED` for the ColorGNN sampling RNG (recorded in
-//! the artifact so a run is reproducible from the JSON alone),
-//! `MPLD_BENCH_UNIT_LIMIT_MS` for the `budgeted` deadline and
+//! the artifact so a run is reproducible from the JSON alone) and
 //! `MPLD_CHIP_RECTS` for the chip-scale layout.
 
 use mpld::{
     audit_boundary_units, prepare, prepare_tiled_file, train_framework_with_report, AdaptiveResult,
     BudgetPolicy, EngineKind, PreparedLayout, Session, TilingConfig, TrainingData,
 };
-use mpld_bench::env_usize;
+use mpld_bench::{check_digest, coloring_digest, env_usize};
 use mpld_graph::DecomposeParams;
 use mpld_layout::{
     generate_layout_streaming, iscas_suite, read_layout, GeneratorParams, LayoutWriter, ReadLimits,
@@ -33,10 +35,11 @@ use mpld_layout::{
 use std::fmt::Write as _;
 use std::time::Duration;
 
+/// The `budgeted` section's per-unit deadline.
+const UNIT_LIMIT_MS: u64 = 1;
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_pipeline.json".into());
+    let (out_path, committed_path) = parse_args();
     let params = DecomposeParams::tpl();
     let limit = env_usize("MPLD_CIRCUITS", 15).clamp(1, 15);
     let threads = mpld::default_threads();
@@ -91,9 +94,10 @@ fn main() {
         let serial = fw.decompose_prepared(prep);
         fw.colorgnn.reseed(seed);
         let parallel = fw.decompose_prepared_parallel(prep, threads);
-        assert_eq!(
-            serial.pipeline.cost, parallel.pipeline.cost,
-            "{}: parallel adaptive cost diverged from serial",
+        assert!(
+            parallel.pipeline.decomposition == serial.pipeline.decomposition
+                && parallel.pipeline.cost == serial.pipeline.cost,
+            "{}: parallel adaptive coloring diverged from serial",
             c.name
         );
         memo_total += parallel.memo_hits;
@@ -112,13 +116,13 @@ fn main() {
             parallel.memo_hits,
             serial.pipeline.cost
         );
-        // Routing/cost digest: deterministic per (model seed, circuit),
-        // so the CI perf_baseline step can diff it against the committed
-        // artifact to catch any change in routing decisions or final
-        // costs (compared only when `fp_kernel` matches — the last bits
-        // of the forward pass depend on the GEMM microkernel).
+        // Routing/cost/coloring digest: deterministic per (model seed,
+        // circuit), so `--check` can diff it against the committed
+        // artifact to catch any change in routing decisions, final costs
+        // or colorings (compared only when `fp_kernel` matches — the last
+        // bits of the forward pass depend on the GEMM microkernel).
         circuit_rows.push(format!(
-            "      {{\"name\": \"{}\", \"units\": {}, \"memo_hits\": {}, \"cost_equal\": true, \"conflicts\": {}, \"stitches\": {}, \"engines\": {{\"matching\": {}, \"colorgnn\": {}, \"ilp\": {}, \"ec\": {}}}}}",
+            "      {{\"name\": \"{}\", \"units\": {}, \"memo_hits\": {}, \"cost_equal\": true, \"conflicts\": {}, \"stitches\": {}, \"engines\": {{\"matching\": {}, \"colorgnn\": {}, \"ilp\": {}, \"ec\": {}}}, \"coloring_digest\": \"{:016x}\"}}",
             c.name,
             prep.units.len(),
             parallel.memo_hits,
@@ -128,6 +132,7 @@ fn main() {
             serial.usage.colorgnn,
             serial.usage.ilp,
             serial.usage.ec,
+            coloring_digest(&serial.pipeline.decomposition),
         ));
         serial_results.push(serial);
     }
@@ -142,18 +147,17 @@ fn main() {
     // 4. Budget-exhaustion profile: the whole suite again under a tight
     // per-unit deadline, recording per-solver exhaustion and fallback
     // counts (the anytime-contract numbers the framework reports).
-    let unit_limit_ms = env_usize("MPLD_BENCH_UNIT_LIMIT_MS", 1);
     let policy = BudgetPolicy {
-        per_unit: Some(Duration::from_millis(unit_limit_ms as u64)),
+        per_unit: Some(Duration::from_millis(UNIT_LIMIT_MS)),
         ..BudgetPolicy::unlimited()
     };
     let (mut certified, mut heuristic, mut exhausted, mut fallbacks) = (0usize, 0, 0, 0);
     let (mut b_audit_rejections, mut b_quarantined) = (0usize, 0usize);
     let mut by_engine = [
-        (EngineKind::Matching, 0usize, 0usize),
-        (EngineKind::ColorGnn, 0, 0),
-        (EngineKind::Ilp, 0, 0),
-        (EngineKind::Ec, 0, 0),
+        (EngineKind::Matching, "matching", 0usize, 0usize),
+        (EngineKind::ColorGnn, "colorgnn", 0, 0),
+        (EngineKind::Ilp, "ilp", 0, 0),
+        (EngineKind::Ec, "ec", 0, 0),
     ];
     for prep in &prepared {
         fw.colorgnn.reseed(seed);
@@ -169,28 +173,22 @@ fn main() {
         for o in &r.unit_outcomes {
             for row in &mut by_engine {
                 if row.0 == o.engine {
-                    row.1 += usize::from(o.certainty == mpld_graph::Certainty::BudgetExhausted);
-                    row.2 += usize::from(o.budget_fallback);
+                    row.2 += usize::from(o.certainty == mpld_graph::Certainty::BudgetExhausted);
+                    row.3 += usize::from(o.budget_fallback);
                 }
             }
         }
     }
     eprintln!(
-        "budgeted suite ({unit_limit_ms}ms/unit): {certified} certified, {heuristic} heuristic, {exhausted} budget-exhausted, {fallbacks} fallbacks, {b_audit_rejections} audit rejections, {b_quarantined} quarantined"
+        "budgeted suite ({UNIT_LIMIT_MS}ms/unit): {certified} certified, {heuristic} heuristic, {exhausted} budget-exhausted, {fallbacks} fallbacks, {b_audit_rejections} audit rejections, {b_quarantined} quarantined"
     );
-    let engine_label = |e: EngineKind| match e {
-        EngineKind::Matching => "matching",
-        EngineKind::ColorGnn => "colorgnn",
-        EngineKind::Ilp => "ilp",
-        EngineKind::Ec => "ec",
-    };
     let exhausted_rows: Vec<String> = by_engine
         .iter()
-        .map(|(e, x, _)| format!("\"{}\": {x}", engine_label(*e)))
+        .map(|(_, label, x, _)| format!("\"{label}\": {x}"))
         .collect();
     let fallback_rows: Vec<String> = by_engine
         .iter()
-        .map(|(e, _, f)| format!("\"{}\": {f}", engine_label(*e)))
+        .map(|(_, label, _, f)| format!("\"{label}\": {f}"))
         .collect();
 
     // 5. Serving: the suite once more through the long-lived service — a
@@ -253,10 +251,12 @@ fn main() {
                 "{}: served engine usage diverged from the serial run",
                 c.name
             );
-            assert_eq!(
-                b.units_inferred, 0,
-                "{}: warm request re-ran routing inference",
-                c.name
+            assert!(
+                b.units_inferred == 0 && (b.routing_memo_hits > 0 || prep.units.is_empty()),
+                "{}: warm request re-ran routing inference ({} units inferred, {} routing memo hits)",
+                c.name,
+                b.units_inferred,
+                b.routing_memo_hits
             );
             warm_routing_hits += b.routing_memo_hits;
             eprintln!(
@@ -375,8 +375,8 @@ fn main() {
         "resumed run must be bit-identical to the uninterrupted run"
     );
     assert!(
-        resume_summary.resumed_units > 0,
-        "resume must reuse the surviving journal records: {resume_summary:?}"
+        resume_summary.resumed_units > 0 && resume_summary.resumed_units <= records_kept,
+        "resume must reuse some of the {records_kept} surviving journal records: {resume_summary:?}"
     );
     let _ = std::fs::remove_dir_all(&journal_dir);
     eprintln!(
@@ -434,9 +434,9 @@ fn main() {
     };
     let (cold_results, cold_fresh, _cold_stats) = run_store_suite("cold");
     for ((c, base), cold) in circuits.iter().zip(&serial_results).zip(&cold_results) {
-        assert_eq!(
-            cold.pipeline.cost, base.pipeline.cost,
-            "{}: store-backed cold cost diverged from the serial adaptive run",
+        assert!(
+            store_digest(cold) == store_digest(base),
+            "{}: store-backed cold coloring diverged from the serial adaptive run",
             c.name
         );
     }
@@ -458,6 +458,10 @@ fn main() {
         "warm store-backed run must re-solve >=80% less: cold {cold_fresh}, warm {warm_fresh}"
     );
     let warm_store = warm_stats.store.as_ref().expect("store stats present");
+    assert!(
+        warm_store.lib_loaded && warm_store.loaded_solves > 0,
+        "the warm engine must load the library and solves from the store: {warm_store:?}"
+    );
     let library_hit_rate = (cold_fresh - warm_fresh) as f64 / cold_fresh as f64;
     let _ = std::fs::remove_dir_all(&store_dir);
     eprintln!(
@@ -556,196 +560,200 @@ fn main() {
         "chip-scale boundary audit must be clean ({chip_audited} units)"
     );
     let _ = std::fs::remove_dir_all(&chip_dir);
+    let chip_tiles = chip_stats.tiles_x * chip_stats.tiles_y;
+    assert!(
+        chip_tiles > 1,
+        "the chip-scale layout degenerated to one tile"
+    );
     eprintln!(
         "chip scale: {chip_written} rects ({chip_features} features), {}x{} tiles (max {} features/tile), cost {}, audit clean on {chip_audited} boundary units",
         chip_stats.tiles_x, chip_stats.tiles_y, chip_stats.max_tile_features, chip_r.pipeline.cost
     );
 
     let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"cpu_cores\": {cores},");
-    let _ = writeln!(json, "  \"seed\": {seed},");
+    // Appends one line to the artifact (writing to a `String` cannot fail).
+    macro_rules! out {
+        ($($arg:tt)*) => {
+            let _ = writeln!(json, $($arg)*);
+        };
+    }
+    out!("{{");
+    out!("  \"threads\": {threads},");
+    out!("  \"cpu_cores\": {cores},");
+    out!("  \"seed\": {seed},");
     // Training config determines the model weights and therefore the
-    // routing digest; the digest checker skips comparison on mismatch.
-    let _ = writeln!(json, "  \"train_cap\": {cap},");
-    let _ = writeln!(json, "  \"epochs\": {epochs},");
-    let _ = writeln!(
-        json,
+    // routing digest; `--check` skips comparison on mismatch.
+    out!("  \"train_cap\": {cap},");
+    out!("  \"epochs\": {epochs},");
+    out!(
         "  \"fp_kernel\": \"{}\",",
         mpld_tensor::infer::kernel_name()
     );
-    let _ = writeln!(json, "  \"circuits\": {limit},");
-    let _ = writeln!(json, "  \"total_units\": {total_units},");
-    let _ = writeln!(json, "  \"adaptive\": {{");
-    let _ = writeln!(json, "    \"threads\": {threads},");
-    let _ = writeln!(json, "    \"memo_hits\": {memo_total},");
-    let _ = writeln!(json, "    \"audit_rejections\": {audit_rejections},");
-    let _ = writeln!(json, "    \"quarantined\": {quarantined},");
-    let _ = writeln!(json, "    \"per_circuit\": [");
-    let _ = writeln!(json, "{}", circuit_rows.join(",\n"));
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"inference\": {{");
-    let _ = writeln!(json, "    \"threads\": 1,");
-    let _ = writeln!(json, "    \"routing_memo_hits\": {infer_memo_hits},");
-    let _ = writeln!(json, "    \"routing_units_inferred\": {infer_units},");
-    let _ = writeln!(
-        json,
-        "    \"scratch_high_water_bytes\": {scratch_high_water},"
-    );
-    let _ = writeln!(json, "    \"batches_planned\": {batches_planned},");
-    let _ = writeln!(json, "    \"padding_waste_before_bytes\": {waste_before},");
-    let _ = writeln!(json, "    \"padding_waste_after_bytes\": {waste_after}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"training\": {{");
-    let _ = writeln!(json, "    \"threads\": 1,");
-    let _ = writeln!(json, "    \"train_seed\": {},", cfg.seed);
-    let _ = writeln!(json, "    \"labeled_units\": {},", train_report.num_units);
-    let _ = writeln!(
-        json,
-        "    \"deduped_units\": {},",
-        train_report.deduped_units
-    );
+    out!("  \"circuits\": {limit},");
+    out!("  \"total_units\": {total_units},");
+    out!("  \"adaptive\": {{");
+    out!("    \"threads\": {threads},");
+    out!("    \"memo_hits\": {memo_total},");
+    out!("    \"audit_rejections\": {audit_rejections},");
+    out!("    \"quarantined\": {quarantined},");
+    out!("    \"per_circuit\": [");
+    out!("{}", circuit_rows.join(",\n"));
+    out!("    ]");
+    out!("  }},");
+    out!("  \"inference\": {{");
+    out!("    \"threads\": 1,");
+    out!("    \"routing_memo_hits\": {infer_memo_hits},");
+    out!("    \"routing_units_inferred\": {infer_units},");
+    out!("    \"scratch_high_water_bytes\": {scratch_high_water},");
+    out!("    \"batches_planned\": {batches_planned},");
+    out!("    \"padding_waste_before_bytes\": {waste_before},");
+    out!("    \"padding_waste_after_bytes\": {waste_after}");
+    out!("  }},");
+    out!("  \"training\": {{");
+    out!("    \"threads\": 1,");
+    out!("    \"train_seed\": {},", cfg.seed);
+    out!("    \"labeled_units\": {},", train_report.num_units);
+    out!("    \"deduped_units\": {},", train_report.deduped_units);
     // Final-epoch losses of the section-2 framework training: a
-    // seed-keyed trajectory digest, compared by the CI digest guard when
+    // seed-keyed trajectory digest, compared by `--check` when
     // fp_kernel and the training config match.
-    let _ = writeln!(json, "    \"final_losses\": {{");
-    let _ = writeln!(
-        json,
-        "      \"selector\": {:.9},",
-        train_report.selector_loss
-    );
-    let _ = writeln!(
-        json,
-        "      \"redundancy\": {:.9},",
-        train_report.redundancy_loss
-    );
-    let _ = writeln!(
-        json,
-        "      \"colorgnn\": {:.9}",
-        train_report.colorgnn_loss
-    );
-    let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"budgeted\": {{");
-    let _ = writeln!(json, "    \"threads\": {threads},");
-    let _ = writeln!(json, "    \"unit_time_limit_ms\": {unit_limit_ms},");
-    let _ = writeln!(json, "    \"certified\": {certified},");
-    let _ = writeln!(json, "    \"heuristic\": {heuristic},");
-    let _ = writeln!(json, "    \"budget_exhausted\": {exhausted},");
-    let _ = writeln!(json, "    \"budget_fallbacks\": {fallbacks},");
-    let _ = writeln!(json, "    \"audit_rejections\": {b_audit_rejections},");
-    let _ = writeln!(json, "    \"quarantined\": {b_quarantined},");
-    let _ = writeln!(
-        json,
+    out!("    \"final_losses\": {{");
+    out!("      \"selector\": {:.9},", train_report.selector_loss);
+    out!("      \"redundancy\": {:.9},", train_report.redundancy_loss);
+    out!("      \"colorgnn\": {:.9}", train_report.colorgnn_loss);
+    out!("    }}");
+    out!("  }},");
+    out!("  \"budgeted\": {{");
+    out!("    \"threads\": {threads},");
+    out!("    \"unit_time_limit_ms\": {UNIT_LIMIT_MS},");
+    out!("    \"certified\": {certified},");
+    out!("    \"heuristic\": {heuristic},");
+    out!("    \"budget_exhausted\": {exhausted},");
+    out!("    \"budget_fallbacks\": {fallbacks},");
+    out!("    \"audit_rejections\": {b_audit_rejections},");
+    out!("    \"quarantined\": {b_quarantined},");
+    out!(
         "    \"exhausted_by_engine\": {{{}}},",
         exhausted_rows.join(", ")
     );
-    let _ = writeln!(
-        json,
+    out!(
         "    \"fallbacks_by_engine\": {{{}}}",
         fallback_rows.join(", ")
     );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"serving\": {{");
-    let _ = writeln!(json, "    \"workers\": {serve_workers},");
-    let _ = writeln!(json, "    \"queue_depth\": {serve_queue},");
-    let _ = writeln!(json, "    \"requests\": {serve_requests},");
-    let _ = writeln!(json, "    \"warm_routing_memo_hits\": {warm_routing_hits},");
-    let _ = writeln!(
-        json,
+    out!("  }},");
+    out!("  \"serving\": {{");
+    out!("    \"workers\": {serve_workers},");
+    out!("    \"queue_depth\": {serve_queue},");
+    out!("    \"requests\": {serve_requests},");
+    out!("    \"warm_routing_memo_hits\": {warm_routing_hits},");
+    out!(
         "    \"routing_memo\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},",
-        engine_stats.routing.hits, engine_stats.routing.misses, engine_stats.routing.entries
+        engine_stats.routing.hits,
+        engine_stats.routing.misses,
+        engine_stats.routing.entries
     );
-    let _ = writeln!(
-        json,
+    out!(
         "    \"solution_entries\": {},",
         engine_stats.solutions_ilp_first.entries + engine_stats.solutions_ec_first.entries
     );
-    let _ = writeln!(
-        json,
-        "    \"cross_request_hit_rate\": {routing_hit_rate:.4},"
-    );
-    let _ = writeln!(json, "    \"per_circuit\": [");
-    let _ = writeln!(json, "{}", serving_rows.join(",\n"));
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"serving_resume\": {{");
-    let _ = writeln!(json, "    \"circuit\": \"{}\",", resume_circuit.name);
-    let _ = writeln!(json, "    \"tail_units\": {resume_tail_units},");
-    let _ = writeln!(json, "    \"journal_records_kept\": {records_kept},");
-    let _ = writeln!(
-        json,
-        "    \"resumed_units\": {},",
-        resume_summary.resumed_units
-    );
-    let _ = writeln!(json, "    \"digest_equal_cold\": true");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"library\": {{");
-    let _ = writeln!(json, "    \"circuits\": {limit},");
-    let _ = writeln!(json, "    \"cold_tail_solves\": {cold_fresh},");
-    let _ = writeln!(json, "    \"warm_tail_solves\": {warm_fresh},");
-    let _ = writeln!(json, "    \"warm_hit_rate\": {library_hit_rate:.4},");
-    let _ = writeln!(json, "    \"lib_loaded\": {},", warm_store.lib_loaded);
-    let _ = writeln!(json, "    \"loaded_solves\": {},", warm_store.loaded_solves);
-    let _ = writeln!(json, "    \"store_entries\": {},", warm_store.entries);
-    let _ = writeln!(json, "    \"digests_equal\": true");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"chip_scale\": {{");
-    let _ = writeln!(json, "    \"threads\": {threads},");
-    let _ = writeln!(json, "    \"target_rects\": {chip_rects},");
-    let _ = writeln!(json, "    \"rects\": {chip_written},");
-    let _ = writeln!(json, "    \"features\": {chip_features},");
-    let _ = writeln!(
-        json,
-        "    \"tiles\": {},",
-        chip_stats.tiles_x * chip_stats.tiles_y
-    );
-    let _ = writeln!(json, "    \"tile_span\": {},", chip_stats.tile_span);
-    let _ = writeln!(json, "    \"halo\": {},", chip_stats.halo);
-    let _ = writeln!(
-        json,
+    out!("    \"cross_request_hit_rate\": {routing_hit_rate:.4},");
+    out!("    \"per_circuit\": [");
+    out!("{}", serving_rows.join(",\n"));
+    out!("    ]");
+    out!("  }},");
+    out!("  \"serving_resume\": {{");
+    out!("    \"circuit\": \"{}\",", resume_circuit.name);
+    out!("    \"tail_units\": {resume_tail_units},");
+    out!("    \"journal_records_kept\": {records_kept},");
+    out!("    \"resumed_units\": {},", resume_summary.resumed_units);
+    out!("    \"digest_equal_cold\": true");
+    out!("  }},");
+    out!("  \"library\": {{");
+    out!("    \"circuits\": {limit},");
+    out!("    \"cold_tail_solves\": {cold_fresh},");
+    out!("    \"warm_tail_solves\": {warm_fresh},");
+    out!("    \"warm_hit_rate\": {library_hit_rate:.4},");
+    out!("    \"lib_loaded\": {},", warm_store.lib_loaded);
+    out!("    \"loaded_solves\": {},", warm_store.loaded_solves);
+    out!("    \"store_entries\": {},", warm_store.entries);
+    out!("    \"digests_equal\": true");
+    out!("  }},");
+    out!("  \"chip_scale\": {{");
+    out!("    \"threads\": {threads},");
+    out!("    \"target_rects\": {chip_rects},");
+    out!("    \"rects\": {chip_written},");
+    out!("    \"features\": {chip_features},");
+    out!("    \"tiles\": {chip_tiles},");
+    out!("    \"tile_span\": {},", chip_stats.tile_span);
+    out!("    \"halo\": {},", chip_stats.halo);
+    out!(
         "    \"max_tile_features\": {},",
         chip_stats.max_tile_features
     );
-    let _ = writeln!(
-        json,
+    out!(
         "    \"replicated_features\": {},",
         chip_stats.replicated_features
     );
-    let _ = writeln!(json, "    \"edges\": {},", chip_stats.edges);
-    let _ = writeln!(
-        json,
-        "    \"boundary_edges\": {},",
-        chip_stats.boundary_edges
-    );
-    let _ = writeln!(
-        json,
+    out!("    \"edges\": {},", chip_stats.edges);
+    out!("    \"boundary_edges\": {},", chip_stats.boundary_edges);
+    out!(
         "    \"boundary_resolves\": {},",
         chip_stats.boundary_resolves
     );
-    let _ = writeln!(json, "    \"units\": {},", chip_tp.prep.units.len());
-    let _ = writeln!(
-        json,
-        "    \"conflicts\": {},",
-        chip_r.pipeline.cost.conflicts
-    );
-    let _ = writeln!(json, "    \"stitches\": {},", chip_r.pipeline.cost.stitches);
-    let _ = writeln!(
-        json,
+    out!("    \"units\": {},", chip_tp.prep.units.len());
+    out!("    \"conflicts\": {},", chip_r.pipeline.cost.conflicts);
+    out!("    \"stitches\": {},", chip_r.pipeline.cost.stitches);
+    out!(
         "    \"objective\": {:.1},",
         chip_r.pipeline.cost.value(params.alpha)
     );
-    let _ = writeln!(json, "    \"boundary_audit_clean\": true,");
-    let _ = writeln!(
-        json,
-        "    \"parity_probe\": {{\"rects\": {probe_rects}, \"digest_equal_serial\": true}}"
+    out!(
+        "    \"coloring_digest\": \"{:016x}\",",
+        coloring_digest(&chip_r.pipeline.decomposition)
     );
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, json).expect("write artifact");
+    out!("    \"boundary_audit_clean\": true,");
+    out!("    \"parity_probe\": {{\"rects\": {probe_rects}, \"digest_equal_serial\": true}}");
+    out!("  }}");
+    out!("}}");
+    std::fs::write(&out_path, &json).expect("write artifact");
     println!("wrote {out_path}");
+    if let Some(committed_path) = committed_path {
+        let committed = std::fs::read_to_string(&committed_path)
+            .unwrap_or_else(|e| panic!("read {committed_path}: {e}"));
+        let committed = mpld::json::parse(&committed)
+            .unwrap_or_else(|| panic!("{committed_path} is not one JSON value"));
+        let fresh = mpld::json::parse(&json).expect("own artifact parses");
+        let check = check_digest(&fresh, &committed);
+        for line in check.skipped.iter().chain(&check.diffs) {
+            println!("{line}");
+        }
+        if !check.diffs.is_empty() {
+            println!("{} field(s) differ", check.diffs.len());
+            std::process::exit(1);
+        }
+        println!("{out_path} matches {committed_path}");
+    }
+}
+
+/// `[out.json] [--check <committed.json>]`; exits 2 on anything else.
+fn parse_args() -> (String, Option<String>) {
+    let usage = || -> ! {
+        eprintln!("usage: perf_baseline [out.json] [--check <committed.json>]");
+        std::process::exit(2)
+    };
+    let (mut out, mut committed) = (None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--check" {
+            committed = Some(args.next().unwrap_or_else(|| usage()));
+        } else if arg.starts_with("--") || out.is_some() {
+            usage();
+        } else {
+            out = Some(arg);
+        }
+    }
+    let out = out.unwrap_or_else(|| "BENCH_pipeline.json".into());
+    (out, committed)
 }
 
 /// Blocking one-shot HTTP client for the serving sections: sends `raw`,

@@ -67,10 +67,7 @@ pub use metrics::ConfusionMatrix;
 pub use mpld_matching::{ShardedGraphMap, ShardedMapStats};
 pub use mpld_store::{json, Journal, JournalKey};
 pub use parallel::default_threads;
-pub use pipeline::{
-    prepare, run_pipeline, run_pipeline_budgeted, run_pipeline_parallel, PipelineResult,
-    PreparedLayout, UnitInstance,
-};
+pub use pipeline::{prepare, run_pipeline, PipelineResult, PreparedLayout, UnitInstance};
 pub use stats::{layout_stats, LayoutStats};
 pub use store::{engine_with_store, engine_with_store_configured, library_token};
 pub use summary::{RunSummary, TiledRunSummary};

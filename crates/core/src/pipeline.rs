@@ -10,9 +10,7 @@
 
 use crate::LayoutDecomposition;
 use mpld_graph::simplify::{simplify, Simplified, SimplifyOptions};
-use mpld_graph::{
-    Budget, CostBreakdown, DecomposeParams, Decomposer, Decomposition, LayoutGraph, MpldError,
-};
+use mpld_graph::{CostBreakdown, DecomposeParams, Decomposer, Decomposition, LayoutGraph};
 use mpld_layout::{insert_stitch_candidates_masked, Layout};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -40,9 +38,6 @@ pub struct PreparedLayout {
     pub units: Vec<UnitInstance>,
     /// Coloring distance.
     pub d: i64,
-    /// Time spent preparing (graph build + simplify + stitch insertion);
-    /// excluded from decomposition runtimes, as in the paper.
-    pub prepare_time: Duration,
 }
 
 /// Runs preprocessing on `layout`: graph construction, simplification,
@@ -52,7 +47,6 @@ pub struct PreparedLayout {
 ///
 /// Panics if `params.k == 0`.
 pub fn prepare(layout: &Layout, params: &DecomposeParams) -> PreparedLayout {
-    let start = Instant::now();
     let graph = layout.to_conflict_graph();
     let simplified = simplify(&graph, params.k, SimplifyOptions::default());
 
@@ -96,7 +90,6 @@ pub fn prepare(layout: &Layout, params: &DecomposeParams) -> PreparedLayout {
         simplified,
         units,
         d: layout.d,
-        prepare_time: start.elapsed(),
     }
 }
 
@@ -118,62 +111,18 @@ pub struct PipelineResult {
 /// # Panics
 ///
 /// Panics if `engine` rejects a unit (cannot happen for the workspace
-/// engines on `k` in `{3, 4}`). Use [`run_pipeline_budgeted`] for the
-/// fallible, budget-aware variant.
+/// engines on `k` in `{3, 4}`).
 pub fn run_pipeline(
     prep: &PreparedLayout,
     engine: &dyn Decomposer,
     params: &DecomposeParams,
 ) -> PipelineResult {
-    match run_pipeline_budgeted(prep, engine, params, &Budget::unlimited()) {
-        Ok(r) => r,
-        Err(e) => panic!("{} failed on an unlimited budget: {e}", engine.name()),
-    }
-}
-
-/// Like [`run_pipeline`], but every unit solve shares `budget`: a unit
-/// that exhausts it returns its best-so-far incumbent (tagged
-/// [`mpld_graph::Certainty::BudgetExhausted`]) and the remaining units
-/// finish on their engines' cheapest anytime paths.
-///
-/// # Errors
-///
-/// Returns the first engine error (unsupported parameters, mismatched
-/// coloring); budget exhaustion is never an error.
-pub fn run_pipeline_budgeted(
-    prep: &PreparedLayout,
-    engine: &dyn Decomposer,
-    params: &DecomposeParams,
-    budget: &Budget,
-) -> Result<PipelineResult, MpldError> {
     let start = Instant::now();
     let unit_results: Vec<Decomposition> = prep
         .units
         .iter()
-        .map(|u| engine.decompose(&u.hetero, params, budget))
-        .collect::<Result<_, _>>()?;
-    let decompose_time = start.elapsed();
-    Ok(assemble(prep, params, unit_results, decompose_time))
-}
-
-/// Decomposes units in parallel with `threads` workers (engines are run on
-/// shared references, so the engine must be `Sync`), scheduled
-/// largest-unit-first to bound tail latency. Timing reflects wall-clock,
-/// which is why the paper's single-thread tables use [`run_pipeline`]
-/// instead.
-pub fn run_pipeline_parallel<E: Decomposer + Sync>(
-    prep: &PreparedLayout,
-    engine: &E,
-    params: &DecomposeParams,
-    threads: usize,
-) -> PipelineResult {
-    let start = Instant::now();
-    let unit_results: Vec<Decomposition> = crate::parallel::run_largest_first(
-        prep.units.len(),
-        threads,
-        |i| prep.units[i].hetero.num_nodes(),
-        |i| engine.decompose_unbounded(&prep.units[i].hetero, params),
-    );
+        .map(|u| engine.decompose_unbounded(&u.hetero, params))
+        .collect();
     let decompose_time = start.elapsed();
     assemble(prep, params, unit_results, decompose_time)
 }
@@ -337,14 +286,5 @@ mod tests {
             "recovery added conflicts: {parent_conflicts} > {}",
             res.cost.conflicts
         );
-    }
-
-    #[test]
-    fn parallel_pipeline_matches_serial_cost() {
-        let prep = prep_c432();
-        let params = DecomposeParams::tpl();
-        let serial = run_pipeline(&prep, &IlpDecomposer::new(), &params);
-        let parallel = run_pipeline_parallel(&prep, &IlpDecomposer::new(), &params, 4);
-        assert_eq!(serial.cost, parallel.cost);
     }
 }

@@ -54,7 +54,6 @@ use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Tiling knobs. Zeros mean "derive from the coloring distance".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -483,7 +482,6 @@ fn prepare_tiled_inner(
     config: &TilingConfig,
     progress: &(dyn Fn(TiledProgress) + Sync),
 ) -> Result<TiledPrepared, MpldError> {
-    let start = Instant::now();
     progress(TiledProgress::Scanned {
         features: num_features,
         rects: num_rects,
@@ -660,7 +658,6 @@ fn prepare_tiled_inner(
             simplified,
             units,
             d,
-            prepare_time: start.elapsed(),
         },
         stats,
         boundary_units,

@@ -187,8 +187,9 @@ impl Default for OfflineConfig {
 }
 
 /// Final-epoch training losses and dataset counts from the offline
-/// phase — the seed-keyed digest material for the CI training-trajectory
-/// guard (`scripts/check_perf_digest.py`).
+/// phase — the seed-keyed digest material `perf_baseline` records in the
+/// `training` section of `BENCH_pipeline.json`, which its `--check`
+/// compares with the committed artifact.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Selector RGCN final-epoch mean cross-entropy.
