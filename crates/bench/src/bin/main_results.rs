@@ -45,7 +45,11 @@ fn main() {
             let ro = fw.decompose_prepared(prep);
             ours_cost[ci] = ro.pipeline.cost.value(a);
             ours_time[ci] = ro.pipeline.decompose_time;
+            // Each ColorGNN measurement starts from the same stream
+            // position, as an `Engine` run with `Session::new(DEFAULT_SEED)`
+            // would, so no number depends on what ran before it.
             fw.use_colorgnn = true;
+            fw.colorgnn.reseed(mpld::DEFAULT_SEED);
             let rg = fw.decompose_prepared(prep);
             gnn_cost[ci] = rg.pipeline.cost.value(a);
             gnn_time[ci] = rg.pipeline.decompose_time;
@@ -73,6 +77,7 @@ fn main() {
                     .collect();
                 pred_ns[ci] = parents.len();
                 let refs: Vec<&LayoutGraph> = parents.iter().collect();
+                fw.colorgnn.reseed(mpld::DEFAULT_SEED);
                 let t = Instant::now();
                 let results =
                     fw.colorgnn

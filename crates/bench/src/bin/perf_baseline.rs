@@ -25,7 +25,7 @@
 
 use mpld::{
     audit_boundary_units, prepare, prepare_tiled_file, train_framework_with_report, AdaptiveResult,
-    BudgetPolicy, EngineKind, PreparedLayout, Session, TilingConfig, TrainingData,
+    BudgetPolicy, EngineKind, PreparedLayout, Recovery, Session, TilingConfig, TrainingData,
 };
 use mpld_bench::{check_digest, coloring_digest, env_usize};
 use mpld_graph::DecomposeParams;
@@ -122,7 +122,7 @@ fn main() {
         // or colorings (compared only when `fp_kernel` matches — the last
         // bits of the forward pass depend on the GEMM microkernel).
         circuit_rows.push(format!(
-            "      {{\"name\": \"{}\", \"units\": {}, \"memo_hits\": {}, \"cost_equal\": true, \"conflicts\": {}, \"stitches\": {}, \"engines\": {{\"matching\": {}, \"colorgnn\": {}, \"ilp\": {}, \"ec\": {}}}, \"coloring_digest\": \"{:016x}\"}}",
+            "      {{\"name\": \"{}\", \"units\": {}, \"memo_hits\": {}, \"conflicts\": {}, \"stitches\": {}, \"engines\": {{\"matching\": {}, \"colorgnn\": {}, \"ilp\": {}, \"ec\": {}}}, \"coloring_digest\": \"{:016x}\"}}",
             c.name,
             prep.units.len(),
             parallel.memo_hits,
@@ -162,7 +162,7 @@ fn main() {
     for prep in &prepared {
         fw.colorgnn.reseed(seed);
         let r = fw
-            .decompose_prepared_parallel_with(prep, threads, &policy)
+            .decompose_prepared_parallel_recoverable(prep, threads, &policy, Recovery::default())
             .expect("budget exhaustion is not an error");
         certified += r.budget.certified;
         heuristic += r.budget.heuristic;
@@ -264,7 +264,7 @@ fn main() {
                 c.name, b.routing_memo_hits, b.memo_hits
             );
             serving_rows.push(format!(
-                "      {{\"name\": \"{}\", \"units\": {}, \"warm_routing_memo_hits\": {}, \"warm_solution_memo_hits\": {}, \"cost_equal\": true}}",
+                "      {{\"name\": \"{}\", \"units\": {}, \"warm_routing_memo_hits\": {}, \"warm_solution_memo_hits\": {}}}",
                 c.name,
                 prep.units.len(),
                 b.routing_memo_hits,
@@ -665,8 +665,7 @@ fn main() {
     out!("    \"circuit\": \"{}\",", resume_circuit.name);
     out!("    \"tail_units\": {resume_tail_units},");
     out!("    \"journal_records_kept\": {records_kept},");
-    out!("    \"resumed_units\": {},", resume_summary.resumed_units);
-    out!("    \"digest_equal_cold\": true");
+    out!("    \"resumed_units\": {}", resume_summary.resumed_units);
     out!("  }},");
     out!("  \"library\": {{");
     out!("    \"circuits\": {limit},");
@@ -675,8 +674,7 @@ fn main() {
     out!("    \"warm_hit_rate\": {library_hit_rate:.4},");
     out!("    \"lib_loaded\": {},", warm_store.lib_loaded);
     out!("    \"loaded_solves\": {},", warm_store.loaded_solves);
-    out!("    \"store_entries\": {},", warm_store.entries);
-    out!("    \"digests_equal\": true");
+    out!("    \"store_entries\": {}", warm_store.entries);
     out!("  }},");
     out!("  \"chip_scale\": {{");
     out!("    \"threads\": {threads},");
@@ -711,8 +709,7 @@ fn main() {
         "    \"coloring_digest\": \"{:016x}\",",
         coloring_digest(&chip_r.pipeline.decomposition)
     );
-    out!("    \"boundary_audit_clean\": true,");
-    out!("    \"parity_probe\": {{\"rects\": {probe_rects}, \"digest_equal_serial\": true}}");
+    out!("    \"parity_probe\": {{\"rects\": {probe_rects}}}");
     out!("  }}");
     out!("}}");
     std::fs::write(&out_path, &json).expect("write artifact");

@@ -2,7 +2,7 @@
 
 use crate::args::{parse, Parsed};
 use mpld::{
-    audit_boundary_units, layout_stats, prepare, prepare_tiled, prepare_tiled_file, run_pipeline,
+    audit_boundary_units, layout_stats, prepare, prepare_tiled_file, run_pipeline,
     AdaptiveFramework, BudgetPolicy, Engine, Journal, OfflineConfig, Recovery, RunSummary, Session,
     TiledPrepared, TiledProgress, TiledRunSummary, TilingConfig, TrainingData,
 };
@@ -144,16 +144,6 @@ commands:
       --store-max-bytes <n>          cap on the store file size
       --cache-cap <n>                cap on each in-memory cross-request
                                      cache (entries; arbitrary eviction)
-      --tiled true                   memory-bounded tiled preprocessing:
-                                     layout files are streamed from disk
-                                     and windowed into overlapping tiles
-                                     (O(tile) geometry working set) with
-                                     halo-exact boundary conflicts; costs
-                                     and colorings are bit-identical to
-                                     the non-tiled run
-      --tile-span <nm>               tile side length (default 48*d)
-      --halo <nm>                    halo width (default d; clamped to
-                                     at least d, the soundness minimum)
   serve --model <file> [options]     long-lived decomposition service: one
                                      warm engine shared by all requests
                                      (HTTP/NDJSON; see crates/server docs)
@@ -171,13 +161,6 @@ commands:
       --max-body-bytes <n>           request body cap (default 2 MiB)
       --max-line-bytes <n>           upload line-length cap (default 4096)
       --max-rects <n>                upload rect-count cap (default 200k)
-      --tiled true                   tiled preprocessing for all requests:
-                                     per-tile NDJSON progress events, a
-                                     boundary_audit event per solve, tile
-                                     counters in /stats, and a tiled
-                                     section in run summaries; costs stay
-                                     bit-identical to the default path
-      --tile-span <nm> --halo <nm>   tiling knobs (as adaptive --tiled)
       --store-dir <dir>              persistent store (as adaptive): a
                                      restarted server warm-loads the
                                      library and previous tail solves and
@@ -219,7 +202,10 @@ commands:
       --engine ilp|ilp-bb|sdp|ec     color by a decomposition (optional)
 
 <layout> is a benchmark circuit name (see 'mpld list') or a path to a
-layout file in the text interchange format.";
+layout file in the text interchange format. 'adaptive' streams a layout
+file through the tiler (O(tile) geometry working set; it reports the
+tiling and re-audits units on tile boundaries) and sweeps a circuit
+whole; costs and colorings are the same either way.";
 
 type Command = fn(&Parsed) -> Result<(), CliError>;
 
@@ -261,9 +247,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
                 "store-dir",
                 "store-max-entries",
                 "store-max-bytes",
-                "tiled",
-                "tile-span",
-                "halo",
             ],
         ),
         "serve" => (
@@ -284,9 +267,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
                 "store-dir",
                 "store-max-entries",
                 "store-max-bytes",
-                "tiled",
-                "tile-span",
-                "halo",
             ],
         ),
         "library" => (cmd_library, &["store-dir", "json"]),
@@ -803,10 +783,10 @@ fn library_stats_json(f: &mpld_store::FileStats) -> String {
 }
 
 /// `mpld adaptive`: one [`Engine`] + [`Session`] run, whatever the
-/// options. `--store-dir` backs the engine with the persistent store,
-/// `--tiled` swaps in memory-bounded tiled preprocessing (the prepared
-/// layout is bit-identical to the monolithic one, and boundary units are
-/// re-audited afterwards), and `--checkpoint` journals the tail.
+/// options. A layout file streams through the tiler (the prepared layout
+/// is bit-identical to a whole sweep, and boundary units are re-audited
+/// afterwards), a circuit is swept whole, `--store-dir` backs the engine
+/// with the persistent store, and `--checkpoint` journals the tail.
 fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
     let arg = parsed.positional(1).ok_or("adaptive: missing layout")?;
     let model = parsed
@@ -825,19 +805,18 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
     let seed: u64 = parsed.option_or("seed", mpld::DEFAULT_SEED)?;
     let json: bool = parsed.option_or("json", false)?;
     let engine = load_engine(parsed, model, &params)?;
-    let tiled = if parsed.option_or("tiled", false)? {
-        Some(prepare_tiled_from(parsed, arg, &params, threads, json)?)
-    } else {
-        None
-    };
-    let monolithic;
-    let prep = match &tiled {
-        Some(tp) => &tp.prep,
+    let (prep, tiled) = match circuit_by_name(arg) {
+        Some(c) => (prepare(&c.generate(), &params), None),
         None => {
-            monolithic = prepare(&load_layout(arg)?, &params);
-            &monolithic
+            let TiledPrepared {
+                prep,
+                stats,
+                boundary_units,
+            } = prepare_file(arg, &params, threads, json)?;
+            (prep, Some((stats, boundary_units)))
         }
     };
+    let prep = &prep;
 
     // Crash-safe checkpointing: resume from (and keep appending to) an
     // on-disk job journal of the ILP/EC-tail units. A journal of another
@@ -878,7 +857,7 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
     let r = engine.decompose(prep, &mut session)?;
     let boundary = tiled
         .as_ref()
-        .map(|tp| audit_boundary_units(prep, &r, &tp.boundary_units, params.k));
+        .map(|(_, units)| audit_boundary_units(prep, &r, units, params.k));
     if let Some((audited, false)) = boundary {
         eprintln!(
             "tiled: WARNING boundary cost audit disagreed on at least one of {audited} units"
@@ -890,9 +869,9 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
         // server's final "done" event carries, for digest comparisons.
         let mut summary =
             RunSummary::from_result(&prep.name, &r, params.alpha, threads, Some(seed));
-        summary.tiled = tiled.as_ref().map(|tp| TiledRunSummary {
-            tiles: tp.stats.tiles_x * tp.stats.tiles_y,
-            boundary_resolves: tp.stats.boundary_resolves,
+        summary.tiled = tiled.as_ref().map(|(stats, _)| TiledRunSummary {
+            tiles: stats.tiles_x * stats.tiles_y,
+            boundary_resolves: stats.boundary_resolves,
         });
         println!("{}", summary.to_json());
     } else {
@@ -903,8 +882,7 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
             r.pipeline.cost.value(params.alpha),
             r.pipeline.decompose_time,
         );
-        if let (Some(tp), Some((audited, clean))) = (&tiled, boundary) {
-            let stats = &tp.stats;
+        if let (Some((stats, _)), Some((audited, clean))) = (&tiled, boundary) {
             println!(
                 "tiling: {}x{} tiles (span {} nm, halo {} nm), {} of {} features replicated",
                 stats.tiles_x,
@@ -969,23 +947,18 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `adaptive --tiled true` preprocessing: layout files are streamed from
-/// disk (geometry spilled to an unlinked temp file, O(tile) working
-/// set); benchmark circuits are tiled in memory. In human mode the
-/// tiling milestones are narrated on stderr (per-tile events are
-/// skipped — there can be thousands).
-fn prepare_tiled_from(
-    parsed: &Parsed,
-    arg: &str,
+/// `adaptive` preprocessing of a layout file: streamed from disk
+/// through the tiler (geometry spilled to an unlinked temp file, O(tile)
+/// working set). In human mode the tiling milestones are narrated on
+/// stderr (per-tile events are skipped — there can be thousands).
+fn prepare_file(
+    path: &str,
     params: &DecomposeParams,
     threads: usize,
     json: bool,
 ) -> Result<TiledPrepared, CliError> {
-    let config = TilingConfig {
-        tile_span: parsed.option_or("tile-span", 0)?,
-        halo: parsed.option_or("halo", 0)?,
-        threads,
-    };
+    // An unreadable path is a usage error, as for every other command.
+    File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let progress = move |p: TiledProgress| {
         if json {
             return;
@@ -1014,16 +987,17 @@ fn prepare_tiled_from(
             }
         }
     };
-    Ok(match circuit_by_name(arg) {
-        Some(c) => prepare_tiled(&c.generate(), params, &config, &progress),
-        None => prepare_tiled_file(
-            std::path::Path::new(arg),
-            &ReadLimits::unlimited(),
-            params,
-            &config,
-            &progress,
-        )?,
-    })
+    let config = TilingConfig {
+        threads,
+        ..TilingConfig::default()
+    };
+    Ok(prepare_tiled_file(
+        std::path::Path::new(path),
+        &ReadLimits::unlimited(),
+        params,
+        &config,
+        &progress,
+    )?)
 }
 
 /// Long-lived decomposition service: loads the model and compiles the
@@ -1051,16 +1025,6 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), CliError> {
             max_line_bytes: parsed.option_or("max-line-bytes", defaults.upload.max_line_bytes)?,
             max_rects: parsed.option_or("max-rects", defaults.upload.max_rects)?,
             ..defaults.upload
-        },
-        tiling: if parsed.option_or("tiled", false)? {
-            Some(TilingConfig {
-                tile_span: parsed.option_or("tile-span", 0)?,
-                halo: parsed.option_or("halo", 0)?,
-                // Request workers are the parallelism; tiles run serial.
-                threads: 1,
-            })
-        } else {
-            None
         },
         ..defaults
     };

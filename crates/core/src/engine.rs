@@ -1,7 +1,8 @@
 //! The one decomposition path: the immutable, shareable [`Engine`], the
 //! per-request [`Session`], and the executor that every entry point —
 //! the engine, the [`AdaptiveFramework`] wrappers, and through them the
-//! CLI, the server, the bench bins and tiled mode — runs.
+//! CLI, the server and the bench bins, whichever sweep prepared the
+//! layout — runs.
 //!
 //! [`Engine`] compiles the frozen inference heads **once** at
 //! construction (the weight fold is deterministic, so freeze-once output
@@ -396,7 +397,7 @@ impl Engine {
     ///
     /// `Err` means an engine rejected its input outright; budget
     /// exhaustion is never an error (see
-    /// [`AdaptiveFramework::decompose_prepared_with`]).
+    /// [`AdaptiveFramework::decompose_prepared_parallel_recoverable`]).
     pub fn decompose(
         &self,
         prep: &PreparedLayout,

@@ -820,29 +820,12 @@ impl AdaptiveFramework {
     /// ColorGNN samples each distinct predicted-redundant parent graph
     /// once, and the ILP/EC tail runs on the calling thread.
     pub fn decompose_prepared(&self, prep: &PreparedLayout) -> AdaptiveResult {
-        unwrap_unlimited(self.decompose_prepared_with(prep, &BudgetPolicy::unlimited()))
-    }
-
-    /// Budgeted variant of [`AdaptiveFramework::decompose_prepared`].
-    ///
-    /// With an unlimited `policy` the result is bit-identical to
-    /// [`AdaptiveFramework::decompose_prepared`]. Under a limit, units
-    /// whose exact solver runs out of budget keep their best-so-far
-    /// incumbent ([`Certainty::BudgetExhausted`]) or fall back to the
-    /// next-cheapest engine; every unit still receives a full valid
-    /// coloring.
-    ///
-    /// # Errors
-    ///
-    /// `Err` means an engine rejected its input outright (unsupported
-    /// parameters, mismatched coloring); budget exhaustion is never an
-    /// error.
-    pub fn decompose_prepared_with(
-        &self,
-        prep: &PreparedLayout,
-        policy: &BudgetPolicy,
-    ) -> Result<AdaptiveResult, MpldError> {
-        self.decompose_prepared_parallel_recoverable(prep, 1, policy, Recovery::default())
+        unwrap_unlimited(self.decompose_prepared_parallel_recoverable(
+            prep,
+            1,
+            &BudgetPolicy::unlimited(),
+            Recovery::default(),
+        ))
     }
 
     /// Like [`AdaptiveFramework::decompose_prepared`], but fans the
@@ -861,35 +844,27 @@ impl AdaptiveFramework {
         prep: &PreparedLayout,
         threads: usize,
     ) -> AdaptiveResult {
-        unwrap_unlimited(self.decompose_prepared_parallel_with(
+        unwrap_unlimited(self.decompose_prepared_parallel_recoverable(
             prep,
             threads,
             &BudgetPolicy::unlimited(),
+            Recovery::default(),
         ))
     }
 
-    /// Budgeted variant of
-    /// [`AdaptiveFramework::decompose_prepared_parallel`]. Per-unit
+    /// Budgeted, crash-safe variant of
+    /// [`AdaptiveFramework::decompose_prepared_parallel`].
+    ///
+    /// With an unlimited `policy` the result is bit-identical to the
+    /// unbudgeted entry points. Under a limit, units whose exact solver
+    /// runs out of budget keep their best-so-far incumbent
+    /// ([`Certainty::BudgetExhausted`]) or fall back to the next-cheapest
+    /// engine; every unit still receives a full valid coloring. Per-unit
     /// budgets are anchored when a worker *starts* a unit, so a per-unit
     /// limit bounds each solve regardless of queueing; the layout-wide
     /// deadline is shared by all workers.
     ///
-    /// # Errors
-    ///
-    /// `Err` means an engine rejected its input outright; budget
-    /// exhaustion is never an error.
-    pub fn decompose_prepared_parallel_with(
-        &self,
-        prep: &PreparedLayout,
-        threads: usize,
-        policy: &BudgetPolicy,
-    ) -> Result<AdaptiveResult, MpldError> {
-        self.decompose_prepared_parallel_recoverable(prep, threads, policy, Recovery::default())
-    }
-
-    /// Crash-safe variant of
-    /// [`AdaptiveFramework::decompose_prepared_parallel_with`]: with
-    /// `recovery.journal` set, units recorded in the journal by a
+    /// With `recovery.journal` set, units recorded in the journal by a
     /// previous run are restored instead of re-solved (after each record
     /// passes the independent audit against the present unit graph), and
     /// every other ILP/EC-tail unit is appended to it as it settles; the

@@ -72,8 +72,8 @@ pub use stats::{layout_stats, LayoutStats};
 pub use store::{engine_with_store, engine_with_store_configured, library_token};
 pub use summary::{RunSummary, TiledRunSummary};
 pub use tiled::{
-    audit_boundary_units, peak_rss_bytes, prepare_tiled, prepare_tiled_file, TiledPrepared,
-    TiledProgress, TiledStats, TilingConfig, DEFAULT_TILE_MULTIPLE,
+    audit_boundary_units, peak_rss_bytes, prepare_tiled_file, TiledPrepared, TiledProgress,
+    TiledStats, TilingConfig, DEFAULT_TILE_MULTIPLE,
 };
 pub use training::{
     train_framework, train_framework_with_report, OfflineConfig, TrainReport, TrainingData,

@@ -1,18 +1,24 @@
 //! Layout preparation (simplify + stitch insertion) and the single-engine
 //! decomposition pipeline used by all baselines.
 //!
-//! [`prepare`] runs the workflow of Fig. 7 up to the decomposer: global
+//! Preparation runs the workflow of Fig. 7 up to the decomposer: global
 //! conflict graph, level-3 simplification, and projection-based stitch
 //! candidate insertion per unit (articulation features stay whole so block
-//! merging remains sound). [`run_pipeline`] then decomposes every unit
-//! with one engine and reassembles the result, timing only the
-//! decomposition itself — exactly the runtime Table V reports.
+//! merging remains sound). The input kind picks only the edge sweep: an
+//! in-memory layout is swept whole by [`prepare`], a layout file streams
+//! through the tiler ([`crate::prepare_tiled_file`]); both hand their
+//! edges to one shared tail, so every [`PreparedLayout`] is built the same
+//! way. [`run_pipeline`] then decomposes every unit with one engine and
+//! reassembles the result, timing only the decomposition itself — exactly
+//! the runtime Table V reports.
 
 use crate::LayoutDecomposition;
+use mpld_geometry::Feature;
 use mpld_graph::simplify::{simplify, Simplified, SimplifyOptions};
-use mpld_graph::{CostBreakdown, DecomposeParams, Decomposer, Decomposition, LayoutGraph};
+use mpld_graph::{
+    CostBreakdown, DecomposeParams, Decomposer, Decomposition, LayoutGraph, MpldError,
+};
 use mpld_layout::{insert_stitch_candidates_masked, Layout};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// One decomposition unit with its heterogeneous (stitch-inserted) graph.
@@ -40,57 +46,79 @@ pub struct PreparedLayout {
     pub d: i64,
 }
 
-/// Runs preprocessing on `layout`: graph construction, simplification,
-/// per-unit stitch insertion.
+/// Runs preprocessing on an in-memory `layout`: one whole-layout edge
+/// sweep, then the shared preparation tail.
 ///
 /// # Panics
 ///
-/// Panics if `params.k == 0`.
+/// Panics if `params.k == 0`, or if the layout's geometry is invalid
+/// (layouts built in memory are validated upstream).
 pub fn prepare(layout: &Layout, params: &DecomposeParams) -> PreparedLayout {
-    let graph = layout.to_conflict_graph();
-    let simplified = simplify(&graph, params.k, SimplifyOptions::default());
-
-    // Features present in more than one unit (articulation features) must
-    // not be split by stitches.
-    let mut occurrences: HashMap<u32, usize> = HashMap::new();
-    for unit in simplified.units() {
-        for &g in &unit.global_nodes {
-            *occurrences.entry(g).or_insert(0) += 1;
-        }
-    }
-
-    let units = simplified
-        .units()
-        .iter()
-        .enumerate()
-        .map(|(i, unit)| {
-            let feats: Vec<_> = unit
-                .global_nodes
+    let prep = prepare_tail(
+        layout.name.clone(),
+        layout.d,
+        layout.features.len(),
+        layout.conflict_edges(),
+        params,
+        |ids| {
+            Ok(ids
                 .iter()
                 .map(|&g| layout.features[g as usize].clone())
-                .collect();
-            let splittable: Vec<bool> = unit
-                .global_nodes
-                .iter()
-                .map(|g| occurrences[g] == 1)
-                .collect();
-            #[allow(clippy::expect_used)] // generator geometry is validated upstream
-            let stitched = insert_stitch_candidates_masked(&feats, layout.d, &splittable)
-                .expect("unit geometry is valid");
-            UnitInstance {
-                hetero: stitched.graph,
-                unit_index: i,
-            }
-        })
-        .collect();
+                .collect())
+        },
+    );
+    #[allow(clippy::expect_used)] // in-memory geometry is validated upstream
+    prep.expect("in-memory layout geometry is valid")
+}
 
-    PreparedLayout {
-        name: layout.name.clone(),
+/// The preparation tail every entry point shares: the conflict graph over
+/// `num_features` features from `edges`, level-3 simplification, then
+/// stitch insertion per unit on the features `load` returns for the
+/// unit's global ids (in order). Features present in more than one unit
+/// (articulation features) are never split.
+pub(crate) fn prepare_tail(
+    name: String,
+    d: i64,
+    num_features: usize,
+    edges: Vec<(u32, u32)>,
+    params: &DecomposeParams,
+    load: impl Fn(&[u32]) -> Result<Vec<Feature>, MpldError>,
+) -> Result<PreparedLayout, MpldError> {
+    let graph = LayoutGraph::homogeneous(num_features, edges)
+        .map_err(|e| MpldError::Io(format!("conflict graph rejected: {e}")))?;
+    let simplified = simplify(&graph, params.k, SimplifyOptions::default());
+
+    let mut occurrences = vec![0u32; num_features];
+    for unit in simplified.units() {
+        for &g in &unit.global_nodes {
+            occurrences[g as usize] += 1;
+        }
+    }
+    // Sized up front: collecting through `Result` would grow the vector
+    // by doubling and keep up to twice the units' headers resident.
+    let mut units = Vec::with_capacity(simplified.units().len());
+    for (i, unit) in simplified.units().iter().enumerate() {
+        let feats = load(&unit.global_nodes)?;
+        let splittable: Vec<bool> = unit
+            .global_nodes
+            .iter()
+            .map(|&g| occurrences[g as usize] == 1)
+            .collect();
+        let stitched = insert_stitch_candidates_masked(&feats, d, &splittable)
+            .map_err(|e| MpldError::Io(format!("stitch insertion rejected unit geometry: {e}")))?;
+        units.push(UnitInstance {
+            hetero: stitched.graph,
+            unit_index: i,
+        });
+    }
+
+    Ok(PreparedLayout {
+        name,
         graph,
         simplified,
         units,
-        d: layout.d,
-    }
+        d,
+    })
 }
 
 /// The outcome of decomposing a prepared layout with one engine.

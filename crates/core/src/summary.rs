@@ -70,13 +70,15 @@ pub struct RunSummary {
     pub audit_rejections: usize,
     /// Tail units restored from a checkpoint journal.
     pub resumed_units: usize,
-    /// Tiled-mode counters; `None` for the monolithic paths.
+    /// Tiling counters: present when the layout streamed from a file
+    /// through the tiler (`mpld adaptive <file>`), `None` for layouts
+    /// swept whole in memory (circuits, uploads, every served request).
     pub tiled: Option<TiledRunSummary>,
 }
 
-/// The tiled-mode slice of a [`RunSummary`] (present only when the run
-/// went through the tiler; the parity contract keeps every other field
-/// identical to the non-tiled run).
+/// The tiling slice of a [`RunSummary`] (present only when the layout
+/// streamed from a file through the tiler; the parity contract keeps
+/// every other field identical to a whole sweep of the same layout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TiledRunSummary {
     /// Tiles in the grid.
@@ -216,8 +218,8 @@ impl RunSummary {
             quarantined: num(v, &["budget", "quarantined"])?,
             audit_rejections: num(v, &["budget", "audit_rejections"])?,
             resumed_units: num(v, &["resumed_units"])?,
-            // Optional tiled section: absent on monolithic runs (and on
-            // lines written before tiled mode existed).
+            // Optional tiled section: absent on layouts swept whole (and
+            // on lines written before the tiler existed).
             tiled: num(v, &["tiles"]).map(|tiles| TiledRunSummary {
                 tiles,
                 boundary_resolves: num(v, &["boundary_resolves"]).unwrap_or(0),

@@ -1,12 +1,13 @@
 //! Chip-scale tiled preprocessing: O(tile) geometry with exact
 //! boundary-conflict stitching.
 //!
-//! The monolithic [`crate::prepare`] holds the whole layout, a chip-wide
-//! [`GridIndex`], and the full candidate/pair vectors in memory at once —
-//! fine for the ISCAS suite, fatal for full-chip density. This module
-//! windows the layout into overlapping tiles and discovers conflict edges
-//! one tile at a time, so the geometry working set is one tile (plus its
-//! halo), not the chip.
+//! Every layout file goes through here ([`prepare_tiled_file`]); layouts
+//! already held in memory (circuits, uploads, library callers) are swept
+//! whole by [`crate::prepare`]. The file is parsed once and its geometry
+//! spilled to an unlinked store; the layout is then windowed into
+//! overlapping tiles and conflict edges are discovered one tile at a
+//! time, so the geometry working set is one tile (plus its halo), not
+//! the chip.
 //!
 //! # Halo invariant
 //!
@@ -31,25 +32,24 @@
 //!
 //! # Parity contract
 //!
-//! The tiled path reconstructs the **same conflict-edge set** as
-//! [`mpld_layout::Layout::to_conflict_graph`], then runs the same
-//! whole-graph simplify and per-unit stitch insertion as
-//! [`crate::prepare`]. The resulting [`PreparedLayout`] is structurally
+//! The tiler reconstructs the **same conflict-edge set** as the whole
+//! sweep ([`mpld_layout::Layout::conflict_edges`]) and hands it to the
+//! preparation tail [`crate::prepare`] shares, with unit features read
+//! back from the spill. The resulting [`PreparedLayout`] is structurally
 //! identical, so [`crate::Engine`] solves it with the exact serial RNG
-//! stream and every cost, coloring, and routing digest matches the
-//! non-tiled oracle bit for bit (asserted by `tests/tiled_parity.rs`).
-//! What is bounded by the tile is the *geometry* working set (features,
-//! spatial index, candidate scratch); the id-level edge list, graph, and
-//! simplification metadata remain O(N + E) with small constants — the
-//! memory model DESIGN.md §12 spells out.
+//! stream and every cost, coloring, and routing digest matches the whole
+//! sweep bit for bit (asserted by `tests/tiled_parity.rs` against a
+//! reference flow that shares no tail with either). What is bounded by
+//! the tile is the *geometry* working set (features, spatial index,
+//! candidate scratch); the id-level edge list, graph, and simplification
+//! metadata remain O(N + E) with small constants — the memory model
+//! DESIGN.md §12 spells out.
 
-use crate::pipeline::{PreparedLayout, UnitInstance};
+use crate::pipeline::{prepare_tail, PreparedLayout};
 use crate::AdaptiveResult;
 use mpld_geometry::{Feature, GridIndex, Rect};
-use mpld_graph::simplify::{simplify, SimplifyOptions};
-use mpld_graph::{audit_coloring, DecomposeParams, LayoutGraph, MpldError};
-use mpld_layout::{read_layout_streaming, Layout, ParseLayoutError, ReadLimits};
-use std::collections::HashMap;
+use mpld_graph::{audit_coloring, DecomposeParams, MpldError};
+use mpld_layout::{read_layout_streaming, ParseLayoutError, ReadLimits};
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -81,8 +81,8 @@ impl Default for TilingConfig {
     }
 }
 
-/// Counters describing one tiled preparation (committed to benches and
-/// served from `/stats`, so everything here is a plain number).
+/// Counters describing one tiled preparation (committed to benches, so
+/// everything here is a plain number).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TiledStats {
     /// Tile grid width and height.
@@ -224,27 +224,6 @@ impl TileGrid {
     }
 }
 
-/// Where tile jobs fetch feature geometry from: the in-memory layout, or
-/// the on-disk store the streaming pass spilled (random access by id).
-enum Geometry<'a> {
-    Mem(&'a [Feature]),
-    Store(FeatureStore),
-}
-
-impl Geometry<'_> {
-    /// Loads the features with the given ids (tile working set or unit
-    /// membership), in order.
-    fn load(&self, ids: &[u32]) -> Result<Vec<Feature>, MpldError> {
-        match self {
-            Geometry::Mem(features) => Ok(ids
-                .iter()
-                .map(|&id| features[id as usize].clone())
-                .collect()),
-            Geometry::Store(store) => store.read_features(ids),
-        }
-    }
-}
-
 /// Append-only binary spill of feature geometry (`u32` rect count, then
 /// `4 x i64` per rect), unlinked on creation so it can never outlive the
 /// process. Record `i` spans bytes `offsets[i]..offsets[i + 1]`; the
@@ -372,53 +351,17 @@ fn encode_feature(f: &Feature, out: &mut Vec<u8>) {
     }
 }
 
-/// Tiled [`crate::prepare`] over an in-memory layout: identical output,
-/// O(tile) geometry working set during edge discovery. Used for parity
-/// testing and for served circuit requests; truly chip-scale inputs go
-/// through [`prepare_tiled_file`].
-///
-/// # Panics
-///
-/// Panics if `params.k == 0` (as [`crate::prepare`]).
-#[allow(clippy::expect_used)] // in-memory tiling performs no I/O
-pub fn prepare_tiled(
-    layout: &Layout,
-    params: &DecomposeParams,
-    config: &TilingConfig,
-    progress: &(dyn Fn(TiledProgress) + Sync),
-) -> TiledPrepared {
-    let rects = layout.features.iter().map(|f| f.rects().len()).sum();
-    let mut bbox: Option<Rect> = None;
-    for f in &layout.features {
-        let bb = f.bounding_box();
-        bbox = Some(match bbox {
-            Some(acc) => acc.union(&bb),
-            None => bb,
-        });
-    }
-    prepare_tiled_inner(
-        layout.name.clone(),
-        layout.d,
-        &Geometry::Mem(&layout.features),
-        layout.features.len(),
-        rects,
-        bbox,
-        params,
-        config,
-        progress,
-    )
-    .expect("in-memory tiled preparation performs no I/O")
-}
-
 /// Streaming tiled preparation from a layout file: the file is parsed
 /// once, geometry is spilled to an unlinked on-disk store, and tiles load
 /// only their own working set — the layout is never resident in memory.
+/// The discovered edges then go through the same preparation tail as
+/// [`crate::prepare`], with unit features read back from the spill.
 ///
 /// # Errors
 ///
 /// Parse errors from the layout file (with `limits` enforced as in
-/// [`mpld_layout::read_layout_limited`]) and I/O errors from the spill
-/// store.
+/// [`mpld_layout::read_layout_limited`]), I/O errors from the spill
+/// store, and geometry the preparation tail rejects.
 pub fn prepare_tiled_file(
     path: &Path,
     limits: &ReadLimits,
@@ -434,7 +377,7 @@ pub fn prepare_tiled_file(
     let mut pos = 0u64;
     let mut record = Vec::new();
     let mut bbox: Option<Rect> = None;
-    let mut rects = 0usize;
+    let mut num_rects = 0usize;
     let header = read_layout_streaming(BufReader::new(file), limits, |f| {
         encode_feature(&f, &mut record);
         writer
@@ -442,7 +385,7 @@ pub fn prepare_tiled_file(
             .map_err(|e| ParseLayoutError::Io(e.to_string()))?;
         pos += record.len() as u64;
         offsets.push(pos);
-        rects += f.rects().len();
+        num_rects += f.rects().len();
         let bb = f.bounding_box();
         bbox = Some(match bbox {
             Some(acc) => acc.union(&bb),
@@ -455,33 +398,8 @@ pub fn prepare_tiled_file(
         .into_inner()
         .map_err(|e| MpldError::Io(e.to_string()))?;
     let store = FeatureStore { file, offsets };
-    let n = store.len();
-    prepare_tiled_inner(
-        header.name,
-        header.d,
-        &Geometry::Store(store),
-        n,
-        rects,
-        bbox,
-        params,
-        config,
-        progress,
-    )
-}
-
-/// Shared tiling core (see module docs for the phase breakdown).
-#[allow(clippy::too_many_arguments)]
-fn prepare_tiled_inner(
-    name: String,
-    d: i64,
-    geometry: &Geometry<'_>,
-    num_features: usize,
-    num_rects: usize,
-    bbox: Option<Rect>,
-    params: &DecomposeParams,
-    config: &TilingConfig,
-    progress: &(dyn Fn(TiledProgress) + Sync),
-) -> Result<TiledPrepared, MpldError> {
+    let num_features = store.len();
+    let d = header.d;
     progress(TiledProgress::Scanned {
         features: num_features,
         rects: num_rects,
@@ -508,28 +426,18 @@ fn prepare_tiled_inner(
 
     // Replication pass: assign every feature to the tiles its halo-grown
     // bounding box touches, and record its home tile for boundary
-    // accounting. One sequential sweep over the geometry.
+    // accounting. One sequential sweep over the spill.
     let mut tile_features: Vec<Vec<u32>> = vec![Vec::new(); tiles];
     let mut home = vec![0u32; num_features];
-    {
-        let mut assign = |id: u32, bb: Rect| {
-            home[id as usize] = grid.home(&bb);
-            let (tx0, tx1, ty0, ty1) = grid.range(&bb, halo);
-            for ty in ty0..=ty1 {
-                for tx in tx0..=tx1 {
-                    tile_features[(ty * grid.nx + tx) as usize].push(id);
-                }
+    store.for_each_bbox(|id, bb| {
+        home[id as usize] = grid.home(&bb);
+        let (tx0, tx1, ty0, ty1) = grid.range(&bb, halo);
+        for ty in ty0..=ty1 {
+            for tx in tx0..=tx1 {
+                tile_features[(ty * grid.nx + tx) as usize].push(id);
             }
-        };
-        match geometry {
-            Geometry::Mem(features) => {
-                for f in *features {
-                    assign(f.id(), f.bounding_box());
-                }
-            }
-            Geometry::Store(store) => store.for_each_bbox(assign)?,
         }
-    }
+    })?;
     let replicated_features = tile_features.iter().map(Vec::len).sum();
     let max_tile_features = tile_features.iter().map(Vec::len).max().unwrap_or(0);
 
@@ -544,7 +452,7 @@ fn prepare_tiled_inner(
         |t| tile_features[t].len(),
         |t| {
             let ids = &tile_features[t];
-            let feats = geometry.load(ids)?;
+            let feats = store.read_features(ids)?;
             let tx_self = (t as i64) % grid.nx;
             let ty_self = (t as i64) / grid.nx;
             let index = GridIndex::build(&feats, d);
@@ -592,48 +500,24 @@ fn prepare_tiled_inner(
         .count();
     let num_edges = edges.len();
 
-    // From here the flow is exactly `crate::prepare`: same graph, same
-    // whole-graph simplify, same per-unit stitch insertion — structural
-    // identity is what buys bit-identical solves downstream.
-    let graph = LayoutGraph::homogeneous(num_features, edges)
-        .map_err(|e| MpldError::Io(format!("tiled conflict graph rejected: {e}")))?;
-    let simplified = simplify(&graph, params.k, SimplifyOptions::default());
-
-    let mut occurrences: HashMap<u32, usize> = HashMap::new();
-    for unit in simplified.units() {
-        for &g in &unit.global_nodes {
-            *occurrences.entry(g).or_insert(0) += 1;
-        }
-    }
+    // The same tail as `crate::prepare` — structural identity is what
+    // buys bit-identical solves downstream.
+    let prep = prepare_tail(header.name, d, num_features, edges, params, |ids| {
+        store.read_features(ids)
+    })?;
 
     let mut boundary_units = Vec::new();
     let mut boundary_components = std::collections::HashSet::new();
-    let mut units = Vec::with_capacity(simplified.units().len());
-    for (i, unit) in simplified.units().iter().enumerate() {
-        let feats = geometry.load(&unit.global_nodes)?;
-        let splittable: Vec<bool> = unit
-            .global_nodes
-            .iter()
-            .map(|g| occurrences[g] == 1)
-            .collect();
-        let stitched = insert_stitch_candidates_checked(&feats, d, &splittable)?;
-        if unit
-            .global_nodes
-            .iter()
-            .any(|&g| home[g as usize] != home[unit.global_nodes[0] as usize])
-        {
+    for (i, unit) in prep.simplified.units().iter().enumerate() {
+        let first = home[unit.global_nodes[0] as usize];
+        if unit.global_nodes.iter().any(|&g| home[g as usize] != first) {
             boundary_units.push(i);
             boundary_components.insert(unit.component);
         }
-        units.push(UnitInstance {
-            hetero: stitched,
-            unit_index: i,
-        });
     }
-
     progress(TiledProgress::Simplified {
         edges: num_edges,
-        units: units.len(),
+        units: prep.units.len(),
         boundary_units: boundary_units.len(),
     });
 
@@ -652,28 +536,10 @@ fn prepare_tiled_inner(
         boundary_resolves: boundary_units.len(),
     };
     Ok(TiledPrepared {
-        prep: PreparedLayout {
-            name,
-            graph,
-            simplified,
-            units,
-            d,
-        },
+        prep,
         stats,
         boundary_units,
     })
-}
-
-/// Stitch insertion with the panic of the monolithic path converted into
-/// a typed error (streamed inputs are user data, not generator output).
-fn insert_stitch_candidates_checked(
-    feats: &[Feature],
-    d: i64,
-    splittable: &[bool],
-) -> Result<LayoutGraph, MpldError> {
-    mpld_layout::insert_stitch_candidates_masked(feats, d, splittable)
-        .map(|s| s.graph)
-        .map_err(|e| MpldError::Io(format!("stitch insertion rejected unit geometry: {e}")))
 }
 
 /// Independent Eq. 1 re-audit of the boundary subgraphs: recomputes each
@@ -715,25 +581,52 @@ pub fn peak_rss_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpld_layout::circuit_by_name;
+    use mpld_layout::{circuit_by_name, Layout};
 
     fn quiet() -> impl Fn(TiledProgress) + Sync {
         |_| {}
     }
 
+    /// Writes `layout` to a fresh temp file and prepares it through the
+    /// tiler, the geometry source production runs.
+    fn via_file(layout: &Layout, config: &TilingConfig) -> TiledPrepared {
+        static FILES: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "mpld-tiled-test-{}-{}.mpld",
+            std::process::id(),
+            FILES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut buf = Vec::new();
+        mpld_layout::write_layout(layout, &mut buf).expect("write");
+        std::fs::write(&path, &buf).expect("write file");
+        let tp = prepare_tiled_file(
+            &path,
+            &ReadLimits::unlimited(),
+            &DecomposeParams::tpl(),
+            config,
+            &quiet(),
+        )
+        .expect("file prepare");
+        std::fs::remove_file(&path).ok();
+        tp
+    }
+
+    fn assert_same_prep(a: &PreparedLayout, b: &PreparedLayout) {
+        assert_eq!(a.graph, b.graph);
+        assert_eq!(a.units.len(), b.units.len());
+        for (x, y) in a.units.iter().zip(&b.units) {
+            assert_eq!(x.hetero, y.hetero);
+            assert_eq!(x.unit_index, y.unit_index);
+        }
+    }
+
     #[test]
     fn tiled_prepare_matches_monolithic_on_a_circuit() {
         let layout = circuit_by_name("C432").expect("exists").generate();
-        let params = DecomposeParams::tpl();
-        let serial = crate::prepare(&layout, &params);
-        let tiled = prepare_tiled(&layout, &params, &TilingConfig::default(), &quiet());
+        let serial = crate::prepare(&layout, &DecomposeParams::tpl());
+        let tiled = via_file(&layout, &TilingConfig::default());
 
-        assert_eq!(tiled.prep.graph, serial.graph);
-        assert_eq!(tiled.prep.units.len(), serial.units.len());
-        for (t, s) in tiled.prep.units.iter().zip(&serial.units) {
-            assert_eq!(t.hetero, s.hetero);
-            assert_eq!(t.unit_index, s.unit_index);
-        }
+        assert_same_prep(&tiled.prep, &serial);
         assert_eq!(tiled.stats.features, layout.features.len());
         assert_eq!(tiled.stats.edges, serial.graph.conflict_edges().len());
     }
@@ -741,14 +634,13 @@ mod tests {
     #[test]
     fn small_tiles_force_boundary_units_without_changing_the_graph() {
         let layout = circuit_by_name("C432").expect("exists").generate();
-        let params = DecomposeParams::tpl();
-        let serial = crate::prepare(&layout, &params);
+        let serial = crate::prepare(&layout, &DecomposeParams::tpl());
         // Tiny tiles: every component straddles tiles, nothing changes.
         let config = TilingConfig {
             tile_span: 2 * layout.d,
             ..Default::default()
         };
-        let tiled = prepare_tiled(&layout, &params, &config, &quiet());
+        let tiled = via_file(&layout, &config);
         assert_eq!(tiled.prep.graph, serial.graph);
         assert!(tiled.stats.tiles_x * tiled.stats.tiles_y > 4);
         assert!(tiled.stats.boundary_edges > 0);
@@ -781,51 +673,28 @@ mod tests {
 
     #[test]
     fn file_variant_matches_in_memory() {
-        let params = DecomposeParams::tpl();
-        let dir = std::env::temp_dir().join(format!("mpld-tiled-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
         let c432 = circuit_by_name("C432").expect("exists").generate();
         let small_tiles = TilingConfig {
             tile_span: 2 * c432.d,
-            threads: 2,
             ..Default::default()
         };
-        for (layout, config) in [
-            (c432.clone(), TilingConfig::default()),
-            (c432.clone(), small_tiles),
-            (shuffled(&c432, 7), TilingConfig::default()),
-            (shuffled(&c432, 7), small_tiles),
-        ] {
-            let path = dir.join("layout.mpld");
-            let mut buf = Vec::new();
-            mpld_layout::write_layout(&layout, &mut buf).expect("write");
-            std::fs::write(&path, &buf).expect("write file");
-
-            let mem = prepare_tiled(&layout, &params, &config, &quiet());
-            let file =
-                prepare_tiled_file(&path, &ReadLimits::unlimited(), &params, &config, &quiet())
-                    .expect("file prepare");
-            let serial = crate::prepare(&layout, &params);
-
-            assert_eq!(file.prep.graph, mem.prep.graph);
-            assert_eq!(file.prep.graph, serial.graph);
-            assert_eq!(file.prep.units.len(), mem.prep.units.len());
-            assert_eq!(file.prep.units.len(), serial.units.len());
-            for ((a, b), c) in file
-                .prep
-                .units
-                .iter()
-                .zip(&mem.prep.units)
-                .zip(&serial.units)
-            {
-                assert_eq!(a.hetero, b.hetero);
-                assert_eq!(a.hetero, c.hetero);
-                assert_eq!(a.unit_index, c.unit_index);
+        for layout in [c432.clone(), shuffled(&c432, 7)] {
+            let serial = crate::prepare(&layout, &DecomposeParams::tpl());
+            for config in [TilingConfig::default(), small_tiles] {
+                let one = via_file(&layout, &config);
+                let two = via_file(
+                    &layout,
+                    &TilingConfig {
+                        threads: 2,
+                        ..config
+                    },
+                );
+                assert_same_prep(&one.prep, &serial);
+                assert_same_prep(&two.prep, &serial);
+                assert_eq!(one.stats, two.stats);
+                assert_eq!(one.boundary_units, two.boundary_units);
             }
-            assert_eq!(file.stats, mem.stats);
-            assert_eq!(file.boundary_units, mem.boundary_units);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

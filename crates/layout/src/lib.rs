@@ -59,15 +59,20 @@ impl Layout {
     /// Builds the homogeneous conflict graph: one node per feature, an
     /// edge per pair closer than `d`.
     pub fn to_conflict_graph(&self) -> LayoutGraph {
+        #[allow(clippy::expect_used)] // the grid index yields valid, deduplicated pairs
+        LayoutGraph::homogeneous(self.features.len(), self.conflict_edges())
+            .expect("generated layouts produce valid conflict graphs")
+    }
+
+    /// The conflict graph's edges from one whole-layout spatial sweep:
+    /// every pair of feature ids closer than `d`, sorted, each once.
+    pub fn conflict_edges(&self) -> Vec<(u32, u32)> {
         let index = GridIndex::build(&self.features, self.d);
         let pairs = index.conflict_pairs(&self.features, self.d);
-        let edges = pairs
+        pairs
             .into_iter()
             .map(|(a, b)| (a as u32, b as u32))
-            .collect();
-        #[allow(clippy::expect_used)] // the grid index yields valid, deduplicated pairs
-        LayoutGraph::homogeneous(self.features.len(), edges)
-            .expect("generated layouts produce valid conflict graphs")
+            .collect()
     }
 }
 

@@ -75,12 +75,10 @@ use http::HttpError;
 use jobs::{Claim, Job, JobRegistry};
 use mpld::json::{self, Value};
 use mpld::{
-    audit_boundary_units, prepare, prepare_tiled, BudgetPolicy, Engine, Journal, PreparedLayout,
-    Progress, Recovery, RunSummary, Session, TiledProgress, TiledRunSummary, TiledStats,
-    TilingConfig,
+    prepare, BudgetPolicy, Engine, Journal, PreparedLayout, Progress, Recovery, RunSummary, Session,
 };
 use mpld_graph::{fnv64, MpldError};
-use mpld_layout::{circuit_by_name, read_layout_limited, Layout, ReadLimits};
+use mpld_layout::{circuit_by_name, read_layout_limited, ReadLimits};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -108,13 +106,6 @@ pub struct ServerConfig {
     pub http: HttpLimits,
     /// Layout upload parsing caps (line length, rect/feature counts).
     pub upload: ReadLimits,
-    /// `Some` switches preparation to the tiled pipeline: layouts are
-    /// windowed into halo-exact tiles, per-tile progress is streamed as
-    /// NDJSON events to the job that triggered the preparation, boundary
-    /// units are re-audited after every solve, and run summaries carry a
-    /// tiled section. Costs and colorings are bit-identical to the
-    /// monolithic path (see `mpld::prepare_tiled`).
-    pub tiling: Option<TilingConfig>,
 }
 
 impl Default for ServerConfig {
@@ -126,7 +117,6 @@ impl Default for ServerConfig {
             journal_dir: None,
             http: HttpLimits::default(),
             upload: ReadLimits::UNTRUSTED,
-            tiling: None,
         }
     }
 }
@@ -212,24 +202,6 @@ struct Counters {
     rejected_busy: AtomicU64,
     bad_requests: AtomicU64,
     request_panics: AtomicU64,
-    tiled_preps: AtomicU64,
-    tiles_prepared: AtomicU64,
-    boundary_resolves: AtomicU64,
-}
-
-/// Tiled-preparation byproducts cached alongside a prepared layout so
-/// every job over it can re-audit boundary units and report tile counts.
-struct TiledExtra {
-    stats: TiledStats,
-    boundary_units: Vec<usize>,
-}
-
-/// A cached preparation: the layout plus, in tiled mode, its tiling
-/// byproducts. Monolithic and tiled entries are interchangeable for the
-/// solve itself — the prepared layout is bit-identical either way.
-struct PrepEntry {
-    prep: PreparedLayout,
-    tiled: Option<TiledExtra>,
 }
 
 /// Everything one serving loop shares between acceptor and workers.
@@ -237,13 +209,12 @@ struct ServerState {
     engine: Arc<Engine>,
     /// Per-circuit prepared-layout cache: preparation is deterministic,
     /// so one shared copy serves every request for the same circuit.
-    preps: Mutex<HashMap<String, Arc<PrepEntry>>>,
+    preps: Mutex<HashMap<String, Arc<PreparedLayout>>>,
     /// Prepared uploads keyed by a content hash; crudely bounded.
-    upload_preps: Mutex<HashMap<u64, Arc<PrepEntry>>>,
+    upload_preps: Mutex<HashMap<u64, Arc<PreparedLayout>>>,
     registry: JobRegistry,
     journal_dir: Option<PathBuf>,
     upload_limits: ReadLimits,
-    tiling: Option<TilingConfig>,
     http_limits: HttpLimits,
     started: Instant,
     queued: AtomicU64,
@@ -258,12 +229,15 @@ struct ServerState {
 const MAX_UPLOAD_PREPS: usize = 32;
 
 impl ServerState {
-    fn prep_circuit(&self, circuit: &str, events: &mut Vec<String>) -> Option<Arc<PrepEntry>> {
+    fn prep_circuit(&self, circuit: &str) -> Option<Arc<PreparedLayout>> {
         if let Some(p) = self.preps.lock().ok().and_then(|m| m.get(circuit).cloned()) {
             return Some(p);
         }
         let generator = circuit_by_name(circuit)?;
-        let entry = Arc::new(self.prepare_entry(&generator.generate(), events));
+        let entry = Arc::new(prepare(
+            &generator.generate(),
+            &self.engine.framework().params,
+        ));
         if let Ok(mut m) = self.preps.lock() {
             // First writer wins; a racing prepare produced the same value.
             return Some(m.entry(circuit.to_string()).or_insert(entry).clone());
@@ -272,11 +246,8 @@ impl ServerState {
     }
 
     /// Parses and prepares an uploaded layout under the configured caps.
-    fn prep_upload(
-        &self,
-        body: &[u8],
-        events: &mut Vec<String>,
-    ) -> Result<Arc<PrepEntry>, MpldError> {
+    /// The body is already whole in memory, so it is swept whole.
+    fn prep_upload(&self, body: &[u8]) -> Result<Arc<PreparedLayout>, MpldError> {
         let key = fnv64(body);
         if let Some(p) = self
             .upload_preps
@@ -287,7 +258,7 @@ impl ServerState {
             return Ok(p);
         }
         let layout = read_layout_limited(body, &self.upload_limits)?;
-        let entry = Arc::new(self.prepare_entry(&layout, events));
+        let entry = Arc::new(prepare(&layout, &self.engine.framework().params));
         if let Ok(mut m) = self.upload_preps.lock() {
             if m.len() >= MAX_UPLOAD_PREPS {
                 m.clear();
@@ -297,83 +268,10 @@ impl ServerState {
         Ok(entry)
     }
 
-    /// Monolithic or tiled preparation per the server's configuration.
-    /// In tiled mode the per-tile progress is rendered to NDJSON lines
-    /// pushed into `events` — the requesting job replays them at the
-    /// start of its stream (cache hits skip them: preparation already
-    /// happened) — and the tiling byproducts are kept for the per-solve
-    /// boundary audit.
-    fn prepare_entry(&self, layout: &Layout, events: &mut Vec<String>) -> PrepEntry {
-        let params = self.engine.framework().params;
-        let Some(config) = &self.tiling else {
-            return PrepEntry {
-                prep: prepare(layout, &params),
-                tiled: None,
-            };
-        };
-        let buffered = Mutex::new(Vec::new());
-        let tp = prepare_tiled(layout, &params, config, &|p| {
-            if let Ok(mut b) = buffered.lock() {
-                b.push(tiled_progress_json(&p));
-            }
-        });
-        events.extend(buffered.into_inner().unwrap_or_default());
-        let c = &self.counters;
-        c.tiled_preps.fetch_add(1, Ordering::Relaxed);
-        c.tiles_prepared.fetch_add(
-            (tp.stats.tiles_x * tp.stats.tiles_y) as u64,
-            Ordering::Relaxed,
-        );
-        c.boundary_resolves
-            .fetch_add(tp.stats.boundary_resolves as u64, Ordering::Relaxed);
-        PrepEntry {
-            prep: tp.prep,
-            tiled: Some(TiledExtra {
-                stats: tp.stats,
-                boundary_units: tp.boundary_units,
-            }),
-        }
-    }
-
     fn journal_path(&self, job_id: &str) -> Option<PathBuf> {
         self.journal_dir
             .as_ref()
             .map(|d| d.join(format!("{job_id}.jsonl")))
-    }
-}
-
-/// One tiled-preparation milestone as an NDJSON event line.
-fn tiled_progress_json(p: &TiledProgress) -> String {
-    match *p {
-        TiledProgress::Scanned { features, rects } => {
-            format!("{{\"event\":\"tiled_scan\",\"features\":{features},\"rects\":{rects}}}")
-        }
-        TiledProgress::Grid {
-            tiles_x,
-            tiles_y,
-            tile_span,
-            halo,
-        } => format!(
-            "{{\"event\":\"tiled_grid\",\"tiles_x\":{tiles_x},\"tiles_y\":{tiles_y},\
-             \"tile_span\":{tile_span},\"halo\":{halo}}}"
-        ),
-        TiledProgress::Tile {
-            index,
-            total,
-            features,
-            edges,
-        } => format!(
-            "{{\"event\":\"tile\",\"index\":{index},\"total\":{total},\
-             \"features\":{features},\"edges\":{edges}}}"
-        ),
-        TiledProgress::Simplified {
-            edges,
-            units,
-            boundary_units,
-        } => format!(
-            "{{\"event\":\"tiled_simplified\",\"edges\":{edges},\"units\":{units},\
-             \"boundary_units\":{boundary_units}}}"
-        ),
     }
 }
 
@@ -411,7 +309,6 @@ pub fn serve(
         registry: JobRegistry::default(),
         journal_dir: cfg.journal_dir.clone(),
         upload_limits: cfg.upload,
-        tiling: cfg.tiling,
         http_limits: cfg.http,
         started: Instant::now(),
         queued: AtomicU64::new(0),
@@ -619,7 +516,6 @@ fn stats_json(state: &ServerState) -> String {
          \"jobs\":{{\"registered\":{},\"started\":{},\"completed\":{},\"failed\":{},\
          \"resumed_units\":{},\"journal_records\":{},\"journal_restarts\":{}}},\
          \"http\":{{\"rejected_busy\":{},\"bad_requests\":{},\"request_panics\":{}}},\
-         \"tiled\":{{\"enabled\":{},\"preps\":{},\"tiles\":{},\"boundary_resolves\":{}}},\
          \"store\":{}}}",
         map_stats_json(&s.routing),
         map_stats_json(&s.solutions_ilp_first),
@@ -638,10 +534,6 @@ fn stats_json(state: &ServerState) -> String {
         ld(&c.rejected_busy),
         ld(&c.bad_requests),
         ld(&c.request_panics),
-        state.tiling.is_some(),
-        ld(&c.tiled_preps),
-        ld(&c.tiles_prepared),
-        ld(&c.boundary_resolves),
         store_stats_json(s.store.as_ref()),
     )
 }
@@ -671,14 +563,11 @@ fn handle_decompose(
     // Dispatch on the body's first non-whitespace byte: `{` is the JSON
     // circuit request, anything else is a raw layout upload.
     let first = req.body.iter().find(|b| !b.is_ascii_whitespace());
-    let prep: Arc<PrepEntry>;
+    let prep: Arc<PreparedLayout>;
     let seed: u64;
     let time_limit_ms: Option<u64>;
     let explicit_id: Option<String>;
     let kind: &str;
-    // Tiled-preparation progress lines buffered on a cache miss; the job
-    // that triggered the preparation replays them in its event stream.
-    let mut tile_events = Vec::new();
     match first {
         Some(b'{') => {
             // Only the body's top-level keys count.
@@ -697,7 +586,7 @@ fn handle_decompose(
                     &error_json("missing \"circuit\"", &[]),
                 );
             };
-            let Some(p) = state.prep_circuit(circuit, &mut tile_events) else {
+            let Some(p) = state.prep_circuit(circuit) else {
                 return respond_json(
                     stream,
                     "404 Not Found",
@@ -717,7 +606,7 @@ fn handle_decompose(
             kind = "circuit";
         }
         Some(_) => {
-            match state.prep_upload(&req.body, &mut tile_events) {
+            match state.prep_upload(&req.body) {
                 Ok(p) => prep = p,
                 Err(e) => return respond_parse_error(stream, &e),
             }
@@ -753,16 +642,7 @@ fn handle_decompose(
 
     match state.registry.claim(&job_id) {
         Claim::Attach(job) => stream_job(stream, &job),
-        Claim::Run(job) => run_job(
-            stream,
-            state,
-            &job_id,
-            &job,
-            &prep,
-            &tile_events,
-            seed,
-            time_limit_ms,
-        ),
+        Claim::Run(job) => run_job(stream, state, &job_id, &job, &prep, seed, time_limit_ms),
     }
 }
 
@@ -791,19 +671,17 @@ impl Drop for JobGuard<'_> {
     }
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_lines)]
 fn run_job(
     mut stream: TcpStream,
     state: &Arc<ServerState>,
     job_id: &str,
     job: &Arc<Job>,
-    entry: &Arc<PrepEntry>,
-    tile_events: &[String],
+    prep: &PreparedLayout,
     seed: u64,
     time_limit_ms: Option<u64>,
 ) -> std::io::Result<()> {
     state.counters.jobs_started.fetch_add(1, Ordering::Relaxed);
-    let prep = &entry.prep;
     let params = state.engine.framework().params;
     let mut guard = JobGuard {
         state,
@@ -861,9 +739,6 @@ fn run_job(
         json::string(job_id),
         journal.is_some()
     ));
-    for line in tile_events {
-        emit(line);
-    }
 
     let policy = BudgetPolicy {
         total: time_limit_ms.map(Duration::from_millis),
@@ -905,19 +780,7 @@ fn run_job(
 
     match result {
         Ok(r) => {
-            let mut summary = RunSummary::from_result(&prep.name, &r, params.alpha, 1, Some(seed));
-            if let Some(t) = &entry.tiled {
-                // Independent Eq. 1 re-audit of every unit that spans a
-                // tile boundary, against this solve's reported costs.
-                let (units, clean) = audit_boundary_units(prep, &r, &t.boundary_units, params.k);
-                emit(&format!(
-                    "{{\"event\":\"boundary_audit\",\"units\":{units},\"clean\":{clean}}}"
-                ));
-                summary.tiled = Some(TiledRunSummary {
-                    tiles: t.stats.tiles_x * t.stats.tiles_y,
-                    boundary_resolves: t.stats.boundary_resolves,
-                });
-            }
+            let summary = RunSummary::from_result(&prep.name, &r, params.alpha, 1, Some(seed));
             emit(&format!(
                 "{{\"event\":\"done\",\"job\":{},\"summary\":{}}}",
                 json::string(job_id),

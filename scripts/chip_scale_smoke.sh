@@ -4,16 +4,21 @@
 #
 # 1. Train a tiny model and stream a ~100k-rect synthetic layout to disk
 #    with `mpld gen` (the generator and writer are both incremental).
-# 2. Decompose it with `mpld adaptive --tiled true` inside a subshell
-#    whose address space is capped by `ulimit -v` — the run must fit in
-#    O(tile) working memory plus the model and graph metadata, with no
-#    way to silently fall back to holding the layout whole.
-# 3. Decompose the same file through the monolithic path and assert the
-#    deterministic digest fields (cost, units, routing usage, budget)
-#    are bit-identical — the tiled pipeline's parity contract.
-# 4. Compare the written mask files byte for byte: tiled vs monolithic,
-#    and the monolithic run at --threads 1 vs --threads 2 (a coloring is
-#    a pure function of model, layout and seed).
+# 2. Decompose it with `mpld adaptive` (a layout file always streams
+#    through the tiler) inside a subshell whose address space is capped
+#    by `ulimit -v` — the run must fit in O(tile) working memory plus the
+#    model and graph metadata, with no way to silently fall back to
+#    holding the layout whole.
+# 3. Decompose it again at --threads 1 and --threads 2 and compare the
+#    written mask files byte for byte (a coloring is a pure function of
+#    model, layout and seed).
+# 4. Streamed versus whole, at the CLI: write circuit C6288 to a file
+#    with `mpld generate`, decompose the file (streamed through the
+#    tiler) and the circuit name (swept whole), and assert byte-identical
+#    masks and identical deterministic digest fields (cost, units,
+#    routing usage, budget) — the tiler's parity contract. The
+#    chip-scale layout's own comparison with a whole sweep is the
+#    ignored release test in tests/tiled_parity.rs.
 #
 # Usage: scripts/chip_scale_smoke.sh [model-path]
 # Knobs: MPLD_BIN (default target/release/mpld),
@@ -28,40 +33,50 @@ MODEL=${1:-/tmp/ci-chip-model.bin}
 RECTS=${MPLD_SMOKE_RECTS:-100000}
 MEM_KB=${MPLD_SMOKE_MEM_KB:-262144}
 LAYOUT=/tmp/ci-chip.mpld
+C6288=/tmp/ci-c6288.mpld
 
 "$BIN" train -o "$MODEL" --circuits C432 --cap 20 --epochs 2
 
 "$BIN" gen --rects "$RECTS" --out "$LAYOUT" --seed 5
 test -s "$LAYOUT"
 
-echo "== tiled run under ulimit -v ${MEM_KB}kB =="
+echo "== streamed run under ulimit -v ${MEM_KB}kB =="
 (
   ulimit -v "$MEM_KB"
-  "$BIN" adaptive "$LAYOUT" --model "$MODEL" --tiled true --seed 7 \
-    --json true -o /tmp/ci-chip-tiled.masks > /tmp/ci-chip-tiled.json
+  "$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 \
+    --json true -o /tmp/ci-chip.masks > /tmp/ci-chip.json
 )
-cat /tmp/ci-chip-tiled.json
+cat /tmp/ci-chip.json
 
-echo "== monolithic oracle =="
+echo "== one tail worker =="
 "$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 --threads 1 \
-  --json true -o /tmp/ci-chip-serial.masks > /tmp/ci-chip-serial.json
-cat /tmp/ci-chip-serial.json
+  --json true -o /tmp/ci-chip-threads1.masks > /tmp/ci-chip-threads1.json
 
-echo "== monolithic, two tail workers =="
+echo "== two tail workers =="
 "$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 --threads 2 \
   --json true -o /tmp/ci-chip-threads2.masks > /tmp/ci-chip-threads2.json
 
-echo "== mask files byte for byte =="
-cmp /tmp/ci-chip-tiled.masks /tmp/ci-chip-serial.masks
-cmp /tmp/ci-chip-serial.masks /tmp/ci-chip-threads2.masks
-echo "masks identical: tiled = monolithic, --threads 1 = --threads 2"
+echo "== chip mask files byte for byte =="
+cmp /tmp/ci-chip.masks /tmp/ci-chip-threads1.masks
+cmp /tmp/ci-chip-threads1.masks /tmp/ci-chip-threads2.masks
+echo "masks identical: capped run = --threads 1 = --threads 2"
+
+echo "== C6288: streamed file versus whole circuit =="
+"$BIN" generate C6288 -o "$C6288"
+"$BIN" adaptive "$C6288" --model "$MODEL" --seed 7 \
+  --json true -o /tmp/ci-c6288-file.masks > /tmp/ci-c6288-file.json
+"$BIN" adaptive C6288 --model "$MODEL" --seed 7 \
+  --json true -o /tmp/ci-c6288-whole.masks > /tmp/ci-c6288-whole.json
+cat /tmp/ci-c6288-file.json
+cmp /tmp/ci-c6288-file.masks /tmp/ci-c6288-whole.masks
+echo "masks identical: streamed file = whole circuit"
 
 echo "== digest parity =="
-python3 - /tmp/ci-chip-tiled.json /tmp/ci-chip-serial.json <<'EOF'
+python3 - /tmp/ci-chip.json /tmp/ci-chip-threads1.json /tmp/ci-chip-threads2.json \
+  /tmp/ci-c6288-file.json /tmp/ci-c6288-whole.json <<'EOF'
 import json, sys
 
-tiled = json.load(open(sys.argv[1]))
-serial = json.load(open(sys.argv[2]))
+chip, chip1, chip2, c_file, c_whole = (json.load(open(p)) for p in sys.argv[1:])
 
 # Deterministic digest fields; reuse accounting (memo_hits) and timings
 # are not part of the digest.
@@ -77,21 +92,30 @@ def digest(s):
         "budget": s["budget"],
     }
 
-dt, ds = digest(tiled), digest(serial)
-if dt != ds:
-    print(f"tiled digest diverged:\n  tiled:  {dt}\n  serial: {ds}")
-    sys.exit(1)
+def same(a, b, what):
+    da, db = digest(a), digest(b)
+    if da != db:
+        print(f"{what} digest diverged:\n  {da}\n  {db}")
+        sys.exit(1)
 
-tiles = tiled.get("tiles", 0)
-if tiles <= 1:
-    print(f"tiled run degenerated to {tiles} tile(s)")
-    sys.exit(1)
-if tiled["budget"]["quarantined"] or tiled["budget"]["audit_rejections"]:
-    print("tiled run was not audit-clean")
+same(chip, chip1, "chip capped run vs --threads 1")
+same(chip1, chip2, "chip --threads 1 vs --threads 2")
+same(c_file, c_whole, "C6288 streamed file vs whole circuit")
+
+for s, what in ((chip, "chip"), (c_file, "C6288 file")):
+    tiles = s.get("tiles", 0)
+    if tiles <= 1:
+        print(f"{what} run degenerated to {tiles} tile(s)")
+        sys.exit(1)
+    if s["budget"]["quarantined"] or s["budget"]["audit_rejections"]:
+        print(f"{what} run was not audit-clean")
+        sys.exit(1)
+if "tiles" in c_whole:
+    print("the whole-circuit run reported a tiling")
     sys.exit(1)
 print(
-    f"chip-scale smoke OK: {dt['units']} units over {tiles} tiles, "
-    f"{tiled.get('boundary_resolves')} boundary re-solves, "
-    f"digest identical to the monolithic run"
+    f"chip-scale smoke OK: {chip['units']} units over {chip['tiles']} tiles, "
+    f"{chip.get('boundary_resolves')} boundary re-solves; C6288 streamed over "
+    f"{c_file['tiles']} tiles, digest identical to the whole sweep"
 )
 EOF
