@@ -9,10 +9,8 @@
 //! [`mpld_bench::check_digest`]'s rule, prints every differing path, and
 //! exits 1 if any differs.
 //!
-//! Nothing here reads a clock except the `budgeted` section, whose 1 ms
-//! per-unit deadline is wall-clock time: its counts depend on the host
-//! and its load, so they are informational, not digest fields. Timing is
-//! the job of the `perfbench/` benchmark and the criterion benches.
+//! Nothing here reads a clock. Timing is the job of the `perfbench/`
+//! benchmark and the criterion benches.
 //!
 //! Usage: `cargo run --release -p mpld-bench --bin perf_baseline --
 //! [out.json] [--check <committed.json>]`
@@ -25,7 +23,7 @@
 
 use mpld::{
     audit_boundary_units, prepare, prepare_tiled_file, train_framework_with_report, AdaptiveResult,
-    BudgetPolicy, EngineKind, PreparedLayout, Recovery, Session, TilingConfig, TrainingData,
+    PreparedLayout, Session, TilingConfig, TrainingData,
 };
 use mpld_bench::{check_digest, coloring_digest, env_usize};
 use mpld_graph::DecomposeParams;
@@ -34,9 +32,6 @@ use mpld_layout::{
 };
 use std::fmt::Write as _;
 use std::time::Duration;
-
-/// The `budgeted` section's per-unit deadline.
-const UNIT_LIMIT_MS: u64 = 1;
 
 fn main() {
     let (out_path, committed_path) = parse_args();
@@ -143,53 +138,6 @@ fn main() {
     // framework itself is consumed by `Engine::new` in section 5.
     let mut model_bytes: Vec<u8> = Vec::new();
     fw.save(&mut model_bytes).expect("serialize framework");
-
-    // 4. Budget-exhaustion profile: the whole suite again under a tight
-    // per-unit deadline, recording per-solver exhaustion and fallback
-    // counts (the anytime-contract numbers the framework reports).
-    let policy = BudgetPolicy {
-        per_unit: Some(Duration::from_millis(UNIT_LIMIT_MS)),
-        ..BudgetPolicy::unlimited()
-    };
-    let (mut certified, mut heuristic, mut exhausted, mut fallbacks) = (0usize, 0, 0, 0);
-    let (mut b_audit_rejections, mut b_quarantined) = (0usize, 0usize);
-    let mut by_engine = [
-        (EngineKind::Matching, "matching", 0usize, 0usize),
-        (EngineKind::ColorGnn, "colorgnn", 0, 0),
-        (EngineKind::Ilp, "ilp", 0, 0),
-        (EngineKind::Ec, "ec", 0, 0),
-    ];
-    for prep in &prepared {
-        fw.colorgnn.reseed(seed);
-        let r = fw
-            .decompose_prepared_parallel_recoverable(prep, threads, &policy, Recovery::default())
-            .expect("budget exhaustion is not an error");
-        certified += r.budget.certified;
-        heuristic += r.budget.heuristic;
-        exhausted += r.budget.budget_exhausted;
-        fallbacks += r.budget.budget_fallbacks;
-        b_audit_rejections += r.budget.audit_rejections;
-        b_quarantined += r.budget.quarantined;
-        for o in &r.unit_outcomes {
-            for row in &mut by_engine {
-                if row.0 == o.engine {
-                    row.2 += usize::from(o.certainty == mpld_graph::Certainty::BudgetExhausted);
-                    row.3 += usize::from(o.budget_fallback);
-                }
-            }
-        }
-    }
-    eprintln!(
-        "budgeted suite ({UNIT_LIMIT_MS}ms/unit): {certified} certified, {heuristic} heuristic, {exhausted} budget-exhausted, {fallbacks} fallbacks, {b_audit_rejections} audit rejections, {b_quarantined} quarantined"
-    );
-    let exhausted_rows: Vec<String> = by_engine
-        .iter()
-        .map(|(_, label, x, _)| format!("\"{label}\": {x}"))
-        .collect();
-    let fallback_rows: Vec<String> = by_engine
-        .iter()
-        .map(|(_, label, _, f)| format!("\"{label}\": {f}"))
-        .collect();
 
     // 5. Serving: the suite once more through the long-lived service — a
     // warm shared [`mpld::Engine`] behind the real HTTP/NDJSON endpoint,
@@ -423,12 +371,16 @@ fn main() {
             results.push(r);
         }
         let stats = store_engine.stats();
-        let s = stats.store.as_ref().expect("store stats present");
+        let (load, w) = stats.store.expect("store stats present");
         eprintln!(
             "library [{label}]: {fresh} fresh tail solves ({} loaded, library {}, {} appended)",
-            s.loaded_solves,
-            if s.lib_loaded { "loaded" } else { "rebuilt" },
-            s.appended
+            load.solves,
+            if load.lib_complete {
+                "loaded"
+            } else {
+                "rebuilt"
+            },
+            w.appended
         );
         (results, fresh, stats)
     };
@@ -457,17 +409,17 @@ fn main() {
         warm_fresh * 5 <= cold_fresh,
         "warm store-backed run must re-solve >=80% less: cold {cold_fresh}, warm {warm_fresh}"
     );
-    let warm_store = warm_stats.store.as_ref().expect("store stats present");
+    let (warm_load, warm_writer) = warm_stats.store.expect("store stats present");
     assert!(
-        warm_store.lib_loaded && warm_store.loaded_solves > 0,
-        "the warm engine must load the library and solves from the store: {warm_store:?}"
+        warm_load.lib_complete && warm_load.solves > 0,
+        "the warm engine must load the library and solves from the store: {warm_load:?}"
     );
     let library_hit_rate = (cold_fresh - warm_fresh) as f64 / cold_fresh as f64;
     let _ = std::fs::remove_dir_all(&store_dir);
     eprintln!(
         "library store: cold {cold_fresh} -> warm {warm_fresh} fresh tail solves ({:.1}% served), {} solves loaded",
         library_hit_rate * 100.0,
-        warm_store.loaded_solves
+        warm_load.solves
     );
     drop(cold_results);
     drop(warm_results);
@@ -623,24 +575,6 @@ fn main() {
     out!("      \"colorgnn\": {:.9}", train_report.colorgnn_loss);
     out!("    }}");
     out!("  }},");
-    out!("  \"budgeted\": {{");
-    out!("    \"threads\": {threads},");
-    out!("    \"unit_time_limit_ms\": {UNIT_LIMIT_MS},");
-    out!("    \"certified\": {certified},");
-    out!("    \"heuristic\": {heuristic},");
-    out!("    \"budget_exhausted\": {exhausted},");
-    out!("    \"budget_fallbacks\": {fallbacks},");
-    out!("    \"audit_rejections\": {b_audit_rejections},");
-    out!("    \"quarantined\": {b_quarantined},");
-    out!(
-        "    \"exhausted_by_engine\": {{{}}},",
-        exhausted_rows.join(", ")
-    );
-    out!(
-        "    \"fallbacks_by_engine\": {{{}}}",
-        fallback_rows.join(", ")
-    );
-    out!("  }},");
     out!("  \"serving\": {{");
     out!("    \"workers\": {serve_workers},");
     out!("    \"queue_depth\": {serve_queue},");
@@ -672,9 +606,9 @@ fn main() {
     out!("    \"cold_tail_solves\": {cold_fresh},");
     out!("    \"warm_tail_solves\": {warm_fresh},");
     out!("    \"warm_hit_rate\": {library_hit_rate:.4},");
-    out!("    \"lib_loaded\": {},", warm_store.lib_loaded);
-    out!("    \"loaded_solves\": {},", warm_store.loaded_solves);
-    out!("    \"store_entries\": {}", warm_store.entries);
+    out!("    \"lib_loaded\": {},", warm_load.lib_complete);
+    out!("    \"loaded_solves\": {},", warm_load.solves);
+    out!("    \"store_entries\": {}", warm_writer.entries);
     out!("  }},");
     out!("  \"chip_scale\": {{");
     out!("    \"threads\": {threads},");

@@ -226,11 +226,11 @@ const KNOBS: [(&str, &str); 6] = [
 /// even when the two runs decomposed a different number of `circuits`.
 const SUITE_FREE: [&str; 2] = ["training", "chip_scale"];
 
-/// Host facts and the wall-clock `budgeted` section: they differ between
-/// runs of one binary, so no digest compares them.
+/// Host facts: they differ between runs of one binary, so no digest
+/// compares them.
 fn host_fact(path: &str, key: &str) -> bool {
     key == "threads"
-        || (path.is_empty() && matches!(key, "cpu_cores" | "budgeted"))
+        || (path.is_empty() && key == "cpu_cores")
         || (path == "serving" && key == "workers")
 }
 
@@ -248,8 +248,8 @@ pub struct DigestCheck {
 
 /// Compares a fresh `perf_baseline` artifact with the committed one by
 /// one rule: every field must be equal, except host facts (`threads` at
-/// any level, `cpu_cores`, `serving.workers`) and the wall-clock
-/// `budgeted` section. `per_circuit` rows are matched by `name`.
+/// any level, `cpu_cores`, `serving.workers`). `per_circuit` rows are
+/// matched by `name`.
 ///
 /// Runs that differ in `fp_kernel`, `seed`, `train_cap` or `epochs` are
 /// not compared at all; `training` is skipped when `train_seed` differs
@@ -509,12 +509,9 @@ mod tests {
             "adaptive.threads",
             "chip_scale.threads",
             "serving.workers",
-            "budgeted.certified",
-            "budgeted.exhausted_by_engine.ec",
         ] {
             set(&mut fresh, path, "2");
         }
-        remove(&mut fresh, "budgeted", "heuristic");
         assert_eq!(check_digest(&fresh, &committed()), DigestCheck::default());
     }
 

@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::{parse, Parsed};
+use mpld::json::Value;
 use mpld::{
     audit_boundary_units, layout_stats, prepare, prepare_tiled_file, run_pipeline,
     AdaptiveFramework, BudgetPolicy, Engine, Journal, OfflineConfig, Recovery, RunSummary, Session,
@@ -601,13 +602,13 @@ fn load_engine(parsed: &Parsed, model: &str, params: &DecomposeParams) -> Result
 
 /// One human-readable line about what the store contributed to a run.
 fn print_store_line(engine: &Engine) {
-    if let Some(s) = engine.stats().store {
+    if let Some((s, w)) = engine.stats().store {
         println!(
             "store: {} solves loaded ({} ms), library {}, {} appended{}{}",
-            s.loaded_solves,
+            s.solves,
             s.load_ms,
-            if s.lib_loaded { "loaded" } else { "rebuilt" },
-            s.appended,
+            if s.lib_complete { "loaded" } else { "rebuilt" },
+            w.appended,
             if s.rekeyed {
                 ", re-keyed stale file"
             } else {
@@ -643,8 +644,10 @@ fn cmd_library(parsed: &Parsed) -> Result<(), CliError> {
             let files = mpld_store::scan_dir(dir)
                 .map_err(|e| format!("cannot scan {}: {e}", dir.display()))?;
             if json {
-                let items: Vec<String> = files.iter().map(library_stats_json).collect();
-                println!("[{}]", items.join(","));
+                println!(
+                    "{}",
+                    Value::Arr(files.iter().map(library_stats_json).collect())
+                );
                 return Ok(());
             }
             if files.is_empty() {
@@ -757,29 +760,28 @@ fn cmd_library(parsed: &Parsed) -> Result<(), CliError> {
     }
 }
 
-fn library_stats_json(f: &mpld_store::FileStats) -> String {
-    let header = match &f.header {
-        Some(h) => format!(
-            "{{\"model\":\"{:016x}\",\"k\":{},\"alpha\":{},\"dim\":{},\"library\":{}}}",
-            h.model_digest,
-            h.k,
-            h.alpha,
-            h.dim,
-            mpld::json::string(&h.library)
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"path\":{},\"header\":{header},\"solves\":{},\"buckets\":{},\
-         \"lib_entries\":{},\"lib_complete\":{},\"corrupt\":{},\"bytes\":{}}}",
-        mpld::json::string(&f.path.display().to_string()),
-        f.solves,
-        f.buckets,
-        f.lib_entries,
-        f.lib_complete,
-        f.corrupt,
-        f.bytes
-    )
+/// One store file's `library stats --json` object (`alpha` in its `{}`
+/// form, `header` null when unreadable).
+fn library_stats_json(f: &mpld_store::FileStats) -> Value<'_> {
+    let header = f.header.as_ref().map(|h| {
+        Value::obj([
+            ("model", format!("{:016x}", h.model_digest).into()),
+            ("k", u64::from(h.k).into()),
+            ("alpha", Value::Num(h.alpha.to_string().into())),
+            ("dim", h.dim.into()),
+            ("library", h.library.as_str().into()),
+        ])
+    });
+    Value::obj([
+        ("path", f.path.display().to_string().into()),
+        ("header", header.into()),
+        ("solves", f.solves.into()),
+        ("buckets", f.buckets.into()),
+        ("lib_entries", f.lib_entries.into()),
+        ("lib_complete", f.lib_complete.into()),
+        ("corrupt", f.corrupt.into()),
+        ("bytes", f.bytes.into()),
+    ])
 }
 
 /// `mpld adaptive`: one [`Engine`] + [`Session`] run, whatever the
@@ -884,7 +886,7 @@ fn cmd_adaptive(parsed: &Parsed) -> Result<(), CliError> {
         );
         if let (Some((stats, _)), Some((audited, clean))) = (&tiled, boundary) {
             println!(
-                "tiling: {}x{} tiles (span {} nm, halo {} nm), {} of {} features replicated",
+                "tiling: {}x{} tiles (span {} nm, halo {} nm), {} copies of {} features",
                 stats.tiles_x,
                 stats.tiles_y,
                 stats.tile_span,
@@ -1036,11 +1038,11 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), CliError> {
     // and certified fresh solves append back (write-behind) so a warm
     // restart serves the same workload with near-zero tail solves.
     let engine = load_engine(parsed, model, &params)?;
-    if let Some(s) = engine.stats().store {
+    if let Some((s, _)) = engine.stats().store {
         eprintln!(
             "store: {} solves preloaded, library {} ({} ms{})",
-            s.loaded_solves,
-            if s.lib_loaded { "loaded" } else { "rebuilt" },
+            s.solves,
+            if s.lib_complete { "loaded" } else { "rebuilt" },
             s.load_ms,
             if s.rekeyed { ", re-keyed" } else { "" },
         );

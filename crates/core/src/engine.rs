@@ -107,44 +107,6 @@ struct CachedSolve {
 struct EngineStore {
     writer: mpld_store::StoreWriter,
     load: mpld_store::LoadReport,
-    lib_loaded: bool,
-}
-
-/// Snapshot of an [`Engine`]'s persistent-store counters: the load-time
-/// report plus the live writer counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStoreStats {
-    /// Audit-clean tail solves preloaded into the solution caches.
-    pub loaded_solves: usize,
-    /// Malformed records skipped at load.
-    pub skipped_corrupt: usize,
-    /// Records whose coloring failed the load-time re-audit.
-    pub skipped_audit: usize,
-    /// Older duplicates superseded at load.
-    pub superseded: usize,
-    /// Library records orphaned by a missing completion marker.
-    pub orphaned: usize,
-    /// Whether a key-mismatched file was moved aside at open.
-    pub rekeyed: bool,
-    /// Whether the load ended on a torn final line.
-    pub torn_tail: bool,
-    /// Whether another live writer held the store file at open, so this
-    /// engine appends nothing to it.
-    pub read_only: bool,
-    /// Whether the graph library was served from the store (vs rebuilt).
-    pub lib_loaded: bool,
-    /// Store load time in milliseconds.
-    pub load_ms: u64,
-    /// Solve records appended by this engine so far.
-    pub appended: u64,
-    /// Records dropped by caps or uncacheable certainty.
-    pub dropped: u64,
-    /// Batched write+fsync cycles completed.
-    pub flushes: u64,
-    /// Append batches lost to I/O errors.
-    pub io_errors: u64,
-    /// Solve records the store file holds.
-    pub entries: u64,
 }
 
 /// The frozen inference heads one decomposition runs.
@@ -196,8 +158,11 @@ pub struct EngineStats {
     pub solutions_ilp_first: ShardedMapStats,
     /// Tail-solution counters for EC-first routed units.
     pub solutions_ec_first: ShardedMapStats,
-    /// Persistent-store counters; `None` for an in-memory engine.
-    pub store: Option<EngineStoreStats>,
+    /// The persistent store's load report (frozen at construction; its
+    /// `lib_complete` says whether the graph library came from the
+    /// store) and its writer's live counters; `None` for an in-memory
+    /// engine.
+    pub store: Option<(mpld_store::LoadReport, mpld_store::WriterStats)>,
 }
 
 /// The ColorGNN seed of every entry point (CLI, server, client) whose
@@ -305,12 +270,10 @@ impl Engine {
 
     /// Attaches an opened persistent store: preloads its audit-clean
     /// tail solves into the solution caches and appends published solves
-    /// back (write-behind). `lib_loaded` records whether the graph
-    /// library came from the store too.
+    /// back (write-behind).
     pub fn with_store(
         fw: AdaptiveFramework,
         opened: mpld_store::OpenedStore,
-        lib_loaded: bool,
         cache_cap: Option<usize>,
     ) -> Self {
         let mut engine = Self::with_cache_cap(fw, cache_cap);
@@ -331,7 +294,6 @@ impl Engine {
         engine.shared.store = Some(EngineStore {
             writer,
             load: load.report,
-            lib_loaded,
         });
         engine
     }
@@ -361,26 +323,7 @@ impl Engine {
             routing: shared.routing.stats(),
             solutions_ilp_first: shared.solutions[0].stats(),
             solutions_ec_first: shared.solutions[1].stats(),
-            store: shared.store.as_ref().map(|s| {
-                let w = s.writer.stats();
-                EngineStoreStats {
-                    loaded_solves: s.load.solves,
-                    skipped_corrupt: s.load.skipped_corrupt,
-                    skipped_audit: s.load.skipped_audit,
-                    superseded: s.load.superseded,
-                    orphaned: s.load.orphaned,
-                    rekeyed: s.load.rekeyed,
-                    torn_tail: s.load.torn_tail,
-                    read_only: w.read_only,
-                    lib_loaded: s.lib_loaded,
-                    load_ms: s.load.load_ms,
-                    appended: w.appended,
-                    dropped: w.dropped,
-                    flushes: w.flushes,
-                    io_errors: w.io_errors,
-                    entries: w.entries,
-                }
-            }),
+            store: shared.store.as_ref().map(|s| (s.load, s.writer.stats())),
         }
     }
 

@@ -57,7 +57,7 @@ mod tiled;
 mod training;
 
 pub use density::{density_imbalance, mask_densities};
-pub use engine::{Engine, EngineStats, EngineStoreStats, Progress, Session, DEFAULT_SEED};
+pub use engine::{Engine, EngineStats, Progress, Session, DEFAULT_SEED};
 pub use framework::{
     AdaptiveFramework, AdaptiveResult, BudgetBreakdown, BudgetPolicy, EngineKind, InferenceStats,
     Recovery, TimingBreakdown, UnitOutcome, UsageBreakdown,

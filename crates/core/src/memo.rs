@@ -23,28 +23,12 @@ use std::collections::HashMap;
 pub struct EmbeddingMemo<'a> {
     buckets: HashMap<u64, Vec<(&'a LayoutGraph, usize)>>,
     hits: usize,
-    /// Optional entry cap; inserts beyond it are dropped (counted), so a
-    /// pathological request with millions of distinct units cannot grow
-    /// the memo without bound. Dropping a representative only costs a
-    /// duplicate forward pass — never correctness.
-    cap: Option<usize>,
-    entries: usize,
-    dropped: usize,
-    high_water: usize,
 }
 
 impl<'a> EmbeddingMemo<'a> {
     /// Empty memo.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty memo holding at most `cap` representatives.
-    pub fn with_capacity(cap: Option<usize>) -> Self {
-        EmbeddingMemo {
-            cap,
-            ..Self::default()
-        }
     }
 
     /// Look up a graph; on a verified hit returns the representative slot
@@ -63,34 +47,17 @@ impl<'a> EmbeddingMemo<'a> {
     }
 
     /// Register `g` as the representative for its structure class,
-    /// associated with `slot`. Beyond the cap the registration is
-    /// dropped (counted): later duplicates simply miss and re-infer.
+    /// associated with `slot`.
     pub fn insert(&mut self, g: &'a LayoutGraph, slot: usize) {
-        if self.cap.is_some_and(|cap| self.entries >= cap) {
-            self.dropped += 1;
-            return;
-        }
         self.buckets
             .entry(graph_fingerprint(g))
             .or_default()
             .push((g, slot));
-        self.entries += 1;
-        self.high_water = self.high_water.max(self.entries);
     }
 
     /// Verified hits served so far.
     pub fn hits(&self) -> usize {
         self.hits
-    }
-
-    /// Representatives dropped by the cap.
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-
-    /// Largest representative count ever held.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -218,24 +185,6 @@ mod tests {
             .or_default()
             .push((&a, 3));
         assert_eq!(memo.find(&b), None);
-    }
-
-    #[test]
-    fn cap_drops_registrations_but_never_hits() {
-        let graphs: Vec<LayoutGraph> = (2..6)
-            .map(|n| LayoutGraph::homogeneous(n, vec![(0, 1)]).unwrap())
-            .collect();
-        let mut memo = EmbeddingMemo::with_capacity(Some(2));
-        for (i, g) in graphs.iter().enumerate() {
-            memo.insert(g, i);
-        }
-        assert_eq!(memo.dropped(), 2);
-        assert_eq!(memo.high_water(), 2);
-        // The first two representatives still serve verified hits.
-        assert_eq!(memo.find(&graphs[0]), Some(0));
-        assert_eq!(memo.find(&graphs[1]), Some(1));
-        // The dropped ones miss — a duplicate forward pass, not an error.
-        assert_eq!(memo.find(&graphs[3]), None);
     }
 
     #[test]

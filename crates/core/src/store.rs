@@ -95,7 +95,6 @@ pub fn engine_with_store_configured(
     let digest = mpld_store::fnv64(model_bytes);
     let mut opened = None;
     let mut open_err = None;
-    let mut lib_loaded = false;
     let mut fw = AdaptiveFramework::load_with_library(
         std::io::Cursor::new(model_bytes),
         params,
@@ -108,7 +107,6 @@ pub fn engine_with_store_configured(
                         o.load.lib.take().map(|entries| {
                             GraphLibrary::from_entries(entries, cfg.library.max_nodes)
                         });
-                    lib_loaded = lib.is_some();
                     opened = Some(o);
                     lib
                 }
@@ -131,16 +129,13 @@ pub fn engine_with_store_configured(
         ));
     };
     configure(&mut fw);
-    if !lib_loaded {
+    let report = opened.load.report;
+    if !report.lib_complete {
         // First process under this key: persist the freshly built
         // library so the next one skips the enumeration rebuild.
         opened.writer.append_lib(fw.library.entries());
     }
-    let report = opened.load.report;
-    Ok((
-        Engine::with_store(fw, opened, lib_loaded, cache_cap),
-        report,
-    ))
+    Ok((Engine::with_store(fw, opened, cache_cap), report))
 }
 
 #[cfg(test)]

@@ -3,11 +3,10 @@
 //! replayed CLI run and a served request can be compared field by field.
 //!
 //! The format is a single-line JSON object with nested sections
-//! (`cost`, `usage`, `inference`, `budget`), written with `format!` and
-//! the [`json`] codec's string escaper and read back through the codec by
-//! key path; `parse(to_json(s)) == s` round-trips exactly (floats are
-//! emitted in Rust's shortest round-trip form, which the codec keeps as
-//! text).
+//! (`cost`, `usage`, `inference`, `budget`), written and read back by
+//! key path through the [`json`] codec; `parse(to_json(s)) == s`
+//! round-trips exactly (floats are written in Rust's shortest
+//! round-trip form, which the codec keeps as text).
 
 use crate::framework::AdaptiveResult;
 use mpld_store::json::{self, Value};
@@ -129,55 +128,68 @@ impl RunSummary {
 
     /// Serializes to one line of JSON (no trailing newline).
     pub fn to_json(&self) -> String {
-        let seed = match self.seed {
-            Some(s) => s.to_string(),
-            None => "null".to_string(),
-        };
-        let tiled = match self.tiled {
-            Some(t) => format!(
-                ",\"tiles\":{},\"boundary_resolves\":{}",
-                t.tiles, t.boundary_resolves
-            ),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"layout\":{},\"units\":{},\"threads\":{},\"seed\":{},",
-                "\"cost\":{{\"conflicts\":{},\"stitches\":{},\"objective\":{}}},",
-                "\"decompose_ms\":{},",
-                "\"usage\":{{\"matching\":{},\"colorgnn\":{},\"ec\":{},\"ilp\":{},",
-                "\"colorgnn_fallbacks\":{},\"memo_hits\":{}}},",
-                "\"inference\":{{\"dedup_hits\":{},",
-                "\"routing_memo_hits\":{},\"units_inferred\":{}}},",
-                "\"budget\":{{\"certified\":{},\"heuristic\":{},\"budget_exhausted\":{},",
-                "\"budget_fallbacks\":{},\"quarantined\":{},\"audit_rejections\":{}}},",
-                "\"resumed_units\":{}{}}}"
-            ),
-            json::string(&self.layout),
-            self.units,
-            self.threads,
-            seed,
-            self.conflicts,
-            self.stitches,
-            float(self.objective),
-            float(self.decompose_ms),
-            self.matching,
-            self.colorgnn,
-            self.ec,
-            self.ilp,
-            self.colorgnn_fallbacks,
-            self.memo_hits,
-            self.dedup_hits,
-            self.routing_memo_hits,
-            self.units_inferred,
-            self.certified,
-            self.heuristic,
-            self.budget_exhausted,
-            self.budget_fallbacks,
-            self.quarantined,
-            self.audit_rejections,
-            self.resumed_units,
-            tiled,
+        self.to_value().to_string()
+    }
+
+    /// The summary as a codec value: what [`RunSummary::to_json`] writes
+    /// and the server's `done` event nests. Floats keep the codec's
+    /// shortest round-trip form.
+    pub fn to_value(&self) -> Value<'_> {
+        let tiled = self.tiled.iter().flat_map(|t| {
+            [
+                ("tiles", t.tiles.into()),
+                ("boundary_resolves", t.boundary_resolves.into()),
+            ]
+        });
+        Value::obj(
+            [
+                ("layout", self.layout.as_str().into()),
+                ("units", self.units.into()),
+                ("threads", self.threads.into()),
+                ("seed", self.seed.into()),
+                (
+                    "cost",
+                    Value::obj([
+                        ("conflicts", u64::from(self.conflicts).into()),
+                        ("stitches", u64::from(self.stitches).into()),
+                        ("objective", self.objective.into()),
+                    ]),
+                ),
+                ("decompose_ms", self.decompose_ms.into()),
+                (
+                    "usage",
+                    Value::obj([
+                        ("matching", self.matching.into()),
+                        ("colorgnn", self.colorgnn.into()),
+                        ("ec", self.ec.into()),
+                        ("ilp", self.ilp.into()),
+                        ("colorgnn_fallbacks", self.colorgnn_fallbacks.into()),
+                        ("memo_hits", self.memo_hits.into()),
+                    ]),
+                ),
+                (
+                    "inference",
+                    Value::obj([
+                        ("dedup_hits", self.dedup_hits.into()),
+                        ("routing_memo_hits", self.routing_memo_hits.into()),
+                        ("units_inferred", self.units_inferred.into()),
+                    ]),
+                ),
+                (
+                    "budget",
+                    Value::obj([
+                        ("certified", self.certified.into()),
+                        ("heuristic", self.heuristic.into()),
+                        ("budget_exhausted", self.budget_exhausted.into()),
+                        ("budget_fallbacks", self.budget_fallbacks.into()),
+                        ("quarantined", self.quarantined.into()),
+                        ("audit_rejections", self.audit_rejections.into()),
+                    ]),
+                ),
+                ("resumed_units", self.resumed_units.into()),
+            ]
+            .into_iter()
+            .chain(tiled),
         )
     }
 
@@ -226,13 +238,6 @@ impl RunSummary {
             }),
         })
     }
-}
-
-/// Emits a float that parses back to the same value (`{:?}` is Rust's
-/// shortest round-trip representation) and is still valid JSON for the
-/// finite values a run summary contains.
-fn float(v: f64) -> String {
-    format!("{v:?}")
 }
 
 fn num<T: std::str::FromStr>(v: &Value, path: &[&str]) -> Option<T> {
@@ -332,6 +337,84 @@ mod tests {
             fields.push(("stages".into(), json::parse("{\"conflicts\":99}").unwrap()));
         }
         assert_eq!(RunSummary::parse(&v.to_string()).expect("reordered"), s);
+    }
+
+    /// The exact bytes of `to_json`: key order, the `{:?}` float form, a
+    /// `null` seed, the optional tiled tail, and escaped names.
+    #[test]
+    fn to_json_bytes_are_pinned() {
+        const BASE: &str = concat!(
+            r#"{"layout":"C432","units":44,"threads":2,"seed":48879,"#,
+            r#""cost":{"conflicts":1,"stitches":3,"objective":1.3},"decompose_ms":12.625,"#,
+            r#""usage":{"matching":30,"colorgnn":5,"ec":4,"ilp":5,"colorgnn_fallbacks":1,"memo_hits":2},"#,
+            r#""inference":{"dedup_hits":11,"routing_memo_hits":0,"units_inferred":33},"#,
+            r#""budget":{"certified":40,"heuristic":4,"budget_exhausted":0,"budget_fallbacks":0,"quarantined":0,"audit_rejections":0},"#,
+            r#""resumed_units":0}"#
+        );
+        let s = sample();
+        assert_eq!(s.to_json(), BASE);
+
+        let null_seed = RunSummary {
+            seed: None,
+            ..sample()
+        };
+        assert_eq!(
+            null_seed.to_json(),
+            BASE.replace(r#""seed":48879"#, r#""seed":null"#)
+        );
+
+        let tiled = RunSummary {
+            tiled: Some(TiledRunSummary {
+                tiles: 42,
+                boundary_resolves: 7,
+            }),
+            ..sample()
+        };
+        assert_eq!(
+            tiled.to_json(),
+            BASE.replace(
+                r#""resumed_units":0}"#,
+                r#""resumed_units":0,"tiles":42,"boundary_resolves":7}"#
+            )
+        );
+
+        for (objective, decompose_ms, cost, ms) in [
+            (0.30000000000000004, 1e-7, "0.30000000000000004", "1e-7"),
+            (562.0, 0.0, "562.0", "0.0"),
+            (1e21, 1.5e-300, "1e21", "1.5e-300"),
+        ] {
+            let awkward = RunSummary {
+                objective,
+                decompose_ms,
+                ..sample()
+            };
+            let want = BASE
+                .replace(r#""objective":1.3"#, &format!(r#""objective":{cost}"#))
+                .replace(
+                    r#""decompose_ms":12.625"#,
+                    &format!(r#""decompose_ms":{ms}"#),
+                );
+            assert_eq!(awkward.to_json(), want);
+        }
+
+        for (name, quoted) in [
+            ("we\"ird\\name", r#""we\"ird\\name""#),
+            (
+                "tab\there\n\u{1}\u{7f}",
+                "\"tab\\u0009here\\u000a\\u0001\u{7f}\"",
+            ),
+            ("é😀", r#""é😀""#),
+        ] {
+            let named = RunSummary {
+                layout: name.into(),
+                ..sample()
+            };
+            assert_eq!(
+                named.to_json(),
+                BASE.replace(r#""C432""#, quoted),
+                "{name:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,14 +15,12 @@
 //! 1. the coloring covers every node (length);
 //! 2. every color lies in `0..k`;
 //! 3. the claimed [`CostBreakdown`] equals the independently recomputed
-//!    one;
-//! 4. optionally, pinned nodes honor a [`Precoloring`] up to the global
-//!    mask permutation (masks are interchangeable).
+//!    one.
 //!
 //! The audit is linear in the edge count — cheap enough to run on every
 //! unit of every layout (the acceptance bar is < 5% of suite wall time).
 
-use crate::{CostBreakdown, Decomposition, LayoutGraph, NodeId, Precoloring};
+use crate::{CostBreakdown, Decomposition, LayoutGraph, NodeId};
 use std::fmt;
 
 /// Why a decomposition failed its independent audit.
@@ -51,16 +49,6 @@ pub enum AuditError {
         /// What the audit recomputed from the raw edges.
         recomputed: CostBreakdown,
     },
-    /// A pinned node does not honor the precoloring (after mask-permutation
-    /// canonicalization).
-    PrecolorViolated {
-        /// The offending node.
-        node: NodeId,
-        /// The mask the node was pinned to.
-        pinned: u8,
-        /// The color it actually received.
-        got: u8,
-    },
 }
 
 impl fmt::Display for AuditError {
@@ -83,12 +71,6 @@ impl fmt::Display for AuditError {
                 "audit: claimed cost {}c+{}s but recomputed {}c+{}s",
                 claimed.conflicts, claimed.stitches, recomputed.conflicts, recomputed.stitches
             ),
-            AuditError::PrecolorViolated { node, pinned, got } => {
-                write!(
-                    f,
-                    "audit: node {node} pinned to mask {pinned} but colored {got}"
-                )
-            }
         }
     }
 }
@@ -186,53 +168,6 @@ pub fn audit_decomposition(
     Ok(())
 }
 
-/// Audits a decomposition and additionally checks that `pins` are honored
-/// up to the global mask permutation: every node pinned to the same mask
-/// must share one color, and distinct pinned masks must map to distinct
-/// colors.
-///
-/// # Errors
-///
-/// Returns the first failed check as an [`AuditError`].
-pub fn audit_with_precoloring(
-    graph: &LayoutGraph,
-    d: &Decomposition,
-    k: u8,
-    pins: &Precoloring,
-) -> Result<(), AuditError> {
-    audit_decomposition(graph, d, k)?;
-    // mask -> color witness, built pin by pin; a consistent witness map
-    // that is injective is exactly a partial mask permutation.
-    let mut witness: Vec<Option<u8>> = vec![None; k as usize];
-    for &(node, mask) in pins.pins() {
-        if node as usize >= d.coloring.len() || mask >= k {
-            continue; // pins outside this unit graph are not auditable here
-        }
-        let got = d.coloring[node as usize];
-        match witness[mask as usize] {
-            None => {
-                if witness.iter().flatten().any(|&c| c == got) {
-                    return Err(AuditError::PrecolorViolated {
-                        node,
-                        pinned: mask,
-                        got,
-                    });
-                }
-                witness[mask as usize] = Some(got);
-            }
-            Some(c) if c == got => {}
-            Some(_) => {
-                return Err(AuditError::PrecolorViolated {
-                    node,
-                    pinned: mask,
-                    got,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,20 +239,6 @@ mod tests {
                 k: 3
             }
         ));
-    }
-
-    #[test]
-    fn precolor_audit_is_permutation_invariant() {
-        let g = hetero();
-        let pins: Precoloring = [(2u32, 0u8), (3u32, 1u8)].into_iter().collect();
-        // Colors 1 and 2 for the pinned nodes: a valid permutation of the
-        // pinned masks 0 and 1.
-        let d = Decomposition::from_coloring(&g, vec![0, 0, 1, 2], 0.1);
-        assert_eq!(audit_with_precoloring(&g, &d, 3, &pins), Ok(()));
-        // Both pinned masks mapped to one color: no permutation exists.
-        let d = Decomposition::from_coloring(&g, vec![0, 0, 1, 1], 0.1);
-        let err = audit_with_precoloring(&g, &d, 3, &pins).unwrap_err();
-        assert!(matches!(err, AuditError::PrecolorViolated { .. }));
     }
 
     #[test]

@@ -51,10 +51,9 @@ pub mod failpoints;
 mod fingerprint;
 mod hash;
 mod hetero;
-mod precolor;
 pub mod simplify;
 
-pub use audit::{audit_coloring, audit_decomposition, audit_with_precoloring, AuditError};
+pub use audit::{audit_coloring, audit_decomposition, AuditError};
 pub use bicc::{biconnected_components, BlockCutTree};
 pub use budget::{Budget, BudgetGauge, CancelToken, Clock, MockClock, SystemClock};
 pub use coloring::{Coloring, CostBreakdown};
@@ -63,7 +62,6 @@ pub use error::MpldError;
 pub use fingerprint::{graph_fingerprint, graphs_identical};
 pub use hash::{fnv64, splitmix64, Fnv64};
 pub use hetero::{EdgeKind, GraphError, LayoutGraph, NodeId};
-pub use precolor::{apply_precoloring, Precoloring, PrecoloringMap};
 
 /// Default relative weight of a stitch versus a conflict (the paper and all
 /// prior TPL work set `alpha = 0.1`).

@@ -82,25 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn precoloring_is_honored_when_feasible(g in arb_hetero(), pin_mask in 0u8..3) {
-        use mpld_graph::{apply_precoloring, Precoloring};
-        if g.num_nodes() == 0 || g.num_nodes() > 7 {
-            return Ok(());
-        }
-        let p = DecomposeParams::tpl();
-        let base = IlpDecomposer::new().decompose_unbounded(&g, &p);
-        // Pin node 0 to `pin_mask`.
-        let pre: Precoloring = [(0u32, pin_mask)].into_iter().collect();
-        let (gadget, map) = apply_precoloring(&g, &pre, p.k).expect("valid pins");
-        let d = IlpDecomposer::new().decompose_unbounded(&gadget, &p);
-        let colors = map.extract(&d.coloring);
-        // A single pin never changes the optimal cost (masks are symmetric),
-        // and the pinned node must get its mask.
-        prop_assert!((d.cost.value(0.1) - base.cost.value(0.1)).abs() < 1e-9);
-        prop_assert_eq!(colors[0], pin_mask);
-    }
-
-    #[test]
     fn colorings_are_always_in_range(g in arb_hetero()) {
         let p = DecomposeParams::tpl();
         let d = IlpDecomposer::new().decompose_unbounded(&g, &p);

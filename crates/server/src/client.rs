@@ -166,14 +166,7 @@ fn post_request(req: &SubmitRequest, job_id: Option<&str>) -> Vec<u8> {
                 req.time_limit_ms.map(|t| ("time_limit_ms", Value::from(t))),
                 job_id.map(|id| ("job_id", Value::from(id))),
             ];
-            let body = Value::Obj(
-                fields
-                    .into_iter()
-                    .flatten()
-                    .map(|(k, v)| (k.into(), v))
-                    .collect(),
-            )
-            .to_string();
+            let body = Value::obj(fields.into_iter().flatten()).to_string();
             format!(
                 "POST /decompose HTTP/1.1\r\nHost: mpld\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()

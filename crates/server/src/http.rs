@@ -71,13 +71,16 @@ impl HttpError {
     /// One-line JSON error body describing the rejection.
     pub fn body(&self) -> String {
         match self {
-            HttpError::Malformed(m) => error_json("bad request", &[("reason", m)]),
-            HttpError::LengthRequired => error_json("content-length required", &[]),
-            HttpError::BodyTooLarge { declared, limit } => format!(
-                "{{\"error\":\"body too large\",\"declared\":{declared},\"limit\":{limit}}}"
+            HttpError::Malformed(m) => error_json("bad request", [("reason", m.as_str().into())]),
+            HttpError::LengthRequired => error_json("content-length required", []),
+            HttpError::BodyTooLarge { declared, limit } => error_json(
+                "body too large",
+                [("declared", (*declared).into()), ("limit", (*limit).into())],
             ),
-            HttpError::TooLarge(what) => error_json("request too large", &[("what", what)]),
-            HttpError::Io(e) => error_json("i/o", &[("reason", &e.to_string())]),
+            HttpError::TooLarge(what) => {
+                error_json("request too large", [("what", (*what).into())])
+            }
+            HttpError::Io(e) => error_json("i/o", [("reason", e.to_string().into())]),
         }
     }
 }

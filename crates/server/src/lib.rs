@@ -48,7 +48,7 @@
 //! digests are bit-identical to an uninterrupted run. Uploads are capped
 //! ([`ServerConfig::upload`]) and parse failures answer with typed 400s
 //! carrying the offending line number. Every response body, error or
-//! not, is JSON built through the [`mpld::json`] codec's escaper.
+//! not, and every event line is JSON written by the [`mpld::json`] codec.
 //!
 //! Admission control is a bounded queue: when every worker is busy and
 //! the backlog is full, new connections are rejected immediately with
@@ -268,6 +268,10 @@ impl ServerState {
         Ok(entry)
     }
 
+    fn uptime_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
+    }
+
     fn journal_path(&self, job_id: &str) -> Option<PathBuf> {
         self.journal_dir
             .as_ref()
@@ -404,10 +408,11 @@ fn worker_loop(
 
 /// The one admission-control response, written straight from the
 /// acceptor thread so a saturated pool still answers instantly.
-fn respond_busy(mut stream: TcpStream) {
-    let _ = stream.write_all(
-        b"HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
-          Connection: close\r\nContent-Length: 26\r\n\r\n{\"error\":\"queue is full\"}\n",
+fn respond_busy(stream: TcpStream) {
+    let _ = respond_json(
+        stream,
+        "429 Too Many Requests",
+        &error_json("queue is full", []),
     );
 }
 
@@ -426,7 +431,7 @@ fn respond_draining(stream: TcpStream, state: &ServerState) {
         _ => respond_json(
             stream,
             "503 Service Unavailable",
-            "{\"error\":\"draining\"}",
+            &error_json("draining", []),
         ),
     };
 }
@@ -457,12 +462,12 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) -> std::io::Re
                 None => respond_json(
                     stream,
                     "404 Not Found",
-                    &error_json("unknown job", &[("id", id)]),
+                    &error_json("unknown job", [("id", id.into())]),
                 ),
             }
         }
         ("POST", "/decompose") => handle_decompose(stream, state, &req),
-        _ => respond_json(stream, "404 Not Found", "{\"error\":\"unknown route\"}"),
+        _ => respond_json(stream, "404 Not Found", &error_json("unknown route", [])),
     }
 }
 
@@ -479,11 +484,22 @@ fn respond_json(mut stream: TcpStream, status: &str, body: &str) -> std::io::Res
     stream.flush()
 }
 
-/// An error body: `{"error":<error>, <key>:<value>…}`, every string
-/// escaped.
-pub(crate) fn error_json(error: &str, details: &[(&str, &str)]) -> String {
-    let fields = std::iter::once(("error", error)).chain(details.iter().copied());
-    Value::Obj(fields.map(|(k, v)| (k.into(), v.into())).collect()).to_string()
+/// An error body: `{"error":<error>, <details>…}`.
+pub(crate) fn error_json<'a>(
+    error: &'a str,
+    details: impl IntoIterator<Item = (&'a str, Value<'a>)>,
+) -> String {
+    Value::obj(std::iter::once(("error", error.into())).chain(details)).to_string()
+}
+
+/// An NDJSON event line: `{"event":<kind>, <fields>…}`.
+fn event_line<'a>(kind: &'a str, fields: impl IntoIterator<Item = (&'a str, Value<'a>)>) -> String {
+    Value::obj(std::iter::once(("event", kind.into())).chain(fields)).to_string()
+}
+
+/// A counter's current value.
+fn counter(a: &AtomicU64) -> Value<'static> {
+    a.load(Ordering::Relaxed).into()
 }
 
 fn health_json(state: &ServerState) -> String {
@@ -493,49 +509,83 @@ fn health_json(state: &ServerState) -> String {
     } else {
         "ok"
     };
-    format!(
-        "{{\"status\":\"{status}\",\"uptime_ms\":{},\"queue_depth\":{},\
-         \"active_requests\":{},\"routing_entries\":{},\"routing_hits\":{},\
-         \"solution_entries\":{}}}",
-        state.started.elapsed().as_millis(),
-        state.queued.load(Ordering::Relaxed),
-        state.active.load(Ordering::Relaxed),
-        s.routing.entries,
-        s.routing.hits,
-        s.solutions_ilp_first.entries + s.solutions_ec_first.entries
-    )
+    Value::obj([
+        ("status", status.into()),
+        ("uptime_ms", state.uptime_ms().into()),
+        ("queue_depth", counter(&state.queued)),
+        ("active_requests", counter(&state.active)),
+        ("routing_entries", s.routing.entries.into()),
+        ("routing_hits", s.routing.hits.into()),
+        (
+            "solution_entries",
+            (s.solutions_ilp_first.entries + s.solutions_ec_first.entries).into(),
+        ),
+    ])
+    .to_string()
 }
 
 fn stats_json(state: &ServerState) -> String {
     let s = state.engine.stats();
     let c = &state.counters;
-    let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    format!(
-        "{{\"routing\":{},\"solutions_ilp_first\":{},\"solutions_ec_first\":{},\
-         \"uptime_ms\":{},\"queue_depth\":{},\"active_requests\":{},\"draining\":{},\
-         \"jobs\":{{\"registered\":{},\"started\":{},\"completed\":{},\"failed\":{},\
-         \"resumed_units\":{},\"journal_records\":{},\"journal_restarts\":{}}},\
-         \"http\":{{\"rejected_busy\":{},\"bad_requests\":{},\"request_panics\":{}}},\
-         \"store\":{}}}",
-        map_stats_json(&s.routing),
-        map_stats_json(&s.solutions_ilp_first),
-        map_stats_json(&s.solutions_ec_first),
-        state.started.elapsed().as_millis(),
-        state.queued.load(Ordering::Relaxed),
-        state.active.load(Ordering::Relaxed),
-        state.draining.load(Ordering::SeqCst),
-        state.registry.len(),
-        ld(&c.jobs_started),
-        ld(&c.jobs_completed),
-        ld(&c.jobs_failed),
-        ld(&c.resumed_units),
-        ld(&c.journal_records),
-        ld(&c.journal_restarts),
-        ld(&c.rejected_busy),
-        ld(&c.bad_requests),
-        ld(&c.request_panics),
-        store_stats_json(s.store.as_ref()),
-    )
+    let map = |m: mpld::ShardedMapStats| {
+        Value::obj([
+            ("hits", m.hits.into()),
+            ("misses", m.misses.into()),
+            ("entries", m.entries.into()),
+            ("evictions", m.evictions.into()),
+            ("high_water", m.high_water.into()),
+        ])
+    };
+    let store = s.store.map(|(load, w)| {
+        Value::obj([
+            ("loaded_solves", load.solves.into()),
+            ("skipped_corrupt", load.skipped_corrupt.into()),
+            ("skipped_audit", load.skipped_audit.into()),
+            ("superseded", load.superseded.into()),
+            ("orphaned", load.orphaned.into()),
+            ("rekeyed", load.rekeyed.into()),
+            ("torn_tail", load.torn_tail.into()),
+            ("read_only", w.read_only.into()),
+            ("lib_loaded", load.lib_complete.into()),
+            ("load_ms", load.load_ms.into()),
+            ("appended", w.appended.into()),
+            ("dropped", w.dropped.into()),
+            ("flushes", w.flushes.into()),
+            ("io_errors", w.io_errors.into()),
+            ("entries", w.entries.into()),
+        ])
+    });
+    Value::obj([
+        ("routing", map(s.routing)),
+        ("solutions_ilp_first", map(s.solutions_ilp_first)),
+        ("solutions_ec_first", map(s.solutions_ec_first)),
+        ("uptime_ms", state.uptime_ms().into()),
+        ("queue_depth", counter(&state.queued)),
+        ("active_requests", counter(&state.active)),
+        ("draining", state.draining.load(Ordering::SeqCst).into()),
+        (
+            "jobs",
+            Value::obj([
+                ("registered", state.registry.len().into()),
+                ("started", counter(&c.jobs_started)),
+                ("completed", counter(&c.jobs_completed)),
+                ("failed", counter(&c.jobs_failed)),
+                ("resumed_units", counter(&c.resumed_units)),
+                ("journal_records", counter(&c.journal_records)),
+                ("journal_restarts", counter(&c.journal_restarts)),
+            ]),
+        ),
+        (
+            "http",
+            Value::obj([
+                ("rejected_busy", counter(&c.rejected_busy)),
+                ("bad_requests", counter(&c.bad_requests)),
+                ("request_panics", counter(&c.request_panics)),
+            ]),
+        ),
+        ("store", store.into()),
+    ])
+    .to_string()
 }
 
 /// Answers a typed 400 carrying the parse failure's line number (the
@@ -548,10 +598,7 @@ fn respond_parse_error(stream: TcpStream, e: &MpldError) -> std::io::Result<()> 
     respond_json(
         stream,
         "400 Bad Request",
-        &format!(
-            "{{\"error\":\"parse\",\"line\":{line},\"reason\":{}}}",
-            json::string(&reason)
-        ),
+        &error_json("parse", [("line", line.into()), ("reason", reason.into())]),
     )
 }
 
@@ -576,21 +623,21 @@ fn handle_decompose(
                 return respond_json(
                     stream,
                     "400 Bad Request",
-                    &error_json("malformed JSON body", &[]),
+                    &error_json("malformed JSON body", []),
                 );
             };
             let Some(circuit) = body.get("circuit").and_then(Value::as_str) else {
                 return respond_json(
                     stream,
                     "400 Bad Request",
-                    &error_json("missing \"circuit\"", &[]),
+                    &error_json("missing \"circuit\"", []),
                 );
             };
             let Some(p) = state.prep_circuit(circuit) else {
                 return respond_json(
                     stream,
                     "404 Not Found",
-                    &error_json("unknown circuit", &[("circuit", circuit)]),
+                    &error_json("unknown circuit", [("circuit", circuit.into())]),
                 );
             };
             prep = p;
@@ -621,7 +668,7 @@ fn handle_decompose(
             kind = "upload";
         }
         None => {
-            return respond_json(stream, "400 Bad Request", "{\"error\":\"empty body\"}");
+            return respond_json(stream, "400 Bad Request", &error_json("empty body", []));
         }
     }
 
@@ -632,7 +679,7 @@ fn handle_decompose(
                 "400 Bad Request",
                 &error_json(
                     "invalid job_id: want 1-64 chars of [A-Za-z0-9._-], not starting with a dot",
-                    &[("job_id", &id)],
+                    [("job_id", id.as_str().into())],
                 ),
             );
         }
@@ -660,7 +707,7 @@ impl Drop for JobGuard<'_> {
     fn drop(&mut self) {
         if !self.completed {
             self.job
-                .append("{\"event\":\"error\",\"message\":\"job aborted\"}");
+                .append(&event_line("error", [("message", "job aborted".into())]));
             self.job.finish(true);
             self.state.registry.remove(self.id);
             self.state
@@ -734,10 +781,13 @@ fn run_job(
         }
     };
 
-    emit(&format!(
-        "{{\"event\":\"job\",\"id\":{},\"journal\":{},\"restarted\":{restarted}}}",
-        json::string(job_id),
-        journal.is_some()
+    emit(&event_line(
+        "job",
+        [
+            ("id", job_id.into()),
+            ("journal", journal.is_some().into()),
+            ("restarted", restarted.into()),
+        ],
     ));
 
     let policy = BudgetPolicy {
@@ -757,18 +807,28 @@ fn run_job(
                     matched,
                     colorgnn,
                     routing_memo_hits,
-                } => format!(
-                    "{{\"event\":\"routed\",\"units\":{units},\"matched\":{matched},\
-                     \"colorgnn\":{colorgnn},\"routing_memo_hits\":{routing_memo_hits}}}"
+                } => event_line(
+                    "routed",
+                    [
+                        ("units", units.into()),
+                        ("matched", matched.into()),
+                        ("colorgnn", colorgnn.into()),
+                        ("routing_memo_hits", routing_memo_hits.into()),
+                    ],
                 ),
                 Progress::Unit {
                     index,
                     engine,
                     certainty,
                     cached,
-                } => format!(
-                    "{{\"event\":\"unit\",\"index\":{index},\"engine\":\"{engine:?}\",\
-                     \"certainty\":\"{certainty:?}\",\"cached\":{cached}}}"
+                } => event_line(
+                    "unit",
+                    [
+                        ("index", index.into()),
+                        ("engine", format!("{engine:?}").into()),
+                        ("certainty", format!("{certainty:?}").into()),
+                        ("cached", cached.into()),
+                    ],
                 ),
             };
             emit(&line);
@@ -781,10 +841,9 @@ fn run_job(
     match result {
         Ok(r) => {
             let summary = RunSummary::from_result(&prep.name, &r, params.alpha, 1, Some(seed));
-            emit(&format!(
-                "{{\"event\":\"done\",\"job\":{},\"summary\":{}}}",
-                json::string(job_id),
-                summary.to_json()
+            emit(&event_line(
+                "done",
+                [("job", job_id.into()), ("summary", summary.to_value())],
             ));
             guard.completed = true;
             job.finish(false);
@@ -798,10 +857,7 @@ fn run_job(
             }
         }
         Err(e) => {
-            emit(&format!(
-                "{{\"event\":\"error\",\"message\":{}}}",
-                json::string(&e.to_string())
-            ));
+            emit(&event_line("error", [("message", e.to_string().into())]));
             guard.completed = true;
             job.finish(true);
             state.registry.remove(job_id);
@@ -837,42 +893,6 @@ fn stream_job(mut stream: TcpStream, job: &Arc<Job>) -> std::io::Result<()> {
             return stream.flush();
         }
     }
-}
-
-fn map_stats_json(s: &mpld::ShardedMapStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"entries\":{},\"evictions\":{},\"high_water\":{}}}",
-        s.hits, s.misses, s.entries, s.evictions, s.high_water
-    )
-}
-
-/// The persistent-store section of `/stats`: `null` for an in-memory
-/// engine, else the load report + live writer counters.
-fn store_stats_json(s: Option<&mpld::EngineStoreStats>) -> String {
-    let Some(s) = s else {
-        return "null".to_string();
-    };
-    format!(
-        "{{\"loaded_solves\":{},\"skipped_corrupt\":{},\"skipped_audit\":{},\
-         \"superseded\":{},\"orphaned\":{},\"rekeyed\":{},\"torn_tail\":{},\
-         \"read_only\":{},\"lib_loaded\":{},\"load_ms\":{},\"appended\":{},\
-         \"dropped\":{},\"flushes\":{},\"io_errors\":{},\"entries\":{}}}",
-        s.loaded_solves,
-        s.skipped_corrupt,
-        s.skipped_audit,
-        s.superseded,
-        s.orphaned,
-        s.rekeyed,
-        s.torn_tail,
-        s.read_only,
-        s.lib_loaded,
-        s.load_ms,
-        s.appended,
-        s.dropped,
-        s.flushes,
-        s.io_errors,
-        s.entries,
-    )
 }
 
 #[cfg(test)]
@@ -914,7 +934,7 @@ mod tests {
     #[test]
     fn error_bodies_are_json() {
         let odd = "a\"b\\c\u{1}\u{7f}é";
-        let body = error_json("unknown circuit", &[("circuit", odd)]);
+        let body = error_json("unknown circuit", [("circuit", odd.into())]);
         let v = json::parse(&body).expect("error body parses");
         assert_eq!(
             v.get("error").and_then(Value::as_str),
@@ -928,6 +948,24 @@ mod tests {
         ] {
             assert!(json::parse(&e.body()).is_some(), "{}", e.body());
         }
+    }
+
+    /// The `error` event lines no served job reaches in a healthy run (an
+    /// engine error, a runner that unwinds), pinned byte for byte.
+    #[test]
+    fn error_event_lines_are_pinned() {
+        assert_eq!(
+            event_line("error", [("message", "job aborted".into())]),
+            r#"{"event":"error","message":"job aborted"}"#
+        );
+        let e = MpldError::Io("disk \"full\"\n".into()).to_string();
+        assert_eq!(
+            event_line("error", [("message", e.clone().into())]),
+            format!(
+                r#"{{"event":"error","message":"{}"}}"#,
+                e.replace('"', "\\\"").replace('\n', "\\u000a")
+            )
+        );
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl StoreKey {
             "{{{},\"dim\":{},\"lib\":{}}}",
             provenance(self.model_digest, self.k, self.alpha),
             self.dim,
-            json::string(&self.library),
+            Value::from(self.library.as_str()),
         )
     }
 }
@@ -166,7 +166,7 @@ impl JournalKey {
         format!(
             "{{{},\"layout\":{},\"units\":{}}}",
             provenance(self.model_digest, self.k, self.alpha),
-            json::string(&self.layout),
+            Value::from(self.layout.as_str()),
             self.units
         )
     }

@@ -1,10 +1,12 @@
 //! The workspace's one JSON codec: a strict parser for one value per
-//! line, and a compact writer. The parser borrows from its input where it
-//! can — a string without escapes is a slice of the line (the store's
-//! long hex embedding fields), and a number is kept as its source text,
-//! so a `u64` fingerprint or a `{:?}`-printed `f64` reads back exactly.
-//! Malformed input, trailing bytes, or arrays and objects nested deeper
-//! than 32 give `None`, never a panic.
+//! line, and the compact writer every JSON line the program emits goes
+//! through (the store's on-disk header and record renderers aside). The
+//! parser borrows from its input where it can — a string without escapes
+//! is a slice of the line (the store's long hex embedding fields), and a
+//! number is kept as its source text, so a `u64` fingerprint or a
+//! `{:?}`-printed `f64` reads back exactly. Malformed input, trailing
+//! bytes, or arrays and objects nested deeper than 32 give `None`, never
+//! a panic.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -31,6 +33,11 @@ pub enum Value<'a> {
 }
 
 impl<'a> Value<'a> {
+    /// An object of `fields`, in order.
+    pub fn obj(fields: impl IntoIterator<Item = (&'a str, Value<'a>)>) -> Self {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// An object's value under `key` (the last, should it repeat).
     pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         let Value::Obj(fields) = self else {
@@ -75,54 +82,100 @@ impl From<u64> for Value<'_> {
     }
 }
 
+impl From<usize> for Value<'_> {
+    fn from(n: usize) -> Self {
+        Value::Num(n.to_string().into())
+    }
+}
+
+/// Rust's shortest round-trip form (`{:?}`: `562.0`, `1e-7`), which
+/// [`Value::num`] reads back to the same bits. Only finite values make
+/// valid JSON.
+impl From<f64> for Value<'_> {
+    fn from(x: f64) -> Self {
+        Value::Num(format!("{x:?}").into())
+    }
+}
+
+impl From<bool> for Value<'_> {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
 impl<'a> From<&'a str> for Value<'a> {
     fn from(s: &'a str) -> Self {
         Value::Str(s.into())
     }
 }
 
-/// Compact JSON, strings escaped as [`string`] does.
+impl From<String> for Value<'_> {
+    fn from(s: String) -> Self {
+        Value::Str(s.into())
+    }
+}
+
+/// `None` is `null`.
+impl<'a, T: Into<Value<'a>>> From<Option<T>> for Value<'a> {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// Compact JSON, written straight into the formatter: strings quoted
+/// with quotes, backslashes and control characters escaped (`\uXXXX`),
+/// everything else copied; numbers as their text.
 impl fmt::Display for Value<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
+            Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Value::Num(text) => f.write_str(text),
-            Value::Str(s) => f.write_str(&string(s)),
-            Value::Arr(items) => {
-                let items: Vec<String> = items.iter().map(Value::to_string).collect();
-                write!(f, "[{}]", items.join(","))
-            }
-            Value::Obj(fields) => {
-                let fields: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}:{v}", string(k)))
-                    .collect();
-                write!(f, "{{{}}}", fields.join(","))
-            }
+            Value::Str(s) => quote(f, s),
+            Value::Arr(items) => list(f, ['[', ']'], items, |f, v| v.fmt(f)),
+            Value::Obj(fields) => list(f, ['{', '}'], fields, |f, (k, v)| {
+                quote(f, k)?;
+                f.write_char(':')?;
+                v.fmt(f)
+            }),
         }
     }
 }
 
-/// `s` as a JSON string literal: quotes, backslashes and control
-/// characters escaped, everything else copied.
-pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
+/// `items` written by `item`, comma-separated between `open` and `close`.
+fn list<T>(
+    f: &mut fmt::Formatter<'_>,
+    [open, close]: [char; 2],
+    items: &[T],
+    item: impl Fn(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
+) -> fmt::Result {
+    f.write_char(open)?;
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_char(',')?;
+        }
+        item(f, x)?;
+    }
+    f.write_char(close)
+}
+
+/// Writes `s` as a string literal, copying each run of plain bytes whole.
+/// The bytes escaped are all ASCII, so every run ends on a char boundary.
+fn quote(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b == b'"' || b == b'\\' || b < 0x20 {
+            f.write_str(&s[run..i])?;
+            match b {
+                b'"' | b'\\' => write!(f, "\\{}", char::from(b))?,
+                _ => write!(f, "\\u{b:04x}")?,
             }
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
+            run = i + 1;
         }
     }
-    out.push('"');
-    out
+    f.write_str(&s[run..])?;
+    f.write_char('"')
 }
 
 /// Parses `text` as exactly one JSON value, surrounding whitespace
@@ -334,6 +387,25 @@ mod tests {
         assert_eq!(v.get("f").and_then(Value::as_str), Some("x\"y"));
         // Only the path walks into nested objects.
         assert!(v.get("c").is_none());
+    }
+
+    #[test]
+    fn conversions_write_their_text_forms() {
+        let v = Value::obj([
+            ("n", 7u64.into()),
+            ("i", 3usize.into()),
+            ("x", 562.0.into()),
+            ("tiny", 1e-7.into()),
+            ("b", false.into()),
+            ("s", String::from("a\"b\\c\n\u{1f}é").into()),
+            ("none", None::<u64>.into()),
+            ("some", Some("x").into()),
+            ("arr", Value::Arr(vec![Value::Null, Value::obj([])])),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"n":7,"i":3,"x":562.0,"tiny":1e-7,"b":false,"s":"a\"b\\c\u000a\u001fé","none":null,"some":"x","arr":[null,{}]}"#
+        );
     }
 
     #[test]

@@ -116,9 +116,9 @@ fn warm_process_serves_suite_with_zero_fresh_tail_solves() {
 
     // Cold process: populates the store.
     let cold_engine = store_engine(dir.path());
-    let cold_stats = cold_engine.stats().store.expect("store attached");
+    let (cold_load, _) = cold_engine.stats().store.expect("store attached");
     assert!(
-        !cold_stats.lib_loaded,
+        !cold_load.lib_complete,
         "first process must build the library"
     );
     let cold = run(&cold_engine);
@@ -128,13 +128,10 @@ fn warm_process_serves_suite_with_zero_fresh_tail_solves() {
 
     // Warm process: same model bytes, fresh Engine, loaded store.
     let warm_engine = store_engine(dir.path());
-    let warm_stats = warm_engine.stats().store.expect("store attached");
-    assert!(warm_stats.lib_loaded, "library must come from the store");
-    assert_eq!(
-        warm_stats.loaded_solves, cold_fresh,
-        "every cold solve persisted"
-    );
-    assert!(!warm_stats.rekeyed);
+    let (warm_load, _) = warm_engine.stats().store.expect("store attached");
+    assert!(warm_load.lib_complete, "library must come from the store");
+    assert_eq!(warm_load.solves, cold_fresh, "every cold solve persisted");
+    assert!(!warm_load.rekeyed);
     let warm = run(&warm_engine);
     assert_eq!(digest(&warm), digest(serial), "warm digest drifted");
     assert_eq!(
@@ -143,7 +140,7 @@ fn warm_process_serves_suite_with_zero_fresh_tail_solves() {
         "a warm process must serve the suite entirely from the store"
     );
     // Nothing new to append: the flywheel converged.
-    assert_eq!(warm_engine.stats().store.unwrap().appended, 0);
+    assert_eq!(warm_engine.stats().store.unwrap().1.appended, 0);
 }
 
 #[test]
@@ -162,7 +159,7 @@ fn torn_tail_loads_degraded_and_stays_bit_identical() {
     std::fs::write(&path, &bytes[..cut.max(1)]).unwrap();
 
     let engine = store_engine(dir.path());
-    let stats = engine.stats().store.unwrap();
+    let (stats, _) = engine.stats().store.unwrap();
     assert!(
         stats.torn_tail || stats.skipped_corrupt > 0,
         "the tear must be observed: {stats:?}"
@@ -219,14 +216,14 @@ fn stale_model_fingerprint_never_matches() {
     )
     .expect("opens under the new key");
     assert_eq!(report.solves, 0, "stale solves served under a new model");
-    let stats = engine.stats().store.unwrap();
-    assert!(!stats.lib_loaded);
-    assert_eq!(stats.loaded_solves, 0);
+    let (stats, _) = engine.stats().store.unwrap();
+    assert!(!stats.lib_complete);
+    assert_eq!(stats.solves, 0);
     // Both keyed files now coexist: provenance separates them.
     assert_eq!(mpld_store::scan_dir(dir.path()).unwrap().len(), 2);
     // And the old model still warm-loads its own file with a clean digest.
     let warm = store_engine(dir.path());
-    assert!(warm.stats().store.unwrap().lib_loaded);
+    assert!(warm.stats().store.unwrap().0.lib_complete);
     let r = run(&warm);
     assert_eq!(digest(&r), digest(serial));
 }
@@ -248,10 +245,10 @@ fn header_param_mismatch_rekeys_and_rebuilds() {
     std::fs::write(&path, mangled).unwrap();
 
     let engine = store_engine(dir.path());
-    let stats = engine.stats().store.unwrap();
+    let (stats, _) = engine.stats().store.unwrap();
     assert!(stats.rekeyed, "param mismatch must re-key: {stats:?}");
-    assert_eq!(stats.loaded_solves, 0);
-    assert!(!stats.lib_loaded);
+    assert_eq!(stats.solves, 0);
+    assert!(!stats.lib_complete);
     let r = run(&engine);
     assert_eq!(digest(&r), digest(serial));
     // The mismatched file was preserved as .stale, not deleted.
@@ -281,8 +278,8 @@ fn compaction_preserves_warm_parity() {
     let (report, clean) = mpld_store::compact_and_verify(&path).unwrap();
     assert!(clean, "compacted store fails verify: {report:?}");
     let engine = store_engine(dir.path());
-    let stats = engine.stats().store.unwrap();
-    assert!(stats.lib_loaded);
+    let (stats, _) = engine.stats().store.unwrap();
+    assert!(stats.lib_complete);
     let r = run(&engine);
     assert_eq!(digest(&r), digest(serial));
     assert_eq!(fresh_tail_solves(&r), 0);
@@ -303,7 +300,7 @@ fn capped_store_and_cache_stay_correct() {
             .expect("store opens");
     let r = run(&engine);
     assert_eq!(digest(&r), digest(serial));
-    let stats = engine.stats().store.unwrap();
+    let (_, stats) = engine.stats().store.unwrap();
     assert!(stats.entries <= 2, "store cap exceeded: {stats:?}");
     drop(engine);
     let (engine2, report) =

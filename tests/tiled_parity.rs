@@ -204,13 +204,55 @@ fn assert_both_paths_match_the_reference(layout: &Layout) -> TiledPrepared {
     two
 }
 
+/// Two biconnected blocks that survive degree pruning and share one long
+/// wire, feature 0. Block A is a ring: feature 0, a parallel wire 1 above
+/// it, and two pairs of squares between them at the left and right ends,
+/// so stitch insertion within block A would find a cut in the middle of
+/// either wire. Block B is a K4 of feature 0 and three squares below its
+/// middle. Feature 0 is an articulation feature and must stay whole.
+fn articulation_layout() -> Layout {
+    let rect = |x0, y0, x1, y1| vec![Rect::new(x0, y0, x1, y1)];
+    let rects = [
+        rect(0, 0, 1000, 40),    // 0: the shared wire
+        rect(0, 190, 1000, 230), // 1: block A's upper wire
+        rect(0, 90, 40, 130),    // 2, 3: block A, left pair
+        rect(80, 90, 120, 130),
+        rect(880, 90, 920, 130), // 4, 5: block A, right pair
+        rect(960, 90, 1000, 130),
+        rect(440, -70, 470, -50), // 6, 7, 8: block B
+        rect(490, -70, 520, -50),
+        rect(465, -120, 495, -95),
+    ];
+    Layout {
+        name: "articulation".into(),
+        d: 100,
+        features: rects
+            .into_iter()
+            .enumerate()
+            .map(|(id, r)| Feature::new(id as u32, r))
+            .collect(),
+    }
+}
+
 #[test]
 fn prepare_and_the_tiler_match_the_reference_flow() {
     let c432 = circuit_by_name("C432").expect("exists").generate();
     let c499 = circuit_by_name("C499").expect("exists").generate();
-    for layout in [&c432, &c499, &shuffled(&c432, 7)] {
+    let articulation = articulation_layout();
+    for layout in [&c432, &c499, &shuffled(&c432, 7), &articulation] {
         assert_both_paths_match_the_reference(layout);
     }
+    // The shared wire sits in both blocks' units, and block A's upper
+    // wire, present in one unit only, is split there.
+    let prep = prepare(&articulation, &DecomposeParams::tpl());
+    let units = prep.simplified.units();
+    assert_eq!(units.len(), 2);
+    let holding = |f: u32| units.iter().filter(|u| u.global_nodes.contains(&f)).count();
+    assert_eq!((holding(0), holding(1)), (2, 1));
+    assert!(prep
+        .units
+        .iter()
+        .any(|u| !u.hetero.stitch_edges().is_empty()));
 }
 
 #[test]
