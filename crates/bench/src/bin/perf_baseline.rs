@@ -81,8 +81,7 @@ fn main() {
     let mut memo_total = 0usize;
     let (mut audit_rejections, mut quarantined) = (0usize, 0usize);
     let (mut infer_memo_hits, mut infer_units) = (0usize, 0usize);
-    let mut scratch_high_water = 0usize;
-    let (mut batches_planned, mut waste_before, mut waste_after) = (0usize, 0usize, 0usize);
+    let mut batches_planned = 0usize;
     let mut serial_results: Vec<AdaptiveResult> = Vec::new();
     for (c, prep) in circuits.iter().zip(&prepared) {
         fw.colorgnn.reseed(seed);
@@ -100,10 +99,7 @@ fn main() {
         quarantined += parallel.budget.quarantined;
         infer_memo_hits += serial.inference.memo_hits;
         infer_units += serial.inference.units_inferred;
-        scratch_high_water = scratch_high_water.max(serial.inference.scratch_high_water_bytes);
         batches_planned += serial.inference.batches_planned;
-        waste_before += serial.inference.padding_waste_before_bytes;
-        waste_after = waste_after.max(serial.inference.padding_waste_after_bytes);
         eprintln!(
             "{}: {} units, {} memo hits, cost {}",
             c.name,
@@ -132,7 +128,7 @@ fn main() {
         serial_results.push(serial);
     }
     eprintln!(
-        "routing inference: {infer_units} units inferred, {infer_memo_hits} embedding-memo hits, scratch high-water {scratch_high_water} bytes"
+        "routing inference: {infer_units} units inferred, {infer_memo_hits} embedding-memo hits"
     );
     // Serialized weights for the persistent-store section (6b): the
     // framework itself is consumed by `Engine::new` in section 5.
@@ -556,10 +552,7 @@ fn main() {
     out!("    \"threads\": 1,");
     out!("    \"routing_memo_hits\": {infer_memo_hits},");
     out!("    \"routing_units_inferred\": {infer_units},");
-    out!("    \"scratch_high_water_bytes\": {scratch_high_water},");
-    out!("    \"batches_planned\": {batches_planned},");
-    out!("    \"padding_waste_before_bytes\": {waste_before},");
-    out!("    \"padding_waste_after_bytes\": {waste_after}");
+    out!("    \"batches_planned\": {batches_planned}");
     out!("  }},");
     out!("  \"training\": {{");
     out!("    \"threads\": 1,");

@@ -279,7 +279,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
                 "read-timeout",
                 "retries",
                 "backoff",
-                "jitter-seed",
                 "seed",
                 "time-limit",
                 "job-id",
@@ -1085,8 +1084,7 @@ fn cmd_submit(parsed: &Parsed) -> Result<(), CliError> {
         read_timeout: option_duration(parsed, "read-timeout")?.unwrap_or(defaults.read_timeout),
         max_attempts: parsed.option_or("retries", defaults.max_attempts)?,
         backoff_base: option_duration(parsed, "backoff")?.unwrap_or(defaults.backoff_base),
-        backoff_cap: defaults.backoff_cap,
-        jitter_seed: parsed.option_or("jitter-seed", defaults.jitter_seed)?,
+        ..defaults
     };
     let seed = parsed
         .option("seed")
@@ -1097,7 +1095,7 @@ fn cmd_submit(parsed: &Parsed) -> Result<(), CliError> {
         .transpose()?;
     let time_limit_ms = option_duration(parsed, "time-limit")?.map(|d| d.as_millis() as u64);
     let job_id = parsed.option("job-id").map(str::to_string);
-    let json = parsed.option("json") == Some("true");
+    let json: bool = parsed.option_or("json", false)?;
 
     // A known circuit name is submitted by name (the server generates
     // it); anything else is read as a layout file and uploaded raw.
@@ -1271,6 +1269,28 @@ mod tests {
             "1ms".into(),
         ]);
         assert!(matches!(r, Err(CliError::Solver(_))));
+    }
+
+    #[test]
+    fn submit_bad_json_flag_fails_before_connecting() {
+        // A listener the command would reach if it got past parsing.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let r = dispatch(&[
+            "submit".into(),
+            "C432".into(),
+            "--addr".into(),
+            addr,
+            "--json".into(),
+            "yes".into(),
+        ]);
+        assert!(matches!(r, Err(CliError::Usage(_))), "{r:?}");
+        let pending = listener.accept();
+        assert!(
+            matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "submit connected before rejecting --json yes"
+        );
     }
 
     #[test]

@@ -61,7 +61,6 @@ use crate::framework::{
     AdaptiveFramework, AdaptiveResult, BudgetBreakdown, BudgetPolicy, EngineKind, InferenceStats,
     Recovery, TimingBreakdown, UnitOutcome, UnitSolve, UsageBreakdown,
 };
-use crate::memo::EmbeddingMemo;
 use crate::parallel::run_largest_first_streaming;
 use crate::pipeline::{assemble, PreparedLayout};
 use mpld_gnn::{FrozenColorGnn, FrozenRgcn};
@@ -338,9 +337,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// `Err` means an engine rejected its input outright; budget
-    /// exhaustion is never an error (see
-    /// [`AdaptiveFramework::decompose_prepared_parallel_recoverable`]).
+    /// None in practice (see [`Engine::decompose_with_progress`]).
     pub fn decompose(
         &self,
         prep: &PreparedLayout,
@@ -360,8 +357,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// `Err` means an engine rejected its input outright; budget
-    /// exhaustion is never an error.
+    /// None in practice: the tail executor answers every engine error
+    /// (and panic) with an audited ILP retry or a quarantined greedy
+    /// coloring, and budget exhaustion is never an error (see
+    /// [`AdaptiveFramework::decompose_prepared_parallel_recoverable`]).
+    /// The `Result` stays for callers that match on it.
     pub fn decompose_with_progress(
         &self,
         prep: &PreparedLayout,
@@ -394,6 +394,9 @@ impl Engine {
 /// resolves the rest.
 #[derive(Default)]
 pub(crate) struct RunState {
+    /// Each unit's routing-representative slot: identical units share
+    /// one, and with it every routing outcome (the tail flag included).
+    pub(crate) rep_slot: Vec<usize>,
     pub(crate) results: Vec<Option<Decomposition>>,
     pub(crate) engines: Vec<Option<EngineKind>>,
     /// Tail routing flag: EC first (kept when certified, else verified
@@ -502,7 +505,7 @@ impl Executor<'_> {
         let open: Vec<usize> = (0..graphs.len())
             .filter(|&i| st.results[i].is_none())
             .collect();
-        let (groups, labels) = iso_groups(&graphs, &open, &st.ec_first);
+        let (groups, labels) = iso_groups(&graphs, &open, &st.rep_slot, &st.ec_first);
         let mut tail = Tail {
             exec: self,
             graphs: &graphs,
@@ -791,8 +794,9 @@ impl Tail<'_, '_> {
 
 /// Request-local isomorphism groups over the tail units: each lists its
 /// members in unit order (the first is the representative); units
-/// without an isomorphic partner form singleton groups. Identical graphs
-/// with the same tail flag always group (any size); distinct graphs of
+/// without an isomorphic partner form singleton groups. Units with the
+/// same routing representative (`rep_slot`: identical graphs, which
+/// always share a tail flag) always group (any size); distinct graphs of
 /// at most [`MEMO_MAX_NODES`] nodes group by canonical certificate. A
 /// cheap structural fingerprint goes first — isomorphic graphs always
 /// share it — so canonicalization is only paid, once per distinct graph,
@@ -802,19 +806,17 @@ impl Tail<'_, '_> {
 fn iso_groups(
     graphs: &[&LayoutGraph],
     tail: &[usize],
+    rep_slot: &[usize],
     ec_first: &[bool],
 ) -> (Vec<Vec<usize>>, Vec<Option<Vec<u8>>>) {
-    let mut identical = [EmbeddingMemo::new(), EmbeddingMemo::new()];
+    let mut class_of: Vec<Option<usize>> = vec![None; graphs.len()];
     let mut classes: Vec<Vec<usize>> = Vec::new();
     for &i in tail {
-        let memo = &mut identical[usize::from(ec_first[i])];
-        match memo.find(graphs[i]) {
-            Some(c) => classes[c].push(i),
-            None => {
-                memo.insert(graphs[i], classes.len());
-                classes.push(vec![i]);
-            }
-        }
+        let c = *class_of[rep_slot[i]].get_or_insert_with(|| {
+            classes.push(Vec::new());
+            classes.len() - 1
+        });
+        classes[c].push(i);
     }
 
     let mut finger: HashMap<(usize, usize, Vec<u8>, bool), Vec<usize>> = HashMap::new();

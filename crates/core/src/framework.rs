@@ -24,8 +24,8 @@ use crate::pipeline::{PipelineResult, PreparedLayout};
 use mpld_ec::EcDecomposer;
 use mpld_gnn::{ColorGnn, InferBatch, RgcnClassifier};
 use mpld_graph::{
-    audit_decomposition, greedy_coloring, Budget, CancelToken, Certainty, Clock, DecomposeParams,
-    Decomposer, Decomposition, LayoutGraph, MpldError, SystemClock,
+    audit_decomposition, greedy_coloring, Budget, Certainty, Clock, DecomposeParams, Decomposer,
+    Decomposition, LayoutGraph, MpldError, SystemClock,
 };
 use mpld_ilp::encode::BipDecomposer;
 use mpld_matching::GraphLibrary;
@@ -37,8 +37,7 @@ use std::time::{Duration, Instant};
 ///
 /// `total` bounds the whole run; `per_unit` additionally bounds each
 /// unit's exact-solver time (each unit still gets at most the remaining
-/// layout-wide budget). `cancel` aborts cooperatively from another
-/// thread. `clock` overrides the time source (a
+/// layout-wide budget). `clock` overrides the time source (a
 /// [`MockClock`](mpld_graph::MockClock) makes timeout tests
 /// deterministic); `None` uses real wall-clock time.
 ///
@@ -50,8 +49,6 @@ pub struct BudgetPolicy {
     pub total: Option<Duration>,
     /// Per-unit wall-clock limit for the exact ILP/EC tail.
     pub per_unit: Option<Duration>,
-    /// Cooperative cancellation shared with the caller.
-    pub cancel: Option<CancelToken>,
     /// Time source; `None` means a fresh [`SystemClock`].
     pub clock: Option<Arc<dyn Clock>>,
 }
@@ -64,7 +61,7 @@ impl BudgetPolicy {
 
     /// Whether no limit of any kind is configured.
     pub fn is_unlimited(&self) -> bool {
-        self.total.is_none() && self.per_unit.is_none() && self.cancel.is_none()
+        self.total.is_none() && self.per_unit.is_none()
     }
 
     /// The layout-wide budget this policy describes, anchored at "now" on
@@ -77,21 +74,17 @@ impl BudgetPolicy {
             .clock
             .clone()
             .unwrap_or_else(|| Arc::new(SystemClock::new()));
-        let mut b = match self.total {
+        match self.total {
             Some(limit) => Budget::with_deadline_on(clock, limit),
             None => Budget::on_clock(clock),
-        };
-        if let Some(t) = &self.cancel {
-            b = b.and_cancel(t.clone());
         }
-        b
     }
 
     /// The budget for one unit solve starting now: the per-unit limit
     /// narrowed against whatever remains of `total`.
     pub(crate) fn unit_budget(&self, total: &Budget) -> Budget {
         match self.per_unit {
-            Some(limit) => total.narrowed(Some(limit), None),
+            Some(limit) => total.narrowed(limit),
             None => total.clone(),
         }
     }
@@ -162,9 +155,9 @@ impl BudgetBreakdown {
 }
 
 /// Statistics of the tape-free routing-inference engine for one adaptive
-/// run: how much work the embedding memo deduplicated away and how much
-/// scratch memory the frozen forwards touched. (Tail reuse — cache hits
-/// plus isomorphism-memo transfers — is [`AdaptiveResult::memo_hits`].)
+/// run: how much work the embedding memo deduplicated away and how the
+/// planner batched the rest. (Tail reuse — cache hits plus
+/// isomorphism-memo transfers — is [`AdaptiveResult::memo_hits`].)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InferenceStats {
     /// Units whose selector/redundancy inference was served from the
@@ -180,17 +173,8 @@ pub struct InferenceStats {
     /// Always zero on the per-request framework entry points; only the
     /// shared [`Engine`](crate::Engine) path populates it.
     pub shared_memo_hits: usize,
-    /// High-water mark of frozen scratch-buffer bytes across both RGCN
-    /// heads (the steady-state inference memory footprint).
-    pub scratch_high_water_bytes: usize,
     /// Inference batches the bucketed planner emitted.
     pub batches_planned: usize,
-    /// Estimated transient backbone scratch (bytes) of the single-union
-    /// batch the planner replaced.
-    pub padding_waste_before_bytes: usize,
-    /// Estimated transient backbone scratch (bytes) of the largest batch
-    /// actually run under the plan.
-    pub padding_waste_after_bytes: usize,
 }
 
 /// Which engine decomposed a unit (for Fig. 10).
@@ -261,7 +245,7 @@ pub struct AdaptiveResult {
     /// ILP/EC-tail units answered without a solve: engine solution-cache
     /// hits plus transfers from an isomorphic unit of the same request.
     pub memo_hits: usize,
-    /// Routing-inference statistics (embedding memo, frozen scratch).
+    /// Routing-inference statistics (embedding memo, batch plan).
     pub inference: InferenceStats,
     /// Per-unit outcome records, parallel to `unit_engines`.
     pub unit_outcomes: Vec<UnitOutcome>,
@@ -608,9 +592,8 @@ impl AdaptiveFramework {
         // Memo-served representatives skip inference entirely.
         let items: Vec<usize> = (0..nr).filter(|&s| out[s].is_none()).collect();
 
-        // Bucketed batch plan: similarly-sized graphs share a batch,
-        // several tightly-packed batches replace the old single union
-        // batch, and the peak transient scratch drops accordingly.
+        // Bucketed batch plan: similarly-sized graphs share a batch, and
+        // several tightly-packed batches replace one union batch.
         let sizes: Vec<(usize, usize)> = reps
             .iter()
             .map(|g| {
@@ -660,20 +643,11 @@ impl AdaptiveFramework {
             }
         }
 
-        // Padding-waste accounting: transient backbone scratch scales
-        // with batched nodes times the embedding width (input, aggregate
-        // and output rows live concurrently).
-        let per_node_bytes = 3 * 4 * frozen_sel.embedding_dim().max(1);
         let inference = InferenceStats {
             memo_hits: memo.hits(),
             shared_memo_hits: shared_hits,
             units_inferred: nr - shared_hits,
-            scratch_high_water_bytes: frozen_sel
-                .scratch_high_water_bytes()
-                .max(frozen_red.scratch_high_water_bytes()),
             batches_planned: plan.batches.len(),
-            padding_waste_before_bytes: plan.peak_nodes_before * per_node_bytes,
-            padding_waste_after_bytes: plan.peak_nodes_after * per_node_bytes,
         };
 
         let mut usage = UsageBreakdown::default();
@@ -800,6 +774,7 @@ impl AdaptiveFramework {
             .map(|i| guard_failed[i] || out[rep_slot[i]].sel_probs[1] > self.ec_threshold)
             .collect();
         RunState {
+            rep_slot,
             time: vec![Duration::ZERO; n],
             budget_fallback: vec![false; n],
             results,
@@ -820,12 +795,7 @@ impl AdaptiveFramework {
     /// ColorGNN samples each distinct predicted-redundant parent graph
     /// once, and the ILP/EC tail runs on the calling thread.
     pub fn decompose_prepared(&self, prep: &PreparedLayout) -> AdaptiveResult {
-        unwrap_unlimited(self.decompose_prepared_parallel_recoverable(
-            prep,
-            1,
-            &BudgetPolicy::unlimited(),
-            Recovery::default(),
-        ))
+        self.execute(prep, 1, &BudgetPolicy::unlimited(), Recovery::default())
     }
 
     /// Like [`AdaptiveFramework::decompose_prepared`], but fans the
@@ -844,12 +814,12 @@ impl AdaptiveFramework {
         prep: &PreparedLayout,
         threads: usize,
     ) -> AdaptiveResult {
-        unwrap_unlimited(self.decompose_prepared_parallel_recoverable(
+        self.execute(
             prep,
             threads,
             &BudgetPolicy::unlimited(),
             Recovery::default(),
-        ))
+        )
     }
 
     /// Budgeted, crash-safe variant of
@@ -880,9 +850,11 @@ impl AdaptiveFramework {
     ///
     /// # Errors
     ///
-    /// `Err` means an engine rejected its input outright; budget
-    /// exhaustion is never an error, and journal write failures are
-    /// swallowed (a lost checkpoint, never a lost solve).
+    /// None in practice: the tail executor answers every engine error
+    /// (and panic) with an audited ILP retry or a quarantined greedy
+    /// coloring, budget exhaustion is never an error, and journal write
+    /// failures are swallowed (a lost checkpoint, never a lost solve).
+    /// The `Result` stays for callers that match on it.
     pub fn decompose_prepared_parallel_recoverable(
         &self,
         prep: &PreparedLayout,
@@ -890,6 +862,18 @@ impl AdaptiveFramework {
         policy: &BudgetPolicy,
         recovery: Recovery<'_>,
     ) -> Result<AdaptiveResult, MpldError> {
+        Ok(self.execute(prep, threads, policy, recovery))
+    }
+
+    /// The runner behind every framework entry point (see
+    /// [`AdaptiveFramework::decompose_prepared_parallel_recoverable`]).
+    fn execute(
+        &self,
+        prep: &PreparedLayout,
+        threads: usize,
+        policy: &BudgetPolicy,
+        recovery: Recovery<'_>,
+    ) -> AdaptiveResult {
         let t = Instant::now();
         let heads = Heads::freeze(self);
         let frozen = t.elapsed();
@@ -901,16 +885,7 @@ impl AdaptiveFramework {
         let draw = self.colorgnn.next_draw();
         let mut r = executor.run(prep, policy, recovery, threads, draw, &mut |_| {});
         r.timing.selection += frozen;
-        Ok(r)
-    }
-}
-
-/// Propagates an impossible unlimited-budget error as a panic (the
-/// infallible legacy entry points delegate through this).
-fn unwrap_unlimited(r: Result<AdaptiveResult, MpldError>) -> AdaptiveResult {
-    match r {
-        Ok(res) => res,
-        Err(e) => panic!("adaptive framework failed on an unlimited budget: {e}"),
+        r
     }
 }
 

@@ -43,7 +43,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod density;
 mod engine;
 mod framework;
 mod memo;
@@ -56,7 +55,6 @@ mod summary;
 mod tiled;
 mod training;
 
-pub use density::{density_imbalance, mask_densities};
 pub use engine::{Engine, EngineStats, Progress, Session, DEFAULT_SEED};
 pub use framework::{
     AdaptiveFramework, AdaptiveResult, BudgetBreakdown, BudgetPolicy, EngineKind, InferenceStats,

@@ -73,10 +73,8 @@ pub const DEFAULT_MAX_BATCH_NODES: usize = 2048;
 /// transient scratch at the *sum* of all unit sizes. The planner instead
 /// buckets items into power-of-two (node-count, edge-count) bands — so
 /// each emitted batch holds similarly-shaped graphs — and splits each
-/// band at a node budget. The peak live scratch then drops from the
-/// whole-union size to the largest emitted batch, which
-/// `peak_nodes_before`/`peak_nodes_after` quantify for the padding-waste
-/// accounting in `InferenceStats`.
+/// band at a node budget, so the peak live scratch is that of the largest
+/// emitted batch.
 ///
 /// The plan is deterministic: bands are visited in ascending
 /// (node-band, edge-band) order and items keep their input order inside a
@@ -86,11 +84,6 @@ pub const DEFAULT_MAX_BATCH_NODES: usize = 2048;
 pub struct BatchPlan {
     /// Item indices per emitted batch (indices into the caller's slice).
     pub batches: Vec<Vec<usize>>,
-    /// Total nodes across all planned items — the scratch peak (in
-    /// nodes) of the single-union batch this plan replaces.
-    pub peak_nodes_before: usize,
-    /// Largest emitted batch in nodes — the scratch peak of this plan.
-    pub peak_nodes_after: usize,
 }
 
 /// Power-of-two size band: 0, {1}, {2,3}, {4..7}, ... Graphs in one band
@@ -132,18 +125,7 @@ impl BatchPlan {
         if !cur.is_empty() {
             batches.push(cur);
         }
-
-        let peak_nodes_before = items.iter().map(|&i| sizes[i].0).sum();
-        let peak_nodes_after = batches
-            .iter()
-            .map(|b| b.iter().map(|&i| sizes[i].0).sum())
-            .max()
-            .unwrap_or(0);
-        Self {
-            batches,
-            peak_nodes_before,
-            peak_nodes_after,
-        }
+        Self { batches }
     }
 }
 
@@ -220,24 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn plan_shrinks_peak_scratch_on_mixed_workloads() {
-        // 40 tiny units + 4 large ones: the union batch peaks at the sum,
-        // the plan at roughly one band's budgeted slice.
-        let mut sizes: Vec<(usize, usize)> = vec![(4, 5); 40];
-        sizes.extend([(300, 900); 4]);
-        let items: Vec<usize> = (0..sizes.len()).collect();
-        let plan = BatchPlan::new(&items, &sizes, 512);
-        assert_eq!(plan.peak_nodes_before, 40 * 4 + 4 * 300);
-        assert!(plan.peak_nodes_after < plan.peak_nodes_before);
-        // Budget 512 dominates the largest single unit (300 nodes).
-        assert!(plan.peak_nodes_after <= 512);
-    }
-
-    #[test]
     fn oversized_item_still_gets_a_batch() {
         let sizes = vec![(5000, 10)];
         let plan = BatchPlan::new(&[0], &sizes, 64);
         assert_eq!(plan.batches, vec![vec![0]]);
-        assert_eq!(plan.peak_nodes_after, 5000);
     }
 }

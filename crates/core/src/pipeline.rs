@@ -26,8 +26,6 @@ use std::time::{Duration, Instant};
 pub struct UnitInstance {
     /// Subfeature-level graph fed to the decomposers.
     pub hetero: LayoutGraph,
-    /// Index into [`Simplified::units`].
-    pub unit_index: usize,
 }
 
 /// A layout after preprocessing: everything the decomposers and the
@@ -97,7 +95,7 @@ pub(crate) fn prepare_tail(
     // Sized up front: collecting through `Result` would grow the vector
     // by doubling and keep up to twice the units' headers resident.
     let mut units = Vec::with_capacity(simplified.units().len());
-    for (i, unit) in simplified.units().iter().enumerate() {
+    for unit in simplified.units() {
         let feats = load(&unit.global_nodes)?;
         let splittable: Vec<bool> = unit
             .global_nodes
@@ -108,7 +106,6 @@ pub(crate) fn prepare_tail(
             .map_err(|e| MpldError::Io(format!("stitch insertion rejected unit geometry: {e}")))?;
         units.push(UnitInstance {
             hetero: stitched.graph,
-            unit_index: i,
         });
     }
 

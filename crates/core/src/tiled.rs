@@ -105,8 +105,6 @@ pub struct TiledStats {
     pub edges: usize,
     /// Edges whose endpoints live in different home tiles.
     pub boundary_edges: usize,
-    /// Simplified components spanning more than one home tile.
-    pub boundary_components: usize,
     /// Decomposition units belonging to boundary components; each one is
     /// a boundary subgraph re-solved whole (the reconciliation ladder of
     /// DESIGN.md §12) rather than stitched from per-tile guesses.
@@ -507,12 +505,10 @@ pub fn prepare_tiled_file(
     })?;
 
     let mut boundary_units = Vec::new();
-    let mut boundary_components = std::collections::HashSet::new();
     for (i, unit) in prep.simplified.units().iter().enumerate() {
         let first = home[unit.global_nodes[0] as usize];
         if unit.global_nodes.iter().any(|&g| home[g as usize] != first) {
             boundary_units.push(i);
-            boundary_components.insert(unit.component);
         }
     }
     progress(TiledProgress::Simplified {
@@ -532,7 +528,6 @@ pub fn prepare_tiled_file(
         max_tile_features,
         edges: num_edges,
         boundary_edges,
-        boundary_components: boundary_components.len(),
         boundary_resolves: boundary_units.len(),
     };
     Ok(TiledPrepared {
@@ -616,7 +611,6 @@ mod tests {
         assert_eq!(a.units.len(), b.units.len());
         for (x, y) in a.units.iter().zip(&b.units) {
             assert_eq!(x.hetero, y.hetero);
-            assert_eq!(x.unit_index, y.unit_index);
         }
     }
 

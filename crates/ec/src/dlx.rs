@@ -257,7 +257,7 @@ impl Dlx {
 
     /// [`Dlx::solve_min_cost`] under a wall-clock [`Budget`] in addition to
     /// the node budget: the node limits compose (the smaller wins) and the
-    /// deadline/cancellation is polled every 256 search nodes. With an
+    /// deadline is polled every 256 search nodes. With an
     /// unlimited wall budget this is bit-identical to `solve_min_cost`.
     pub fn solve_min_cost_within(
         &mut self,

@@ -55,21 +55,6 @@ impl GridIndex {
         (x0..=x1).flat_map(move |cx| (y0..=y1).map(move |cy| (cx, cy)))
     }
 
-    /// Indices of features whose bounding box, expanded by `margin`, might
-    /// be within `margin` of `bb`. Superset of the true answer; callers
-    /// filter by exact distance.
-    pub fn candidates_near(&self, bb: &Rect, margin: i64) -> Vec<usize> {
-        let grown = bb.expanded(margin);
-        let mut out: Vec<usize> = Self::covered_cells(&grown, self.cell)
-            .filter_map(|key| self.cells.get(&key))
-            .flatten()
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// All unordered pairs `(i, j)` with `i < j` of features whose exact gap
     /// distance is strictly less than `d`.
     ///

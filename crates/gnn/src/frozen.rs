@@ -106,11 +106,6 @@ impl FrozenRgcn {
         self.layers.last().expect("layers nonempty").w_self.cols()
     }
 
-    /// Peak scratch bytes checked out by this model's forwards so far.
-    pub fn scratch_high_water_bytes(&self) -> usize {
-        self.pool.high_water_bytes()
-    }
-
     /// The backbone over a (block-diagonal) batch; returns the checked
     /// out `n x D` node-embedding buffer, which the caller must `put`
     /// back.
@@ -304,11 +299,6 @@ impl FrozenColorGnn {
             sample_keep,
             pool: ScratchPool::new(),
         }
-    }
-
-    /// Peak scratch bytes checked out by this model's forwards so far.
-    pub fn scratch_high_water_bytes(&self) -> usize {
-        self.pool.high_water_bytes()
     }
 
     /// Rebuilds `csr` as a sampled conflict adjacency, drawing from the

@@ -432,35 +432,6 @@ impl RgcnClassifier {
         last_epoch_loss
     }
 
-    /// Debug hook: runs one training batch and returns the gradient norms
-    /// of every parameter (in registration order).
-    #[doc(hidden)]
-    pub fn debug_grad_norms(&mut self, data: &[(&LayoutGraph, u8)]) -> Vec<f32> {
-        let graphs: Vec<&LayoutGraph> = data.iter().map(|(g, _)| *g).collect();
-        let labels: Arc<Vec<u8>> = Arc::new(data.iter().map(|(_, l)| *l).collect());
-        let enc = crate::BatchEncoding::new(&graphs);
-        let mut params = std::mem::replace(&mut self.params, ParamSet::new(Optimizer::Adam));
-        let mut g = Graph::new();
-        let node_emb = self.backbone_raw(
-            &mut g,
-            enc.features.clone(),
-            [enc.conflict.clone(), enc.stitch.clone()],
-            &mut |g, pid| params.bind(g, pid),
-        );
-        let pooled = match self.readout {
-            Readout::Sum => g.segment_sum(node_emb, enc.segment.clone(), labels.len()),
-            Readout::Max => g.segment_max(node_emb, &enc.segment, labels.len()),
-        };
-        let logits = self.head_raw(&mut g, pooled, &mut |g, pid| params.bind(g, pid));
-        let loss = g.softmax_cross_entropy(logits, labels);
-        g.backward(loss);
-        params.apply_grads(&g);
-        let norms = params.debug_grad_norms();
-        params.zero_grads();
-        self.params = params;
-        norms
-    }
-
     /// Class probabilities for a batch of graphs, computed in one pass
     /// over their disjoint union (the paper's batched inference).
     ///

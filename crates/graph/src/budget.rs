@@ -1,10 +1,9 @@
-//! Wall-clock / node budgets and cooperative cancellation for solvers.
+//! Wall-clock / node budgets for solvers.
 //!
 //! Every decomposition engine accepts a [`Budget`] describing how much work
 //! it may spend: an optional wall-clock deadline (measured on a pluggable
-//! [`Clock`] so timeout tests are deterministic), an optional node /
-//! iteration limit, and an optional [`CancelToken`] that lets another
-//! thread abort a search cooperatively.
+//! [`Clock`] so timeout tests are deterministic) and an optional node /
+//! iteration limit (which makes budget cuts deterministic in tests).
 //!
 //! Budget exhaustion is **not** an error: an engine that runs out of budget
 //! returns its best-so-far incumbent tagged
@@ -16,7 +15,7 @@
 //! never trips, so budget-aware code paths are bit-identical to the
 //! pre-budget behavior when no limit is configured.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -95,33 +94,8 @@ impl Clock for MockClock {
     }
 }
 
-/// Cooperative cancellation token shared between a controller and one or
-/// more running solves. Cloning shares the flag.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation; running solves return their incumbent at the
-    /// next budget check.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
-/// A work budget for one solve: wall-clock deadline, node/iteration limit,
-/// and cooperative cancellation.
+/// A work budget for one solve: wall-clock deadline and node/iteration
+/// limit.
 ///
 /// The default ([`Budget::unlimited`]) has no limits and is checked for
 /// free. Deadlines are absolute instants on the budget's [`Clock`], so a
@@ -132,7 +106,6 @@ pub struct Budget {
     clock: Option<Arc<dyn Clock>>,
     deadline: Option<Duration>,
     node_limit: Option<u64>,
-    cancel: Option<CancelToken>,
 }
 
 impl Budget {
@@ -140,11 +113,6 @@ impl Budget {
     /// exist.
     pub fn unlimited() -> Self {
         Self::default()
-    }
-
-    /// A budget expiring `limit` of real wall-clock time from now.
-    pub fn with_deadline(limit: Duration) -> Self {
-        Self::with_deadline_on(Arc::new(SystemClock::new()), limit)
     }
 
     /// A budget with no limits of its own that carries `clock`, so
@@ -156,7 +124,6 @@ impl Budget {
             clock: Some(clock),
             deadline: None,
             node_limit: None,
-            cancel: None,
         }
     }
 
@@ -167,19 +134,12 @@ impl Budget {
             clock: Some(clock),
             deadline: Some(deadline),
             node_limit: None,
-            cancel: None,
         }
     }
 
     /// Adds a search-node / iteration limit.
     pub fn and_node_limit(mut self, nodes: u64) -> Self {
         self.node_limit = Some(nodes);
-        self
-    }
-
-    /// Adds a cooperative cancellation token.
-    pub fn and_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -190,19 +150,14 @@ impl Budget {
 
     /// Whether this budget can never trip.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.node_limit.is_none() && self.cancel.is_none()
+        self.deadline.is_none() && self.node_limit.is_none()
     }
 
-    /// Whether the deadline has passed or cancellation was requested.
+    /// Whether the deadline has passed.
     ///
     /// Reads the clock, so hot loops should go through a [`BudgetGauge`]
     /// rather than calling this per node.
     pub fn exhausted(&self) -> bool {
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return true;
-            }
-        }
         match (&self.clock, self.deadline) {
             (Some(clock), Some(deadline)) => clock.now() >= deadline,
             _ => false,
@@ -218,38 +173,24 @@ impl Budget {
         }
     }
 
-    /// A child budget on the same clock and cancellation token whose
-    /// deadline is the sooner of this budget's deadline and `limit` from
-    /// now, and whose node limit is the smaller of the two.
-    pub fn narrowed(&self, limit: Option<Duration>, node_limit: Option<u64>) -> Budget {
-        let clock = match (&self.clock, limit) {
-            (Some(c), _) => Some(Arc::clone(c)),
-            (None, Some(_)) => Some(Arc::new(SystemClock::new()) as Arc<dyn Clock>),
-            (None, None) => None,
-        };
-        let child_deadline = match (&clock, limit) {
-            (Some(c), Some(l)) => Some(c.now() + l),
-            _ => None,
-        };
-        let deadline = match (self.deadline, child_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let node_limit = match (self.node_limit, node_limit) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+    /// A child budget on the same clock (a fresh [`SystemClock`] when this
+    /// budget has none) whose deadline is the sooner of this budget's
+    /// deadline and `limit` from now, with this budget's node limit.
+    pub fn narrowed(&self, limit: Duration) -> Budget {
+        let clock = self
+            .clock
+            .clone()
+            .unwrap_or_else(|| Arc::new(SystemClock::new()));
+        let child = clock.now() + limit;
         Budget {
-            clock,
-            deadline,
-            node_limit,
-            cancel: self.cancel.clone(),
+            deadline: Some(self.deadline.map_or(child, |d| d.min(child))),
+            clock: Some(clock),
+            node_limit: self.node_limit,
         }
     }
 }
 
-/// Number of [`BudgetGauge::tick`] calls between clock reads. Node-limit
-/// and cancellation checks are cheap and happen on the same stride.
+/// Number of [`BudgetGauge::tick`] calls between clock reads.
 const GAUGE_STRIDE: u64 = 256;
 
 /// Strided budget checker for hot search loops.
@@ -366,16 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_trips_budget() {
-        let token = CancelToken::new();
-        let b = Budget::unlimited().and_cancel(token.clone());
-        assert!(!b.is_unlimited());
-        assert!(!b.exhausted());
-        token.cancel();
-        assert!(b.exhausted());
-    }
-
-    #[test]
     fn gauge_polls_clock_on_stride() {
         let clock = Arc::new(MockClock::ticking(Duration::from_millis(1)));
         let b = Budget::with_deadline_on(clock, Duration::from_millis(2));
@@ -401,13 +332,15 @@ mod tests {
             Duration::from_secs(10),
         )
         .and_node_limit(1000);
-        let child = parent.narrowed(Some(Duration::from_secs(1)), Some(50));
-        assert_eq!(child.node_limit(), Some(50));
+        let child = parent.narrowed(Duration::from_secs(1));
+        assert_eq!(child.node_limit(), Some(1000));
         clock.advance(Duration::from_secs(2));
         assert!(child.exhausted(), "child deadline is the sooner one");
         assert!(!parent.exhausted());
 
-        // Narrowing an unlimited budget with no limits stays unlimited.
-        assert!(Budget::unlimited().narrowed(None, None).is_unlimited());
+        // Narrowing a budget without a clock starts a wall clock.
+        let child = Budget::unlimited().narrowed(Duration::from_secs(60));
+        assert!(!child.is_unlimited());
+        assert!(!child.exhausted());
     }
 }

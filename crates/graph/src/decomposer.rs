@@ -129,8 +129,7 @@ pub trait Decomposer {
     /// `graph.evaluate(&coloring, params.alpha)`. Budget exhaustion is not
     /// an error: engines return the best-so-far incumbent tagged
     /// [`Certainty::BudgetExhausted`]. `Err` is reserved for requests the
-    /// engine cannot serve at all (e.g. an unsupported mask count) and for
-    /// cancellation before any incumbent exists.
+    /// engine cannot serve at all (e.g. an unsupported mask count).
     fn decompose(
         &self,
         graph: &LayoutGraph,

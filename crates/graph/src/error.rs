@@ -6,8 +6,8 @@
 //! [`Certainty::BudgetExhausted`](crate::Certainty::BudgetExhausted)
 //! instead, so callers always get a valid coloring. Errors are reserved for
 //! inputs an engine cannot produce any valid answer for (malformed layout
-//! text, unsupported mask counts, mismatched coloring lengths) and for
-//! explicit cancellation before any work could be done.
+//! text, unsupported mask counts, mismatched coloring lengths) and for the
+//! faults a quarantined unit records.
 
 use std::fmt;
 
@@ -43,8 +43,6 @@ pub enum MpldError {
         /// Why no solution exists / was found.
         reason: String,
     },
-    /// The solve was cancelled before any incumbent existed.
-    Cancelled,
     /// A per-unit solve panicked and was quarantined by the framework.
     ///
     /// The unit is reported with a greedy-fallback coloring tagged
@@ -85,7 +83,6 @@ impl fmt::Display for MpldError {
             MpldError::Infeasible { engine, reason } => {
                 write!(f, "{engine}: no valid coloring: {reason}")
             }
-            MpldError::Cancelled => write!(f, "solve cancelled"),
             MpldError::Panicked { unit, payload } => {
                 write!(f, "unit {unit} panicked and was quarantined: {payload}")
             }
@@ -131,7 +128,6 @@ mod tests {
         };
         assert!(e.to_string().contains("3 entries"));
         assert!(e.to_string().contains("5 nodes"));
-        assert_eq!(MpldError::Cancelled.to_string(), "solve cancelled");
         let e = MpldError::Panicked {
             unit: 4,
             payload: "boom".into(),

@@ -55,7 +55,7 @@ pub mod simplify;
 
 pub use audit::{audit_coloring, audit_decomposition, AuditError};
 pub use bicc::{biconnected_components, BlockCutTree};
-pub use budget::{Budget, BudgetGauge, CancelToken, Clock, MockClock, SystemClock};
+pub use budget::{Budget, BudgetGauge, Clock, MockClock, SystemClock};
 pub use coloring::{Coloring, CostBreakdown};
 pub use decomposer::{greedy_coloring, Certainty, DecomposeParams, Decomposer, Decomposition};
 pub use error::MpldError;

@@ -95,25 +95,15 @@ impl Decomposer for BipDecomposer {
 }
 
 impl BipDecomposer {
-    /// Searches for a decomposition strictly cheaper than `known`, or
-    /// returns `None` as a proof that `known` is already optimal.
+    /// Searches, within `budget`, for a decomposition strictly cheaper
+    /// than `known`; `None` with an uncut search proves that `known` is
+    /// already optimal.
     ///
     /// The known cost becomes the branch-and-bound's starting incumbent
     /// (see [`Bip::solve_bounded`]): verifying a warm start from another
     /// engine is orders of magnitude cheaper than a cold exact solve,
     /// while the outcome is identical — either the strictly better optimum
     /// or the certainty that none exists.
-    pub fn decompose_below(
-        &self,
-        graph: &LayoutGraph,
-        params: &DecomposeParams,
-        known: &CostBreakdown,
-    ) -> Option<Decomposition> {
-        self.decompose_below_within(graph, params, known, &Budget::unlimited())
-            .0
-    }
-
-    /// Budgeted [`BipDecomposer::decompose_below`].
     ///
     /// Returns the strictly-better decomposition (if one was found) and
     /// whether the search was cut short. When the flag is `true` and no

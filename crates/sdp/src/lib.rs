@@ -64,13 +64,6 @@ impl SdpDecomposer {
         Self::default()
     }
 
-    /// Overrides the number of random restarts (more restarts: better
-    /// quality, slower).
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
     /// Overrides the RNG seed (results are deterministic per seed).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -198,12 +198,6 @@ impl Graph {
         }
     }
 
-    /// Peak bytes concurrently checked out of the tape's scratch — the
-    /// training arena's steady-state working set.
-    pub fn scratch_high_water_bytes(&self) -> usize {
-        self.scratch.high_water_bytes()
-    }
-
     /// A zeroed `rows x cols` matrix carved from the scratch free list.
     fn alloc(&mut self, rows: usize, cols: usize) -> Matrix {
         Matrix::from_vec(rows, cols, self.scratch.take(rows * cols))

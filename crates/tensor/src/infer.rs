@@ -54,11 +54,6 @@ impl Csr {
         self.row_ptr.len().saturating_sub(1)
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.cols.len()
-    }
-
     /// Row `i`'s neighbor list.
     pub fn row(&self, i: usize) -> &[u32] {
         &self.cols[self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize]
@@ -392,15 +387,9 @@ pub fn row_l2_normalize_in_place(x: &mut [f32], cols: usize) {
 /// buffer (recycling a returned one when available), `put` returns it.
 /// After warmup a fixed-shape inference pass allocates nothing: every
 /// buffer it needs is already in the free list.
-///
-/// The scratch also tracks the high-water mark of concurrently
-/// checked-out bytes, which `perf_baseline` reports as the inference
-/// engine's working-set size.
 #[derive(Debug, Default)]
 pub struct Scratch {
     free: Vec<Vec<f32>>,
-    outstanding_bytes: usize,
-    peak_bytes: usize,
 }
 
 impl Scratch {
@@ -414,8 +403,6 @@ impl Scratch {
         let mut buf = self.free.pop().unwrap_or_default();
         buf.clear();
         buf.resize(len, 0.0);
-        self.outstanding_bytes += len * std::mem::size_of::<f32>();
-        self.peak_bytes = self.peak_bytes.max(self.outstanding_bytes);
         buf
     }
 
@@ -432,22 +419,12 @@ impl Scratch {
         } else {
             buf.truncate(len);
         }
-        self.outstanding_bytes += len * std::mem::size_of::<f32>();
-        self.peak_bytes = self.peak_bytes.max(self.outstanding_bytes);
         buf
     }
 
     /// Returns a buffer to the free list for reuse.
     pub fn put(&mut self, buf: Vec<f32>) {
-        self.outstanding_bytes = self
-            .outstanding_bytes
-            .saturating_sub(buf.len() * std::mem::size_of::<f32>());
         self.free.push(buf);
-    }
-
-    /// Peak bytes concurrently checked out over this scratch's lifetime.
-    pub fn high_water_bytes(&self) -> usize {
-        self.peak_bytes
     }
 }
 
@@ -456,26 +433,21 @@ impl Scratch {
 /// concurrent server requests: [`ScratchPool::lease`] checks an arena out
 /// (creating it on first use) and the returned [`ScratchLease`] gives the
 /// holder exclusive, lock-free access until it drops, at which point the
-/// arena returns to the free list and its high-water mark folds into the
-/// pool-wide peak. A worker that holds one lease across a whole request
-/// pays the pool mutex twice per request instead of twice per forward.
+/// arena returns to the free list. A worker that holds one lease across a
+/// whole request pays the pool mutex twice per request instead of twice
+/// per forward.
 ///
 /// [`ScratchPool::with`] is the closure-scoped convenience wrapper over a
 /// single lease.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    inner: Mutex<PoolState>,
-}
-
-#[derive(Debug, Default)]
-struct PoolState {
-    free: Vec<Scratch>,
-    peak_bytes: usize,
+    /// Arenas not checked out.
+    free: Mutex<Vec<Scratch>>,
 }
 
 /// Exclusive RAII checkout of one [`Scratch`] arena from a
 /// [`ScratchPool`]. Dereferences to the arena; dropping it returns the
-/// arena to the pool and records its high-water mark.
+/// arena to the pool.
 #[derive(Debug)]
 pub struct ScratchLease<'p> {
     pool: &'p ScratchPool,
@@ -504,9 +476,8 @@ impl Drop for ScratchLease<'_> {
         let Some(scratch) = self.scratch.take() else {
             return;
         };
-        if let Ok(mut st) = self.pool.inner.lock() {
-            st.peak_bytes = st.peak_bytes.max(scratch.high_water_bytes());
-            st.free.push(scratch);
+        if let Ok(mut free) = self.pool.free.lock() {
+            free.push(scratch);
         }
     }
 }
@@ -521,8 +492,8 @@ impl ScratchPool {
     /// is empty). The lease holds the arena exclusively — no lock is
     /// taken between checkout and drop.
     pub fn lease(&self) -> ScratchLease<'_> {
-        let scratch = match self.inner.lock() {
-            Ok(mut st) => st.free.pop().unwrap_or_default(),
+        let scratch = match self.free.lock() {
+            Ok(mut free) => free.pop().unwrap_or_default(),
             Err(_) => Scratch::new(), // poisoned: degrade to a throwaway
         };
         ScratchLease {
@@ -535,20 +506,6 @@ impl ScratchPool {
     pub fn with<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
         let mut lease = self.lease();
         f(&mut lease)
-    }
-
-    /// Peak high-water bytes observed across all scratches in the pool.
-    pub fn high_water_bytes(&self) -> usize {
-        match self.inner.lock() {
-            Ok(st) => st.peak_bytes.max(
-                st.free
-                    .iter()
-                    .map(Scratch::high_water_bytes)
-                    .max()
-                    .unwrap_or(0),
-            ),
-            Err(_) => 0,
-        }
     }
 }
 
@@ -682,25 +639,17 @@ mod tests {
         let mut s = Scratch::new();
         let a = s.take(8);
         let b = s.take(4);
-        assert_eq!(s.high_water_bytes(), 12 * 4);
         let cap_a = a.capacity();
         s.put(a);
         s.put(b);
-        let c = s.take(6); // recycled, no fresh allocation needed
+        let c = s.take(6); // recycled `b`, grown to 6
         assert!(c.capacity() >= 6);
         assert!(c.iter().all(|&v| v == 0.0));
-        assert!(cap_a >= 6 || c.capacity() >= 6);
-        assert_eq!(s.high_water_bytes(), 12 * 4);
-    }
-
-    #[test]
-    fn scratch_pool_folds_peaks() {
-        let pool = ScratchPool::new();
-        pool.with(|s| {
-            let a = s.take(16);
-            s.put(a);
-        });
-        assert_eq!(pool.high_water_bytes(), 64);
+        // `a` waits on the free list at its high-water capacity: a
+        // smaller checkout reuses it without allocating.
+        let d = s.take(2);
+        assert_eq!(d.capacity(), cap_a);
+        assert!(d.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -716,12 +665,11 @@ mod tests {
             let b = other.take(8);
             other.put(b);
         }
-        // Both arenas returned; the pool-wide peak folds the larger one.
-        assert_eq!(pool.high_water_bytes(), 128);
-        // The free list is reused: a new lease recycles a returned arena
-        // whose per-arena high-water mark is already recorded.
-        let lease = pool.lease();
-        assert!(lease.high_water_bytes() > 0);
+        // Both arenas returned with their buffers: two new leases
+        // recycle them, the last returned (the 32-float one) first.
+        let (mut l1, mut l2) = (pool.lease(), pool.lease());
+        assert!(l1.take(1).capacity() >= 32);
+        assert!(l2.take(1).capacity() >= 8);
     }
 
     #[test]
@@ -739,6 +687,13 @@ mod tests {
                 });
             }
         });
-        assert_eq!(pool.high_water_bytes(), 256);
+        // At most one arena per concurrent holder, each holding the one
+        // 64-float buffer its holders kept recycling.
+        let arenas = pool.free.lock().expect("pool lock");
+        assert!(!arenas.is_empty() && arenas.len() <= 4);
+        for arena in arenas.iter() {
+            assert_eq!(arena.free.len(), 1);
+            assert!(arena.free[0].capacity() >= 64);
+        }
     }
 }

@@ -147,12 +147,6 @@ impl ParamSet {
         }
     }
 
-    /// Debug hook: Frobenius norms of the accumulated gradients.
-    #[doc(hidden)]
-    pub fn debug_grad_norms(&self) -> Vec<f32> {
-        self.grads.iter().map(|g| g.norm()).collect()
-    }
-
     /// Sets all accumulated gradients to zero.
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {

@@ -1,13 +1,13 @@
 //! Quadruple patterning (k = 4): the paper's framework is "flexible to be
 //! extended to other decomposition tasks", and every engine in this
 //! workspace supports four masks. This example compares TPL vs QPL cost
-//! on one circuit and shows the mask-density balance of the result.
+//! on one circuit.
 //!
 //! ```sh
 //! cargo run --release -p mpld --example quadruple_patterning -- C1355
 //! ```
 
-use mpld::{mask_densities, prepare, run_pipeline};
+use mpld::{prepare, run_pipeline};
 use mpld_graph::DecomposeParams;
 use mpld_ilp::IlpDecomposer;
 use mpld_layout::circuit_by_name;
@@ -26,7 +26,6 @@ fn main() {
     for params in [DecomposeParams::tpl(), DecomposeParams::qpl()] {
         let prep = prepare(&layout, &params);
         let r = run_pipeline(&prep, &engine, &params);
-        let densities = mask_densities(&layout, &r.decomposition.feature_colors, params.k);
         println!(
             "k = {}: cost {} (objective {:.1}) in {:?}",
             params.k,
@@ -34,14 +33,6 @@ fn main() {
             r.cost.value(params.alpha),
             r.decompose_time
         );
-        let pretty: Vec<String> = densities
-            .iter()
-            .map(|d| format!("{:.1}%", d * 100.0))
-            .collect();
-        println!("       mask area shares: [{}]", pretty.join(", "));
     }
-    println!("\nmore masks can only lower the optimal cost. Note how the extra");
-    println!("slack at k = 4 lets densities drift — the objective only counts");
-    println!("conflicts/stitches, which is why density-balancing decomposers");
-    println!("(cited in the paper) add an explicit balance term.");
+    println!("\nmore masks can only lower the optimal cost.");
 }

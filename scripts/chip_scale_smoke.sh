@@ -26,14 +26,18 @@
 #        MPLD_SMOKE_MEM_KB (ulimit -v cap, default 262144 = 256 MiB;
 #        measured peak at 100k rects is ~78 MiB, so the cap holds real
 #        headroom while still forbidding layout-proportional blowup).
+# Scratch files go to a private `mktemp -d` directory, removed on exit,
+# so concurrent runs never share a file.
 set -euo pipefail
 
 BIN=${MPLD_BIN:-target/release/mpld}
-MODEL=${1:-/tmp/ci-chip-model.bin}
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+MODEL=${1:-$WORK/model.bin}
 RECTS=${MPLD_SMOKE_RECTS:-100000}
 MEM_KB=${MPLD_SMOKE_MEM_KB:-262144}
-LAYOUT=/tmp/ci-chip.mpld
-C6288=/tmp/ci-c6288.mpld
+LAYOUT="$WORK/chip.mpld"
+C6288="$WORK/c6288.mpld"
 
 "$BIN" train -o "$MODEL" --circuits C432 --cap 20 --epochs 2
 
@@ -44,36 +48,36 @@ echo "== streamed run under ulimit -v ${MEM_KB}kB =="
 (
   ulimit -v "$MEM_KB"
   "$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 \
-    --json true -o /tmp/ci-chip.masks > /tmp/ci-chip.json
+    --json true -o "$WORK/chip.masks" > "$WORK/chip.json"
 )
-cat /tmp/ci-chip.json
+cat "$WORK/chip.json"
 
 echo "== one tail worker =="
 "$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 --threads 1 \
-  --json true -o /tmp/ci-chip-threads1.masks > /tmp/ci-chip-threads1.json
+  --json true -o "$WORK/chip-threads1.masks" > "$WORK/chip-threads1.json"
 
 echo "== two tail workers =="
 "$BIN" adaptive "$LAYOUT" --model "$MODEL" --seed 7 --threads 2 \
-  --json true -o /tmp/ci-chip-threads2.masks > /tmp/ci-chip-threads2.json
+  --json true -o "$WORK/chip-threads2.masks" > "$WORK/chip-threads2.json"
 
 echo "== chip mask files byte for byte =="
-cmp /tmp/ci-chip.masks /tmp/ci-chip-threads1.masks
-cmp /tmp/ci-chip-threads1.masks /tmp/ci-chip-threads2.masks
+cmp "$WORK/chip.masks" "$WORK/chip-threads1.masks"
+cmp "$WORK/chip-threads1.masks" "$WORK/chip-threads2.masks"
 echo "masks identical: capped run = --threads 1 = --threads 2"
 
 echo "== C6288: streamed file versus whole circuit =="
 "$BIN" generate C6288 -o "$C6288"
 "$BIN" adaptive "$C6288" --model "$MODEL" --seed 7 \
-  --json true -o /tmp/ci-c6288-file.masks > /tmp/ci-c6288-file.json
+  --json true -o "$WORK/c6288-file.masks" > "$WORK/c6288-file.json"
 "$BIN" adaptive C6288 --model "$MODEL" --seed 7 \
-  --json true -o /tmp/ci-c6288-whole.masks > /tmp/ci-c6288-whole.json
-cat /tmp/ci-c6288-file.json
-cmp /tmp/ci-c6288-file.masks /tmp/ci-c6288-whole.masks
+  --json true -o "$WORK/c6288-whole.masks" > "$WORK/c6288-whole.json"
+cat "$WORK/c6288-file.json"
+cmp "$WORK/c6288-file.masks" "$WORK/c6288-whole.masks"
 echo "masks identical: streamed file = whole circuit"
 
 echo "== digest parity =="
-python3 - /tmp/ci-chip.json /tmp/ci-chip-threads1.json /tmp/ci-chip-threads2.json \
-  /tmp/ci-c6288-file.json /tmp/ci-c6288-whole.json <<'EOF'
+python3 - "$WORK/chip.json" "$WORK/chip-threads1.json" "$WORK/chip-threads2.json" \
+  "$WORK/c6288-file.json" "$WORK/c6288-whole.json" <<'EOF'
 import json, sys
 
 chip, chip1, chip2, c_file, c_whole = (json.load(open(p)) for p in sys.argv[1:])

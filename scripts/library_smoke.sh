@@ -23,12 +23,21 @@
 #
 # Usage: scripts/library_smoke.sh [model-path]
 # Knobs: MPLD_BIN (default target/release/mpld)
+# Scratch files go to a private `mktemp -d` directory, removed on exit
+# together with the server if it is still running, so concurrent runs
+# never share a file.
 set -euo pipefail
 
 BIN=${MPLD_BIN:-target/release/mpld}
-MODEL=${1:-/tmp/ci-library-model.bin}
-STORE=/tmp/ci-library-store
-rm -rf "$STORE"
+WORK=$(mktemp -d)
+SERVER_PID=
+cleanup() {
+  if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
+MODEL=${1:-$WORK/model.bin}
+STORE=$WORK/store
 
 "$BIN" train -o "$MODEL" --circuits C432 --cap 20 --epochs 2
 
@@ -36,17 +45,17 @@ rm -rf "$STORE"
 # ILP/EC tail — the part of a run the store persists — so the warm run
 # has solves to reuse.
 "$BIN" adaptive C499 --model "$MODEL" --seed 7 --threads 1 \
-  --colorgnn false --json true -o /tmp/ci-library-oracle.masks \
-  > /tmp/ci-library-oracle.json
-cat /tmp/ci-library-oracle.json
+  --colorgnn false --json true -o "$WORK/oracle.masks" \
+  > "$WORK/oracle.json"
+cat "$WORK/oracle.json"
 "$BIN" adaptive C499 --model "$MODEL" --seed 7 --threads 2 \
-  --colorgnn false --json true -o /tmp/ci-library-threads2.masks \
-  > /tmp/ci-library-threads2.json
+  --colorgnn false --json true -o "$WORK/threads2.masks" \
+  > "$WORK/threads2.json"
 
 echo "== cold store-backed run =="
 "$BIN" adaptive C499 --model "$MODEL" --seed 7 --colorgnn false \
-  --store-dir "$STORE" --json true -o /tmp/ci-library-cold.masks \
-  > /tmp/ci-library-cold.json
+  --store-dir "$STORE" --json true -o "$WORK/cold.masks" \
+  > "$WORK/cold.json"
 
 STORE_FILE=$(ls "$STORE"/library-*.jsonl)
 test -s "$STORE_FILE"
@@ -84,36 +93,35 @@ echo "== compact reclaims, verify passes =="
 "$BIN" library verify --store-dir "$STORE"
 
 echo "== compaction under a live server is refused (exit 1) =="
-LOG=/tmp/ci-library-serve.log
+LOG="$WORK/serve.log"
 "$BIN" serve --model "$MODEL" --addr 127.0.0.1:0 --colorgnn false \
   --store-dir "$STORE" > "$LOG" &
 SERVER_PID=$!
-trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do
   grep -q "listening on" "$LOG" 2>/dev/null && break
   sleep 0.1
 done
 grep -q "listening on" "$LOG"
 set +e
-"$BIN" library compact --store-dir "$STORE" 2> /tmp/ci-library-compact.err
+"$BIN" library compact --store-dir "$STORE" 2> "$WORK/compact.err"
 rc=$?
 set -e
-cat /tmp/ci-library-compact.err
+cat "$WORK/compact.err"
 test "$rc" -eq 1 || { echo "live compact exit $rc, wanted 1" >&2; exit 1; }
-grep -q "$(basename "$STORE_FILE")" /tmp/ci-library-compact.err
+grep -q "$(basename "$STORE_FILE")" "$WORK/compact.err"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
-trap - EXIT
+SERVER_PID=
 "$BIN" library compact --store-dir "$STORE"
 "$BIN" library verify --store-dir "$STORE"
 
 echo "== warm store-backed run over the healed store =="
 "$BIN" adaptive C499 --model "$MODEL" --seed 7 --colorgnn false \
-  --store-dir "$STORE" --json true -o /tmp/ci-library-warm.masks \
-  > /tmp/ci-library-warm.json
+  --store-dir "$STORE" --json true -o "$WORK/warm.masks" \
+  > "$WORK/warm.json"
 
-python3 - /tmp/ci-library-oracle.json /tmp/ci-library-cold.json \
-  /tmp/ci-library-warm.json <<'EOF'
+python3 - "$WORK/oracle.json" "$WORK/cold.json" \
+  "$WORK/warm.json" <<'EOF'
 import json, sys
 oracle, cold, warm = (json.load(open(p)) for p in sys.argv[1:4])
 for run, who in ((cold, "cold"), (warm, "warm")):
@@ -133,8 +141,8 @@ print(f"store-backed digests match the oracle; warm run re-solved only "
 EOF
 
 echo "== mask files byte for byte =="
-cmp /tmp/ci-library-oracle.masks /tmp/ci-library-threads2.masks
-cmp /tmp/ci-library-cold.masks /tmp/ci-library-warm.masks
+cmp "$WORK/oracle.masks" "$WORK/threads2.masks"
+cmp "$WORK/cold.masks" "$WORK/warm.masks"
 echo "masks identical: --threads 1 = --threads 2, cold store = warm store"
 
 rm -rf "$STORE"

@@ -16,24 +16,33 @@
 #
 # Usage: scripts/server_smoke.sh [model-path]
 # Knobs: MPLD_BIN (default target/release/mpld), MPLD_SMOKE_PORT (7979).
+# Scratch files go to a private `mktemp -d` directory, removed on exit
+# together with any server still running, so concurrent runs (on
+# distinct ports) never share a file.
 set -euo pipefail
 
 BIN=${MPLD_BIN:-target/release/mpld}
-MODEL=${1:-/tmp/ci-serve-model.bin}
+WORK=$(mktemp -d)
+SERVER_PID=
+cleanup() {
+  if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
+MODEL=${1:-$WORK/model.bin}
 PORT=${MPLD_SMOKE_PORT:-7979}
-LOG=/tmp/ci-serve.log
+LOG=$WORK/serve.log
 
 "$BIN" train -o "$MODEL" --circuits C432 --cap 20 --epochs 2
 
 # The oracle: the same circuit/seed through the per-request CLI path.
 "$BIN" adaptive C432 --model "$MODEL" --seed 7 --threads 1 --json true \
-  > /tmp/ci-cli-summary.json
-cat /tmp/ci-cli-summary.json
+  > "$WORK/cli-summary.json"
+cat "$WORK/cli-summary.json"
 
 "$BIN" serve --model "$MODEL" --addr "127.0.0.1:$PORT" --workers 2 \
   > "$LOG" &
 SERVER_PID=$!
-trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
 
 for _ in $(seq 1 100); do
   grep -q "listening on" "$LOG" 2>/dev/null && break
@@ -62,10 +71,10 @@ sys.stdout.write(out.decode())
 EOF
 }
 
-post_decompose smoke-1 > /tmp/ci-serve-1.txt
-post_decompose smoke-2 > /tmp/ci-serve-2.txt
+post_decompose smoke-1 > "$WORK/serve-1.txt"
+post_decompose smoke-2 > "$WORK/serve-2.txt"
 
-python3 - /tmp/ci-cli-summary.json /tmp/ci-serve-1.txt /tmp/ci-serve-2.txt <<'EOF'
+python3 - "$WORK/cli-summary.json" "$WORK/serve-1.txt" "$WORK/serve-2.txt" <<'EOF'
 import json, sys
 
 cli = json.load(open(sys.argv[1]))
@@ -114,8 +123,8 @@ EOF
 # Graceful drain: SIGTERM must finish queued work and exit 0.
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
+SERVER_PID=
 grep -q "drained, exiting" "$LOG"
-trap - EXIT
 echo "phase 1 passed: served digests match the CLI run"
 
 # ---------------------------------------------------------------------
@@ -123,21 +132,19 @@ echo "phase 1 passed: served digests match the CLI run"
 # `--colorgnn false` routes the heuristic head's units to the certified
 # ILP/EC tail — the part of a run that is journaled — so the resumed
 # run has records to reuse.
-JOURNAL=/tmp/ci-serve-journal
-LOG2=/tmp/ci-serve-resume.log
+JOURNAL=$WORK/journal
+LOG2=$WORK/serve-resume.log
 PORT2=$((PORT + 1))
-rm -rf "$JOURNAL"
 
 # The oracle: the same job through the per-request CLI path.
 "$BIN" adaptive C432 --model "$MODEL" --seed 7 --threads 1 \
-  --colorgnn false --json true > /tmp/ci-resume-oracle.json
-cat /tmp/ci-resume-oracle.json
+  --colorgnn false --json true > "$WORK/resume-oracle.json"
+cat "$WORK/resume-oracle.json"
 
 start_journaled_server() {
   "$BIN" serve --model "$MODEL" --addr "127.0.0.1:$PORT2" --workers 2 \
     --colorgnn false --journal-dir "$JOURNAL" > "$LOG2" &
   SERVER_PID=$!
-  trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
   for _ in $(seq 1 100); do
     grep -q "listening on" "$LOG2" 2>/dev/null && break
     sleep 0.1
@@ -147,13 +154,14 @@ start_journaled_server() {
 
 start_journaled_server
 "$BIN" submit C432 --addr "127.0.0.1:$PORT2" --seed 7 \
-  --job-id killtest --json true > /tmp/ci-submit-1.json
+  --job-id killtest --json true > "$WORK/submit-1.json"
 
 # The kill: SIGKILL the server, then tear the job's journal to the
 # state a mid-append SIGKILL leaves on disk (whole records + a torn
 # half-line, no trailing newline).
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=
 python3 - "$JOURNAL/killtest.jsonl" <<'EOF'
 import sys
 path = sys.argv[1]
@@ -169,9 +177,9 @@ EOF
 # re-submitted job id must resume from the surviving records.
 start_journaled_server
 "$BIN" submit C432 --addr "127.0.0.1:$PORT2" --seed 7 \
-  --job-id killtest --json true > /tmp/ci-submit-2.json
+  --job-id killtest --json true > "$WORK/submit-2.json"
 
-python3 - /tmp/ci-resume-oracle.json /tmp/ci-submit-1.json /tmp/ci-submit-2.json <<'EOF'
+python3 - "$WORK/resume-oracle.json" "$WORK/submit-1.json" "$WORK/submit-2.json" <<'EOF'
 import json, sys
 
 oracle = json.load(open(sys.argv[1]))
@@ -195,6 +203,6 @@ EOF
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
+SERVER_PID=
 grep -q "drained, exiting" "$LOG2"
-trap - EXIT
 echo "server smoke passed"

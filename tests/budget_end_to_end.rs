@@ -1,7 +1,7 @@
 //! Budget-aware adaptive decomposition, end to end: anytime behavior
 //! (every unit keeps a full valid coloring no matter how tight the
-//! budget), bit-identical results under an unlimited policy, and
-//! cooperative cancellation.
+//! budget), bit-identical results under an unlimited policy, and a run
+//! whose deadline has passed before it starts.
 //!
 //! Every run decomposes through a cold [`Engine`] with its own
 //! [`Session`] seed, so concurrent tests never share an RNG stream and
@@ -14,7 +14,7 @@ use mpld::{
     prepare, train_framework, AdaptiveFramework, AdaptiveResult, BudgetPolicy, Engine,
     OfflineConfig, PreparedLayout, Recovery, Session, TrainingData,
 };
-use mpld_graph::{CancelToken, Certainty, Clock, DecomposeParams, MockClock};
+use mpld_graph::{Certainty, Clock, DecomposeParams, MockClock};
 use mpld_layout::circuit_by_name;
 use proptest::prelude::*;
 
@@ -129,7 +129,6 @@ proptest! {
         let policy = BudgetPolicy {
             total: total.then(|| Duration::from_micros(per_unit_us * 4)),
             per_unit: Some(Duration::from_micros(per_unit_us)),
-            cancel: None,
             clock: Some(clock as Arc<dyn Clock>),
         };
         let r = run(&mut Session::with_policy(0xC432, policy));
@@ -190,18 +189,16 @@ fn reseed_plus_framework_entry_point_equals_session_seed() {
 }
 
 #[test]
-fn cancelled_run_still_covers_every_unit() {
-    let token = CancelToken::new();
-    token.cancel(); // cancelled before the run even starts
+fn expired_run_still_covers_every_unit() {
+    // A zero deadline on a frozen clock: expired before the run starts.
     let policy = BudgetPolicy {
-        total: None,
+        total: Some(Duration::ZERO),
         per_unit: None,
-        cancel: Some(token),
-        clock: None,
+        clock: Some(Arc::new(MockClock::new()) as Arc<dyn Clock>),
     };
     let r = run(&mut Session::with_policy(11, policy));
     assert_anytime_contract(&r);
-    // Cancellation can only downgrade certainty (searches that finish
+    // An expired deadline can only downgrade certainty (searches that finish
     // within one gauge stride may still certify); every downgraded unit
     // must still carry a recorded engine.
     assert_eq!(r.unit_engines.len(), r.unit_outcomes.len());
@@ -217,7 +214,6 @@ fn tight_budget_parallel_matches_contract_and_reports_fallbacks() {
     let policy = BudgetPolicy {
         total: None,
         per_unit: Some(Duration::from_micros(1)),
-        cancel: None,
         clock: Some(clock as Arc<dyn Clock>),
     };
     let mut session = Session::with_policy(23, policy);

@@ -12,7 +12,8 @@ use mpld::{
     OfflineConfig, PreparedLayout, Progress, Session, TrainingData,
 };
 use mpld_graph::{graphs_identical, Budget, Certainty, DecomposeParams, MockClock};
-use mpld_layout::circuit_by_name;
+use mpld_layout::{circuit_by_name, iscas_suite};
+use mpld_matching::DEFAULT_SHARDS;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -163,6 +164,47 @@ fn distinct_seeds_stay_cost_equal_and_audited() {
     );
 }
 
+/// `--cache-cap` end to end: an engine whose three cross-request maps
+/// are capped at one entry each evicts on every pass, yet answers the
+/// suite exactly as an uncapped engine over the same weights, cold and
+/// warm.
+#[test]
+fn capped_engine_evicts_and_answers_like_an_uncapped_one() {
+    const CAP: usize = 1;
+    let (engine, _, _) = fixture();
+    let params = engine.framework().params;
+    let suite: Vec<PreparedLayout> = iscas_suite()
+        .iter()
+        .map(|c| prepare(&c.generate(), &params))
+        .collect();
+    let capped = Engine::with_cache_cap(oracle::cold_copy(engine.framework()), Some(CAP));
+    let uncapped = Engine::new(oracle::cold_copy(engine.framework()));
+    for pass in 0..2 {
+        for prep in &suite {
+            let a = capped
+                .decompose(prep, &mut Session::new(SEED))
+                .expect("decomposes");
+            let b = uncapped
+                .decompose(prep, &mut Session::new(SEED))
+                .expect("decomposes");
+            assert_eq!(digest(&a), digest(&b), "pass {pass}: {}", prep.name);
+        }
+        // Which tail cache a unit uses depends on its routing, so the
+        // solution caches are asked to evict as a pair.
+        let stats = capped.stats();
+        let (ilp, ec) = (stats.solutions_ilp_first, stats.solutions_ec_first);
+        assert!(stats.routing.evictions > 0, "pass {pass}: {stats:?}");
+        assert!(ilp.evictions + ec.evictions > 0, "pass {pass}: {stats:?}");
+        // The documented bound: at most `cap + shards - 1` entries.
+        for m in [stats.routing, ilp, ec] {
+            assert!(
+                m.entries < CAP + DEFAULT_SHARDS,
+                "pass {pass}: a map over its cap: {stats:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn expired_deadline_returns_incumbents_never_errors() {
     let (engine, test, _) = fixture();
@@ -170,7 +212,6 @@ fn expired_deadline_returns_incumbents_never_errors() {
     let policy = BudgetPolicy {
         total: Some(Duration::from_millis(5)),
         per_unit: None,
-        cancel: None,
         clock: Some(clock.clone()),
     };
     clock.advance(Duration::from_secs(1)); // expired before the first unit

@@ -76,7 +76,7 @@ fn reference_prepare(layout: &Layout, params: &DecomposeParams) -> PreparedLayou
     }
 
     let mut units = Vec::new();
-    for (i, unit) in simplified.units().iter().enumerate() {
+    for unit in simplified.units() {
         let feats: Vec<Feature> = unit
             .global_nodes
             .iter()
@@ -91,7 +91,6 @@ fn reference_prepare(layout: &Layout, params: &DecomposeParams) -> PreparedLayou
             .expect("unit geometry is valid");
         units.push(UnitInstance {
             hetero: stitched.graph,
-            unit_index: i,
         });
     }
 
@@ -112,7 +111,6 @@ fn assert_same_prep(got: &PreparedLayout, want: &PreparedLayout, what: &str) {
     assert_eq!(got.units.len(), want.units.len(), "{what}: unit count");
     for (i, (a, b)) in got.units.iter().zip(&want.units).enumerate() {
         assert_eq!(a.hetero, b.hetero, "{what}: unit {i} hetero");
-        assert_eq!(a.unit_index, b.unit_index, "{what}: unit {i} index");
     }
 }
 
