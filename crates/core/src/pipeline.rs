@@ -230,7 +230,10 @@ mod tests {
         assert!(!prep.units.is_empty(), "C432 should have surviving units");
         // Unit graphs at feature level match the simplified units.
         for (u, s) in prep.units.iter().zip(prep.simplified.units()) {
-            assert_eq!(u.hetero.num_features(), s.graph.num_nodes());
+            assert_eq!(
+                u.hetero.num_features(),
+                prep.graph.induced_subgraph(&s.global_nodes).0.num_nodes()
+            );
         }
     }
 

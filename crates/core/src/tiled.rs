@@ -85,7 +85,7 @@ impl Default for TilingConfig {
 /// everything here is a plain number).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TiledStats {
-    /// Tile grid width and height.
+    /// Tile grid width in tiles.
     pub tiles_x: usize,
     /// Tile grid height.
     pub tiles_y: usize,

@@ -1,5 +1,5 @@
 use crate::coloring::CostBreakdown;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Index of a node (a feature or subfeature) inside one [`LayoutGraph`].
@@ -302,18 +302,27 @@ impl LayoutGraph {
     ///
     /// Panics if `nodes` contains duplicates or out-of-range ids.
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (LayoutGraph, Vec<NodeId>) {
-        let mut local_of = vec![u32::MAX; self.num_nodes];
+        // Lookups go through the chosen nodes only, so the cost follows them
+        // and their neighbor lists, never the size of `self`.
+        let mut local_of = HashMap::with_capacity(nodes.len());
         for (i, &v) in nodes.iter().enumerate() {
             assert!((v as usize) < self.num_nodes, "node out of range");
-            assert_eq!(
-                local_of[v as usize],
-                u32::MAX,
-                "duplicate node in subgraph set"
-            );
-            local_of[v as usize] = i as u32;
+            let first = local_of.insert(v, i as NodeId).is_none();
+            assert!(first, "duplicate node in subgraph set");
         }
+        let edges_within = |adj: &[Vec<NodeId>]| {
+            let mut edges = Vec::new();
+            for (lv, &v) in nodes.iter().enumerate() {
+                for w in adj[v as usize].iter().filter(|&&w| v < w) {
+                    if let Some(&lw) = local_of.get(w) {
+                        edges.push((lv as NodeId, lw));
+                    }
+                }
+            }
+            edges
+        };
         let mut feat_map: Vec<u32> = Vec::new();
-        let mut feat_local = std::collections::HashMap::new();
+        let mut feat_local = HashMap::new();
         let node_feature: Vec<u32> = nodes
             .iter()
             .map(|&v| {
@@ -324,21 +333,13 @@ impl LayoutGraph {
                 })
             })
             .collect();
-        let conflict_edges: Vec<(NodeId, NodeId)> = self
-            .conflict_edges
-            .iter()
-            .filter(|(u, v)| local_of[*u as usize] != u32::MAX && local_of[*v as usize] != u32::MAX)
-            .map(|&(u, v)| (local_of[u as usize], local_of[v as usize]))
-            .collect();
-        let stitch_edges: Vec<(NodeId, NodeId)> = self
-            .stitch_edges
-            .iter()
-            .filter(|(u, v)| local_of[*u as usize] != u32::MAX && local_of[*v as usize] != u32::MAX)
-            .map(|&(u, v)| (local_of[u as usize], local_of[v as usize]))
-            .collect();
         #[allow(clippy::expect_used)] // structural invariant of a validated graph
-        let g = LayoutGraph::new(node_feature, conflict_edges, stitch_edges)
-            .expect("induced subgraph of a valid graph is valid");
+        let g = LayoutGraph::new(
+            node_feature,
+            edges_within(&self.conflict_adj),
+            edges_within(&self.stitch_adj),
+        )
+        .expect("induced subgraph of a valid graph is valid");
         (g, nodes.to_vec())
     }
 

@@ -10,14 +10,20 @@
 //!    stack; recovery pops the stack and picks any free mask.
 //! 3. **Biconnected decomposition** — components are further split at
 //!    articulation points; block colorings are merged back by color
-//!    permutation (see [`crate::BlockCutTree`]).
+//!    permutation at the shared articulation points.
 //!
-//! The result is a set of small independent [`DecompUnit`]s. After each
-//! unit is decomposed (by any engine), [`Simplified::recover`] reassembles
-//! a full coloring whose cost is exactly the sum of unit costs — hidden
-//! nodes and cut-vertex merging never introduce additional conflicts.
+//! All three run in the graph's own node ids: after hiding, one Tarjan
+//! walk of the remaining (active) subgraph visits each connected component
+//! as one DFS tree and emits its blocks. Each block's sorted node list is
+//! a [`DecompUnit`]; no per-component or per-unit conflict graph is built.
+//! After each unit is decomposed (by any engine), [`Simplified::recover`]
+//! merges the unit colorings over the block-cut tree of those same lists
+//! and reassembles a full coloring whose cost is exactly the sum of unit
+//! costs — hidden nodes and cut-vertex merging never introduce additional
+//! conflicts.
 
-use crate::{biconnected_components, BlockCutTree, LayoutGraph, NodeId};
+use crate::bicc::{active_blocks, merge_blocks, UNCOLORED};
+use crate::{LayoutGraph, NodeId};
 
 /// Which simplification steps to run (ICC always runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,37 +44,29 @@ impl Default for SimplifyOptions {
     }
 }
 
-/// One independent decomposition unit: a small homogeneous conflict graph
-/// plus the map from its local node ids to global node ids.
+/// One independent decomposition unit: a block of the graph left after
+/// hiding (a whole connected component without the biconnected split).
+/// Its conflict graph is the original graph induced on `global_nodes`.
 #[derive(Debug, Clone)]
 pub struct DecompUnit {
-    /// The unit's conflict graph (homogeneous; stitch insertion happens
-    /// later, per unit).
-    pub graph: LayoutGraph,
-    /// `global_nodes[local]` = global node id.
+    /// The unit's nodes, sorted by global id: `global_nodes[local]` =
+    /// global node id.
     pub global_nodes: Vec<NodeId>,
-    /// Index of the parent connected component.
-    pub component: usize,
-    /// Index of this block inside the component's block-cut tree.
-    pub block: usize,
 }
 
-/// Per-component bookkeeping needed to merge block colorings back.
-#[derive(Debug, Clone)]
-struct ComponentInfo {
-    /// Global ids of the component's nodes; local ids are positions here.
-    global_nodes: Vec<NodeId>,
-    bct: BlockCutTree,
-    /// `unit_of_block[b]` = index into `Simplified::units`.
-    unit_of_block: Vec<usize>,
+impl AsRef<[NodeId]> for DecompUnit {
+    fn as_ref(&self) -> &[NodeId] {
+        &self.global_nodes
+    }
 }
 
 /// The output of [`simplify`]: decomposition units plus everything needed
 /// for recovery.
 #[derive(Debug, Clone)]
 pub struct Simplified {
+    /// The units in emission order; they are also the blocks that
+    /// recovery merges over.
     units: Vec<DecompUnit>,
-    components: Vec<ComponentInfo>,
     /// Hidden nodes in hiding order (recovered in reverse).
     hidden: Vec<NodeId>,
     num_nodes: usize,
@@ -106,7 +104,7 @@ pub struct Recovered {
 /// ).unwrap();
 /// let s = simplify(&g, 3, SimplifyOptions::default());
 /// assert_eq!(s.units().len(), 1);
-/// assert_eq!(s.units()[0].graph.num_nodes(), 4);
+/// assert_eq!(g.induced_subgraph(&s.units()[0].global_nodes).0.num_nodes(), 4);
 /// ```
 pub fn simplify(g: &LayoutGraph, k: u8, opts: SimplifyOptions) -> Simplified {
     assert!(
@@ -140,83 +138,13 @@ pub fn simplify(g: &LayoutGraph, k: u8, opts: SimplifyOptions) -> Simplified {
         }
     }
 
-    // Connected components over the active subgraph.
-    let mut comp = vec![usize::MAX; n];
-    let mut comp_nodes: Vec<Vec<NodeId>> = Vec::new();
-    for s in 0..n as u32 {
-        if !active[s as usize] || comp[s as usize] != usize::MAX {
-            continue;
-        }
-        let c = comp_nodes.len();
-        let mut nodes = vec![s];
-        comp[s as usize] = c;
-        let mut stack = vec![s];
-        while let Some(v) = stack.pop() {
-            for &w in g.conflict_neighbors(v) {
-                if active[w as usize] && comp[w as usize] == usize::MAX {
-                    comp[w as usize] = c;
-                    nodes.push(w);
-                    stack.push(w);
-                }
-            }
-        }
-        nodes.sort_unstable();
-        comp_nodes.push(nodes);
-    }
-
-    let mut units = Vec::new();
-    let mut components = Vec::new();
-    for (ci, globals) in comp_nodes.into_iter().enumerate() {
-        // Induced subgraph on active component nodes, with local ids.
-        let mut local_of = std::collections::HashMap::new();
-        for (i, &v) in globals.iter().enumerate() {
-            local_of.insert(v, i as NodeId);
-        }
-        let mut edges = Vec::new();
-        for &v in &globals {
-            for &w in g.conflict_neighbors(v) {
-                if v < w {
-                    if let Some(&lw) = local_of.get(&w) {
-                        edges.push((local_of[&v], lw));
-                    }
-                }
-            }
-        }
-        #[allow(clippy::expect_used)] // structural invariant of a validated graph
-        let cg = LayoutGraph::homogeneous(globals.len(), edges)
-            .expect("induced component graph is valid");
-
-        let bct = if opts.biconnected {
-            biconnected_components(&cg)
-        } else {
-            BlockCutTree {
-                blocks: vec![(0..cg.num_nodes() as u32).collect()],
-                is_articulation: vec![false; cg.num_nodes()],
-            }
-        };
-
-        let mut unit_of_block = Vec::with_capacity(bct.blocks.len());
-        for (bi, block) in bct.blocks.iter().enumerate() {
-            let (bg, _) = cg.induced_subgraph(block);
-            let block_globals: Vec<NodeId> = block.iter().map(|&lv| globals[lv as usize]).collect();
-            unit_of_block.push(units.len());
-            units.push(DecompUnit {
-                graph: bg,
-                global_nodes: block_globals,
-                component: ci,
-                block: bi,
-            });
-        }
-        components.push(ComponentInfo {
-            global_nodes: globals,
-            bct,
-            unit_of_block,
-        });
-    }
-
+    let units = active_blocks(g, &active, opts.biconnected)
+        .blocks
+        .into_iter()
+        .map(|global_nodes| DecompUnit { global_nodes })
+        .collect();
     Simplified {
         units,
-        components,
         hidden,
         num_nodes: n,
     }
@@ -239,7 +167,7 @@ impl Simplified {
     }
 
     /// Reassembles a full coloring from per-unit (parent/feature-level)
-    /// colorings: merges blocks inside each component via color
+    /// colorings: merges the units over their block-cut tree via color
     /// permutation, then recovers hidden nodes greedily against the
     /// original graph `g`.
     ///
@@ -250,8 +178,8 @@ impl Simplified {
     /// # Panics
     ///
     /// Panics if `unit_colorings.len() != self.units().len()`, a unit
-    /// coloring has the wrong length or colors `>= k`, or `g` is not the
-    /// graph this simplification was built from.
+    /// coloring has the wrong length or colors `>= k`, `k > 8`, or `g` is
+    /// not the graph this simplification was built from.
     pub fn recover(&self, g: &LayoutGraph, k: u8, unit_colorings: &[Vec<u8>]) -> Recovered {
         assert_eq!(
             unit_colorings.len(),
@@ -259,42 +187,19 @@ impl Simplified {
             "one coloring per unit"
         );
         assert_eq!(g.num_nodes(), self.num_nodes, "graph mismatch");
-        let mut coloring = vec![0u8; self.num_nodes];
-        let mut assigned = vec![false; self.num_nodes];
-        let mut unit_permutations = vec![[0, 1, 2, 3, 4, 5, 6, 7]; self.units.len()];
-
-        for info in &self.components {
-            let block_colorings: Vec<Vec<u8>> = info
-                .unit_of_block
-                .iter()
-                .map(|&ui| unit_colorings[ui].clone())
-                .collect();
-            let (merged, perms) = info.bct.merge_colorings_with_permutations(
-                info.global_nodes.len(),
-                k,
-                &block_colorings,
-            );
-            for (local, &global) in info.global_nodes.iter().enumerate() {
-                coloring[global as usize] = merged[local];
-                assigned[global as usize] = true;
-            }
-            for (&ui, perm) in info.unit_of_block.iter().zip(&perms) {
-                unit_permutations[ui] = *perm;
-            }
-        }
+        let mut coloring = vec![UNCOLORED; self.num_nodes];
+        let unit_permutations = merge_blocks(&self.units, k, unit_colorings, &mut coloring);
 
         // Hidden nodes, reverse hiding order: all conflict neighbors that
-        // were active at hiding time are already assigned.
+        // were active at hiding time are already colored.
         for &v in self.hidden.iter().rev() {
             let mut used = [false; 256];
             for &w in g.conflict_neighbors(v) {
-                if assigned[w as usize] {
+                if coloring[w as usize] != UNCOLORED {
                     used[coloring[w as usize] as usize] = true;
                 }
             }
-            let c = (0..k).find(|&c| !used[c as usize]).unwrap_or(0);
-            coloring[v as usize] = c;
-            assigned[v as usize] = true;
+            coloring[v as usize] = (0..k).find(|&c| !used[c as usize]).unwrap_or(0);
         }
 
         Recovered {
@@ -355,17 +260,25 @@ mod tests {
         .unwrap();
         let s = simplify(&g, 3, SimplifyOptions::default());
         assert_eq!(s.units().len(), 1);
-        assert_eq!(s.units()[0].graph.num_nodes(), 4);
+        assert_eq!(
+            g.induced_subgraph(&s.units()[0].global_nodes).0.num_nodes(),
+            4
+        );
         let colorings: Vec<Vec<u8>> = s
             .units()
             .iter()
-            .map(|u| decompose_greedy(&u.graph, 3))
+            .map(|u| decompose_greedy(&g.induced_subgraph(&u.global_nodes).0, 3))
             .collect();
         let unit_conflicts: u32 = s
             .units()
             .iter()
             .zip(&colorings)
-            .map(|(u, c)| u.graph.evaluate(c, 0.1).conflicts)
+            .map(|(u, c)| {
+                g.induced_subgraph(&u.global_nodes)
+                    .0
+                    .evaluate(c, 0.1)
+                    .conflicts
+            })
             .sum();
         let rec = s.recover(&g, 3, &colorings);
         // K4 at k = 3 forces exactly the unit's conflicts; recovery adds none.
@@ -378,7 +291,10 @@ mod tests {
             .unwrap();
         let s = simplify(&g, 3, SimplifyOptions::default());
         assert_eq!(s.units().len(), 1);
-        assert_eq!(s.units()[0].graph.num_nodes(), 4);
+        assert_eq!(
+            g.induced_subgraph(&s.units()[0].global_nodes).0.num_nodes(),
+            4
+        );
         assert!(s.hidden_nodes().is_empty());
     }
 
@@ -399,13 +315,18 @@ mod tests {
         let colorings: Vec<Vec<u8>> = s
             .units()
             .iter()
-            .map(|u| decompose_greedy(&u.graph, 3))
+            .map(|u| decompose_greedy(&g.induced_subgraph(&u.global_nodes).0, 3))
             .collect();
         let unit_cost: u32 = s
             .units()
             .iter()
             .zip(&colorings)
-            .map(|(u, c)| u.graph.evaluate(c, 0.1).conflicts)
+            .map(|(u, c)| {
+                g.induced_subgraph(&u.global_nodes)
+                    .0
+                    .evaluate(c, 0.1)
+                    .conflicts
+            })
             .sum();
         let rec = s.recover(&g, 3, &colorings);
         let total = g.evaluate(&rec.coloring, 0.1);
@@ -426,11 +347,14 @@ mod tests {
             },
         );
         assert_eq!(s.units().len(), 2);
-        assert!(s.units().iter().all(|u| u.graph.num_nodes() == 3));
+        assert!(s
+            .units()
+            .iter()
+            .all(|u| g.induced_subgraph(&u.global_nodes).0.num_nodes() == 3));
         let colorings: Vec<Vec<u8>> = s
             .units()
             .iter()
-            .map(|u| decompose_greedy(&u.graph, 3))
+            .map(|u| decompose_greedy(&g.induced_subgraph(&u.global_nodes).0, 3))
             .collect();
         let rec = s.recover(&g, 3, &colorings);
         assert_eq!(g.evaluate(&rec.coloring, 0.1).conflicts, 0);
@@ -445,7 +369,10 @@ mod tests {
         };
         let s = simplify(&g, 3, opts);
         assert_eq!(s.units().len(), 1);
-        assert_eq!(s.units()[0].graph.num_nodes(), 4);
+        assert_eq!(
+            g.induced_subgraph(&s.units()[0].global_nodes).0.num_nodes(),
+            4
+        );
     }
 
     #[test]

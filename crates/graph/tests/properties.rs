@@ -112,12 +112,12 @@ proptest! {
         let k = 3u8;
         let s = simplify(&g, k, SimplifyOptions::default());
         let colorings: Vec<Vec<u8>> =
-            s.units().iter().map(|u| greedy(&u.graph, k)).collect();
+            s.units().iter().map(|u| greedy(&g.induced_subgraph(&u.global_nodes).0, k)).collect();
         let unit_total = s
             .units()
             .iter()
             .zip(&colorings)
-            .map(|(u, c)| u.graph.evaluate(c, 0.1))
+            .map(|(u, c)| g.induced_subgraph(&u.global_nodes).0.evaluate(c, 0.1))
             .fold(CostBreakdown::default(), |a, b| a.combine(b));
         let rec = s.recover(&g, k, &colorings);
         let total = g.evaluate(&rec.coloring, 0.1);
@@ -132,8 +132,9 @@ proptest! {
         let k = 3u8;
         let s = simplify(&g, k, SimplifyOptions::default());
         for unit in s.units() {
-            for v in 0..unit.graph.num_nodes() as u32 {
-                prop_assert!(unit.graph.conflict_degree(v) >= k as usize);
+            let unit_graph = g.induced_subgraph(&unit.global_nodes).0;
+            for v in 0..unit_graph.num_nodes() as u32 {
+                prop_assert!(unit_graph.conflict_degree(v) >= k as usize);
             }
         }
     }

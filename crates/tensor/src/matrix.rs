@@ -442,11 +442,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
     /// The single element of a `1 x 1` matrix.
     ///
     /// # Panics
@@ -649,9 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_norm() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(m.norm(), 5.0);
+    fn scalar_reads_the_single_element() {
         let s = Matrix::from_rows(&[&[7.5]]);
         assert_eq!(s.scalar(), 7.5);
     }

@@ -147,15 +147,6 @@ impl ParamSet {
         }
     }
 
-    /// Sets all accumulated gradients to zero.
-    pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            for x in g.as_mut_slice() {
-                *x = 0.0;
-            }
-        }
-    }
-
     /// Writes all parameter values to `writer` in a simple binary format
     /// (magic, parameter count, then per-matrix rows/cols/LE f32 data).
     /// Optimizer state is not persisted.
@@ -319,20 +310,6 @@ mod tests {
             ps.step(0.05);
         }
         assert!((ps.value(w).scalar() + 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn zero_grads_clears_accumulation() {
-        let mut ps = ParamSet::new(Optimizer::Sgd);
-        let w = ps.add(Matrix::from_vec(1, 1, vec![1.0]));
-        let mut g = Graph::new();
-        let wv = ps.bind(&mut g, w);
-        let out = g.scale_const(wv, 3.0);
-        g.backward(out);
-        ps.apply_grads(&g);
-        ps.zero_grads();
-        ps.step(1.0); // no-op update
-        assert_eq!(ps.value(w).scalar(), 1.0);
     }
 
     #[test]

@@ -100,14 +100,15 @@ fn library_matches_are_exactly_optimal_on_real_units() {
 fn stitch_insertion_only_splits_within_components() {
     let p = prep("C880");
     for (unit, s) in p.units.iter().zip(p.simplified.units()) {
+        let s_graph = p.graph.induced_subgraph(&s.global_nodes).0;
         // Subfeature count >= feature count; features map into the unit.
-        assert!(unit.hetero.num_nodes() >= s.graph.num_nodes());
-        assert_eq!(unit.hetero.num_features(), s.graph.num_nodes());
+        assert!(unit.hetero.num_nodes() >= s_graph.num_nodes());
+        assert_eq!(unit.hetero.num_features(), s_graph.num_nodes());
         // Feature-level conflict structure is preserved: merging stitch
         // edges yields at least the unit's conflict edges.
         let (parent, _) = unit.hetero.merge_stitch_edges();
-        assert_eq!(parent.num_nodes(), s.graph.num_nodes());
-        for &(a, b) in s.graph.conflict_edges() {
+        assert_eq!(parent.num_nodes(), s_graph.num_nodes());
+        for &(a, b) in s_graph.conflict_edges() {
             assert!(
                 parent.conflict_neighbors(a).contains(&b),
                 "feature-level conflict lost by stitch insertion"
